@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .learner import (
     TrainConfig,
     load_checkpoint,
     micro_cnn,
+    network_from_checkpoint,
     predict,
     save_checkpoint,
     train,
@@ -67,20 +68,6 @@ def _write_run_manifest(out_dir: Path, subcommand: str, argv, inputs, outputs, s
     _dump_json(manifest, out_dir / f"run_{subcommand.replace('-', '_')}.json")
 
 
-def make_loader(image_root, colour: str, size: int):
-    """Per-image tensor pipeline: decode, resize to the network input,
-    colour-convert, scale to [0, 1]."""
-    root = Path(image_root) if image_root else None
-    mode = "rgb" if colour == "rgb" else "grayscale_replicated"
-
-    def load(path: str) -> np.ndarray:
-        full = root / path if root else Path(path)
-        img = imaging.load_image(full)
-        return imaging.to_tensor(imaging.resize_bilinear(img, size, size), mode)
-
-    return load
-
-
 def _load_profile(ref: str) -> nbi.ParseProfile:
     if ref and (ref.endswith(".json") or "/" in ref):
         require_paths(ref)
@@ -120,7 +107,7 @@ def cmd_nbi_parse(args, argv) -> int:
         records, stats = nbi.parse_nbi(fh, profile)
     (out_dir / "records.ndjson").write_text(nbi.records_to_ndjson(records))
     _dump_json(
-        {"stats": stats.to_dict(), "rating_histogram": nbi.rating_histogram(records)},
+        {"stats": asdict(stats), "rating_histogram": nbi.rating_histogram(records)},
         out_dir / "nbi_stats.json",
     )
     _write_run_manifest(out_dir, "nbi-parse", argv, [args.input],
@@ -147,10 +134,10 @@ def cmd_corpus_match(args, argv) -> int:
         labeled, tag_report = corpus.tag_completion(
             labeled, source="model", checkpoint=ckpt, image_root=args.image_root
         )
-        _dump_json(tag_report.to_dict(), out_dir / "completion_tags.json")
+        _dump_json(asdict(tag_report), out_dir / "completion_tags.json")
         outputs.append("completion_tags.json")
     (out_dir / "labeled.ndjson").write_text(corpus.labeled_to_ndjson(labeled))
-    _dump_json(join_report.to_dict(), out_dir / "join_report.json")
+    _dump_json(asdict(join_report), out_dir / "join_report.json")
     _dump_json(corpus.corpus_stats(labeled), out_dir / "corpus_stats.json")
     inputs = [args.manifest, args.records] + ([args.completion_model] if args.completion_model else [])
     _write_run_manifest(out_dir, "corpus-match", argv, inputs, outputs)
@@ -232,16 +219,22 @@ def cmd_train(args, argv) -> int:
         split = datasets.read_split_csv(Path(args.split).read_text())
         classes = sorted({i.cls for i in split.train} | {i.cls for i in split.test})
         labels = [str(c) for c in classes]
+        colour = args.colour or "rgb"
         if args.dataset_manifest:
             require_paths(args.dataset_manifest)
             manifest = json.loads(Path(args.dataset_manifest).read_text())
             all_labels = manifest["class_labels"]
             labels = [all_labels[c - 1] for c in classes]
+            colour = manifest["colour"]
+            if args.colour is not None and args.colour != colour:
+                raise UsageError(
+                    f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"
+                )
         descriptor = micro_cnn(
-            labels, input_shape=(3, args.size, args.size), colour_mode=args.colour
+            labels, input_shape=(3, args.size, args.size), colour_mode=colour
         )
         net = Network(descriptor, seed=config.seed)
-        loader = make_loader(args.image_root, args.colour, args.size)
+        loader = imaging.make_loader(args.image_root, colour, descriptor.input_shape[1:])
         ckpt = train(net, split, config, loader)
         inputs = [args.split] + ([args.dataset_manifest] if args.dataset_manifest else [])
 
@@ -262,7 +255,7 @@ def cmd_evaluate(args, argv) -> int:
     out_dir = resolve_output_dir(args.out, args.config)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
-    net = Network.from_checkpoint(ckpt)
+    net = network_from_checkpoint(ckpt)
     split = datasets.read_split_csv(Path(args.split).read_text())
     items = split.test if args.side == "test" else split.train
     if not items:
@@ -275,8 +268,8 @@ def cmd_evaluate(args, argv) -> int:
             f"{ckpt.descriptor.num_classes} wide"
         )
     index = {cls: i for i, cls in enumerate(classes)}
-    _, h, w = ckpt.descriptor.input_shape
-    loader = make_loader(args.image_root, ckpt.descriptor.colour_mode, h)
+    loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode,
+                                 ckpt.descriptor.input_shape[1:])
     x = np.stack([loader(item.image_path) for item in items])
     truths = np.array([index[item.cls] for item in items])
     preds = predict(net, x)
@@ -409,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("preset", help="preset name (LR1..LR11, DL1..DL18) or spec file")
     p.add_argument("--corpus", required=True, help="labeled.ndjson")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--colour", choices=datasets.COLOUR_MODES, default=None)
+    p.add_argument("--colour", choices=imaging.COLOUR_MODES, default=None)
     p.add_argument("--group-split", dest="group_split", choices=datasets.GROUP_SPLITS,
                    default=None)
     p.add_argument("--split-fraction", dest="split_fraction", type=float, default=None)
@@ -421,7 +414,8 @@ def build_parser() -> _Parser:
     p.add_argument("--image-root", default=None)
     p.add_argument("--dataset-manifest", default=None)
     p.add_argument("--features", default=None, help="train a linear head on a feature CSV")
-    p.add_argument("--colour", choices=datasets.COLOUR_MODES, default="rgb")
+    p.add_argument("--colour", choices=imaging.COLOUR_MODES, default=None,
+                   help="default: the dataset manifest's colour, else rgb")
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)

@@ -11,17 +11,13 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-_TOP_KEYS = {"paths", "nbi_profile", "dataset", "train", "report"}
-_PATH_KEYS = {"nbi_file", "manifest", "image_root", "output_dir"}
-_DATASET_KEYS = {
-    "preset", "seed", "colour", "group_split", "split_fraction", "stratified",
-    "completion_filter",
-}
+_TOP_KEYS = {"paths", "dataset", "train"}
+_PATH_KEYS = {"output_dir"}
+_DATASET_KEYS = {"seed", "colour", "group_split", "split_fraction", "stratified"}
 _TRAIN_KEYS = {
     "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
-    "min_delta", "seed", "colour", "image_size",
+    "min_delta", "seed",
 }
-_REPORT_KEYS = {"svg"}
 
 OUTPUT_DIR_ENV = "BRIDGECAP_OUT"
 
@@ -42,10 +38,6 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(cfg["dataset"], _DATASET_KEYS, "config.dataset")
     if "train" in cfg:
         _check_keys(cfg["train"], _TRAIN_KEYS, "config.train")
-    if "report" in cfg:
-        _check_keys(cfg["report"], _REPORT_KEYS, "config.report")
-    # nbi_profile is either a built-in name or an inline profile object;
-    # inline objects are validated by the profile loader itself.
     return cfg
 
 

@@ -9,9 +9,9 @@ label are counted as matched but excluded from the labeled set.
 
 import csv
 import io
-import json
 from dataclasses import dataclass, replace
 
+from ._records import as_text, from_ndjson, to_ndjson
 from .errors import ConfigError, FormatError
 from .nbi import DegenerateKeyError, canonicalize, is_valid_state_code
 
@@ -52,23 +52,11 @@ class JoinReport:
     partial_count: int
     duplicate_record_keys: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def read_manifest(source) -> list[ManifestEntry]:
     """Parse a manifest CSV. The completion column is optional; when
     present it must hold 'complete', 'partial', or be blank."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(as_text(source, "utf-8")))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         return []
@@ -196,13 +184,6 @@ class TagReport:
     rejects: tuple[tuple[str, str], ...] = ()  # (image_path, reason)
     probabilities: tuple[tuple[str, float], ...] = ()  # model source only
 
-    def to_dict(self) -> dict:
-        return {
-            "tagged": self.tagged,
-            "rejects": [list(r) for r in self.rejects],
-            "probabilities": [[p, float(v)] for p, v in self.probabilities],
-        }
-
 
 def tag_completion(
     images,
@@ -232,8 +213,8 @@ def tag_completion(
     if checkpoint is None:
         raise ConfigError("source='model' requires a checkpoint")
 
-    from . import imaging
-    from .learner import Network, predict_proba
+    from .imaging import make_loader
+    from .learner import network_from_checkpoint, predict_proba
 
     labels = list(checkpoint.class_labels)
     if len(labels) != 2 or "complete" not in labels:
@@ -241,22 +222,20 @@ def tag_completion(
             f"completion checkpoint must be 2-class with a 'complete' label, got {labels}"
         )
     complete_idx = labels.index("complete")
-    net = Network.from_checkpoint(checkpoint)
-    _, h, w = checkpoint.descriptor.input_shape
-    mode = checkpoint.descriptor.colour_mode
+    net = network_from_checkpoint(checkpoint)
+    descriptor = checkpoint.descriptor
+    load = make_loader(image_root, descriptor.colour_mode, descriptor.input_shape[1:])
 
     tagged = []
     rejects = []
     probs = []
     for img in images:
         path = img.image_path
-        full = path if image_root is None else str(image_root) + "/" + path
         try:
-            decoded = imaging.load_image(full)
+            tensor = load(path)
         except (OSError, FormatError) as exc:
             rejects.append((path, str(exc)))
             continue
-        tensor = imaging.to_tensor(imaging.resize_bilinear(decoded, w, h), mode)
         p = float(predict_proba(net, tensor[None])[0, complete_idx])
         flag = "complete" if p >= 0.5 else "partial"
         tagged.append(replace(img, completion=flag))
@@ -288,34 +267,9 @@ def corpus_stats(images) -> dict:
 
 # --- serialization ---------------------------------------------------------
 
-def labeled_to_dict(img: LabeledImage) -> dict:
-    return {
-        "image_path": img.image_path,
-        "state": img.state,
-        "structure": img.structure,
-        "design_load_class": img.design_load_class,
-        "load_rating_tons": img.load_rating_tons,
-        "completion": img.completion,
-    }
-
-
-def labeled_from_dict(d: dict) -> LabeledImage:
-    return LabeledImage(
-        image_path=d["image_path"],
-        state=d["state"],
-        structure=d["structure"],
-        design_load_class=d.get("design_load_class"),
-        load_rating_tons=d.get("load_rating_tons"),
-        completion=d.get("completion"),
-    )
-
-
 def labeled_to_ndjson(images) -> str:
-    return "".join(
-        json.dumps(labeled_to_dict(i), sort_keys=True, separators=(",", ":")) + "\n"
-        for i in images
-    )
+    return to_ndjson(LabeledImage, images)
 
 
 def labeled_from_ndjson(text: str) -> list[LabeledImage]:
-    return [labeled_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+    return from_ndjson(LabeledImage, text)

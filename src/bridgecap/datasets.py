@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .imaging import COLOUR_MODES
 from .nbi import DESIGN_CLASS_NAMES
 
 DESIGN_CLASS_RANGE = tuple(range(1, 13))
 COMPLETION_FILTERS = ("any", "complete_only", "partial_only")
-COLOUR_MODES = ("rgb", "grayscale")
 GROUP_SPLITS = ("image_level", "bridge_level")
 MATCH_MIN = "match_min"
 

@@ -200,13 +200,6 @@ class BinaryReport:
         }
 
 
-def relabel(classes, boundary: int):
-    """Map 0-based multiclass indices to binary: 0 = positive (class index
-    < boundary), 1 = negative."""
-    arr = np.asarray(classes, dtype=np.int64)
-    return (arr >= boundary).astype(np.int64)
-
-
 def binarize(cm: ConfusionMatrix, level: BinarizationLevel) -> BinaryReport:
     """Collapse a K x K matrix to the 2x2 matrix of one threshold.
 

@@ -5,17 +5,21 @@ maxval 255): it is dependency-free and byte-exact, which keeps the
 pipeline's image handling testable down to the bit. JPEG/PNG files are
 readable through an optional Pillow adapter behind the same interface.
 
-Tensors handed to the classifier are float arrays shaped (channels,
-height, width) with values in [0, 1].
+Tensors handed to the classifier are float32 arrays shaped (3, height,
+width) with values in [0, 1]. The colour mode, one of ``COLOUR_MODES``,
+is the single vocabulary shared by dataset specs, the CLI and model
+descriptors: ``rgb`` keeps the colour channels, ``grayscale`` feeds BT.601
+luminance copied into all three, so one network shape serves both.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, FormatError
 
-GRAY_MODES = ("rgb", "grayscale_replicated", "grayscale_1ch")
+COLOUR_MODES = ("rgb", "grayscale")
 
 # BT.601 luma weights scaled by 1000; integer arithmetic keeps the
 # conversion exact (the weights sum to exactly 1000).
@@ -205,24 +209,32 @@ def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
 
 
 def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
-    """Produce a float32 (channels, height, width) tensor scaled to [0, 1].
+    """Produce a float32 (3, height, width) tensor scaled to [0, 1].
 
-    Modes: ``rgb`` keeps three colour channels (grayscale input is
-    replicated); ``grayscale_replicated`` converts to luminance and copies
-    it into three channels, so one classifier shape serves colour and
-    grayscale experiments; ``grayscale_1ch`` yields a single channel.
+    ``rgb`` keeps the three colour channels (grayscale input is
+    replicated); ``grayscale`` converts colour input to luminance and
+    copies it into all three channels.
     """
-    if colour_mode not in GRAY_MODES:
+    if colour_mode not in COLOUR_MODES:
         raise DomainError(f"unknown colour mode {colour_mode!r}")
-    if colour_mode == "rgb":
-        if isinstance(img, GrayImage):
-            chans = np.repeat(img.pixels[None, :, :], 3, axis=0)
-        else:
-            chans = np.moveaxis(img.pixels, 2, 0)
+    if colour_mode == "grayscale" and isinstance(img, RgbImage):
+        img = to_grayscale(img)
+    if isinstance(img, GrayImage):
+        chans = np.repeat(img.pixels[None, :, :], 3, axis=0)
     else:
-        gray = img if isinstance(img, GrayImage) else to_grayscale(img)
-        if colour_mode == "grayscale_replicated":
-            chans = np.repeat(gray.pixels[None, :, :], 3, axis=0)
-        else:
-            chans = gray.pixels[None, :, :]
+        chans = np.moveaxis(img.pixels, 2, 0)
     return chans.astype(np.float32) / np.float32(255.0)
+
+
+def make_loader(image_root, colour_mode: str, size):
+    """Per-image tensor pipeline for a network input of ``size`` =
+    (height, width): decode, resize, colour-convert, scale to [0, 1].
+    Paths are taken relative to ``image_root`` when one is given."""
+    root = Path(image_root) if image_root else None
+    height, width = size
+
+    def load(path: str) -> np.ndarray:
+        img = load_image(root / path if root else Path(path))
+        return to_tensor(resize_bilinear(img, width, height), colour_mode)
+
+    return load

@@ -123,16 +123,6 @@ def load_checkpoint(path) -> Checkpoint:
         return checkpoint_from_bytes(fh.read())
 
 
-def network_from_checkpoint(ckpt: Checkpoint, dtype=np.float32) -> Network:
-    net = Network(ckpt.descriptor, seed=0, dtype=dtype)
-    net.set_weights(ckpt.weights)
-    return net
-
-
-# Bind as an alternate constructor; keeps call sites short.
-Network.from_checkpoint = staticmethod(network_from_checkpoint)
-
-
 def reinit_head(ckpt: Checkpoint, new_class_count: int, seed: int,
                 class_labels=None) -> Checkpoint:
     """Replace the final fully-connected layer with a freshly initialized

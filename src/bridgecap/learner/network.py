@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError, DomainError
+from ..imaging import COLOUR_MODES
 from . import layers as L
 
 _LAYER_OPS = ("conv", "relu", "maxpool", "flatten", "fc", "softmax")
@@ -61,7 +62,10 @@ class ArchitectureDescriptor:
 def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor:
     """Fill derived fields (conv in_ch, fc n_in) and verify the stack:
     shapes must compose, the final layer must be softmax over a head as
-    wide as the class-label list."""
+    wide as the class-label list, and the colour mode must be one of
+    ``imaging.COLOUR_MODES``."""
+    if desc.colour_mode not in COLOUR_MODES:
+        raise ConfigError(f"unknown colour mode {desc.colour_mode!r} (have {COLOUR_MODES})")
     shape = tuple(int(s) for s in desc.input_shape)
     if len(shape) not in (1, 3) or any(s < 1 for s in shape):
         raise ConfigError(f"bad input shape {shape}")
@@ -164,6 +168,13 @@ def linear_head(n_features, class_labels) -> ArchitectureDescriptor:
     )
 
 
+def network_from_checkpoint(ckpt, dtype=np.float32) -> "Network":
+    """The network a checkpoint describes, carrying its weights."""
+    net = Network(ckpt.descriptor, seed=0, dtype=dtype)
+    net.set_weights(ckpt.weights)
+    return net
+
+
 class Network:
     """A stack of layers instantiated from a descriptor.
 
@@ -197,6 +208,10 @@ class Network:
                 self.layers.append(L.FullyConnected(spec["n_in"], spec["n_out"], rng, self.dtype))
             else:
                 self.layers.append(L.Softmax())
+
+    # perfbench/tests/check_bench.py expects the benchmark tracer to
+    # find the constructor under this name as well.
+    from_checkpoint = staticmethod(network_from_checkpoint)
 
     # -- parameters ---------------------------------------------------------
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._records import as_text
 from ..errors import ConfigError, DomainError, TrainingDivergedError
 from .checkpoint import Checkpoint, make_checkpoint
 from .network import Network, linear_head
@@ -180,11 +181,7 @@ def read_features_csv(source) -> tuple[list[str], np.ndarray, list[str]]:
     """Parse ``id,v1..vN,label`` rows into (ids, float matrix, labels).
     A ragged row fails with its id; a non-numeric first data row is
     treated as a header and skipped."""
-    if isinstance(source, (str, bytes)):
-        text = source.decode() if isinstance(source, bytes) else source
-    else:
-        text = source.read()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    rows = [r for r in csv.reader(io.StringIO(as_text(source, "utf-8"))) if r]
     if not rows:
         raise ConfigError("feature file is empty")
 

@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from ._records import as_text, from_ndjson, to_ndjson
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
 # Sorted-by-load-level design classes. Class index -> (name, nominal tons);
@@ -80,16 +81,6 @@ class NbiFileStats:
     reject_count: int
     rejects: tuple[tuple[int, str], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "total_rows": self.total_rows,
-            "parsed_rows": self.parsed_rows,
-            "rows_missing_design_load": self.rows_missing_design_load,
-            "rows_missing_rating": self.rows_missing_rating,
-            "reject_count": self.reject_count,
-            "rejects": [list(r) for r in self.rejects],
-        }
-
 
 @dataclass(frozen=True)
 class DelimitedFormat:
@@ -132,17 +123,6 @@ class ParseProfile:
     design_code_map: dict[str, int] = field(default_factory=dict)
     rating_divisor: float = 1.0
     name: str = "custom"
-
-
-def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("latin-1")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("latin-1")
-    return data
 
 
 def _parse_rating(text: str, divisor: float) -> float | None:
@@ -271,7 +251,7 @@ def parse_nbi(source, profile: ParseProfile) -> tuple[list[NbiRecord], NbiFileSt
     blank capacity fields become absent values, never errors.
     """
     try:
-        text = _read_text(source)
+        text = as_text(source, "latin-1")
     except OSError as exc:
         raise OSError(f"could not read inventory source: {exc}") from exc
 
@@ -328,20 +308,6 @@ def rating_histogram(records, bin_width: float = 5.0) -> dict[str, int]:
     }
 
 
-def nbi_stats(records) -> tuple[NbiFileStats, dict[str, int]]:
-    """Stats over already-parsed records plus the 5-ton rating histogram."""
-    missing_design = sum(1 for r in records if r.design_load_class is None)
-    missing_rating = sum(1 for r in records if r.load_rating_tons is None)
-    stats = NbiFileStats(
-        total_rows=len(records),
-        parsed_rows=len(records),
-        rows_missing_design_load=missing_design,
-        rows_missing_rating=missing_rating,
-        reject_count=0,
-    )
-    return stats, rating_histogram(records)
-
-
 # --- serialization ---------------------------------------------------------
 
 _WRITER_COLUMNS = ("state", "structure", "design_load_code", "load_rating_tons")
@@ -381,37 +347,12 @@ def standard_profile(code_map: dict[str, int] | None = None) -> ParseProfile:
     )
 
 
-def record_to_dict(rec: NbiRecord) -> dict:
-    return {
-        "state": rec.state,
-        "structure_raw": rec.structure_raw,
-        "structure": rec.structure,
-        "design_load_class": rec.design_load_class,
-        "load_rating_tons": rec.load_rating_tons,
-        "raw_design_code": rec.raw_design_code,
-    }
-
-
-def record_from_dict(d: dict) -> NbiRecord:
-    return NbiRecord(
-        state=d["state"],
-        structure_raw=d["structure_raw"],
-        structure=d["structure"],
-        design_load_class=d.get("design_load_class"),
-        load_rating_tons=d.get("load_rating_tons"),
-        raw_design_code=d.get("raw_design_code"),
-    )
-
-
 def records_to_ndjson(records) -> str:
-    return "".join(
-        json.dumps(record_to_dict(r), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in records
-    )
+    return to_ndjson(NbiRecord, records)
 
 
 def records_from_ndjson(text: str) -> list[NbiRecord]:
-    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+    return from_ndjson(NbiRecord, text)
 
 
 # --- profile config --------------------------------------------------------

@@ -40,8 +40,30 @@ class TestExitCodes:
 
     def test_bad_config_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"despite": "everything"}))
-        assert run("--config", str(cfg), "synth-gen", "--out", str(tmp_path / "o")) == 2
+        # An unknown key, then each key nothing reads: all are rejected.
+        for doc in (
+            {"despite": "everything"},
+            {"nbi_profile": "standard"},
+            {"paths": {"nbi_file": "x"}},
+            {"paths": {"manifest": "x"}},
+            {"paths": {"image_root": "x"}},
+            {"dataset": {"preset": "LR5"}},
+            {"dataset": {"completion_filter": "any"}},
+            {"train": {"colour": "rgb"}},
+            {"train": {"image_size": 64}},
+            {"report": {"svg": True}},
+        ):
+            cfg.write_text(json.dumps(doc))
+            assert run("--config", str(cfg), "synth-gen", "--out", str(tmp_path / "o")) == 2, doc
+
+    def test_truncated_records_is_2(self, small_corpus, tmp_path):
+        text = (small_corpus / "nbi" / "records.ndjson").read_text()
+        cut = tmp_path / "records.ndjson"
+        cut.write_text(text[: len(text) // 2])
+        assert run(
+            "corpus-match", "--manifest", str(small_corpus / "manifest.csv"),
+            "--records", str(cut), "--out", str(tmp_path / "j"),
+        ) == 2
 
     def test_unknown_preset_is_2(self, small_corpus, tmp_path):
         assert run(
@@ -154,6 +176,25 @@ class TestPipeline:
             "--image-root", str(small_corpus), "--colour", "grayscale",
             "--size", "16", "--max-epochs", "1", "--out", str(model),
         ) == 0
+
+    def test_train_takes_colour_from_dataset_manifest(self, small_corpus, tmp_path):
+        from bridgecap.learner import load_checkpoint
+
+        data = tmp_path / "ds"
+        assert run(
+            "dataset-build", "LR5",
+            "--corpus", str(small_corpus / "joined" / "labeled.ndjson"),
+            "--seed", "3", "--colour", "grayscale", "--out", str(data),
+        ) == 0
+        train = ["train", "--split", str(data / "split.csv"),
+                 "--image-root", str(small_corpus),
+                 "--dataset-manifest", str(data / "dataset_manifest.json"),
+                 "--size", "16", "--max-epochs", "1"]
+        assert run(*train, "--out", str(tmp_path / "m")) == 0
+        ckpt = load_checkpoint(tmp_path / "m" / "model.ckpt")
+        assert ckpt.descriptor.colour_mode == "grayscale"
+        assert run(*train, "--colour", "rgb", "--out", str(tmp_path / "m2")) == 1
+        assert not (tmp_path / "m2" / "model.ckpt").exists()
 
 
 class TestDeterminism:

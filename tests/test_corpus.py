@@ -153,6 +153,36 @@ class TestTagCompletion:
         assert report.rejects[0][0] == "gone.pnm"
         assert len(report.probabilities) == 1
 
+    def test_grayscale_model_tags_every_image(self, tmp_path):
+        import numpy as np
+
+        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn
+
+        descriptor = micro_cnn(["partial", "complete"], input_shape=(3, 12, 12),
+                               colour_mode="grayscale")
+        ckpt = make_checkpoint(Network(descriptor, seed=3))
+        rng = np.random.default_rng(7)
+        images = []
+        for i in range(4):
+            pixels = rng.integers(0, 256, (20, 16, 3)).astype(np.uint8)
+            (tmp_path / f"c{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            images.append(corpus.LabeledImage(image_path=f"c{i}.pnm", state="01",
+                                              structure=f"S{i}", design_load_class=2))
+        tagged, report = corpus.tag_completion(
+            images, source="model", checkpoint=ckpt, image_root=tmp_path
+        )
+        assert [img.image_path for img in tagged] == [img.image_path for img in images]
+        assert report.tagged == 4 and report.rejects == ()
+
+        from bridgecap.imaging import make_loader
+        from bridgecap.learner import network_from_checkpoint
+
+        net = network_from_checkpoint(ckpt)
+        load = make_loader(tmp_path, "grayscale", (12, 12))
+        for path, p in report.probabilities:
+            assert p == float(net.forward(load(path)[None])[0, 1])
+
 
 class TestCorpusStats:
     def test_all_complete_all_labeled(self):
@@ -188,3 +218,19 @@ class TestCorpusStats:
         images = synth.gen_labeled_corpus({1: 3, 5: 2})
         text = corpus.labeled_to_ndjson(images)
         assert corpus.labeled_from_ndjson(text) == list(images)
+
+    def test_ndjson_optional_fields_default(self):
+        text = '{"image_path":"a","state":"01","structure":"S1"}\n'
+        assert corpus.labeled_from_ndjson(text) == [
+            corpus.LabeledImage(image_path="a", state="01", structure="S1")
+        ]
+
+    @pytest.mark.parametrize("bad, reason", [
+        ('{"image_path":"b","state":"01","struc', "not valid JSON"),
+        ('{"image_path":"b","state":"01"}', "missing required field 'structure'"),
+        ("[1, 2]", "expected a JSON object"),
+    ], ids=["truncated", "missing_field", "not_an_object"])
+    def test_malformed_ndjson_line_is_format_error(self, bad, reason):
+        good = corpus.labeled_to_ndjson(synth.gen_labeled_corpus({1: 1}))
+        with pytest.raises(FormatError, match=f"line 3: {reason}"):
+            corpus.labeled_from_ndjson(good + "\n" + bad + "\n")

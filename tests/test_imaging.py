@@ -97,14 +97,10 @@ class TestToTensor:
         assert t.max() <= 1.0 and t.min() >= 0.0
         assert t[0, 0, 0] == pytest.approx(1.0)
 
-    def test_grayscale_replicated_composes_luminance(self):
-        t = imaging.to_tensor(rgb([[[255, 0, 0]]]), "grayscale_replicated")
+    def test_grayscale_composes_luminance(self):
+        t = imaging.to_tensor(rgb([[[255, 0, 0]]]), "grayscale")
         assert t.shape == (3, 1, 1)
         assert np.allclose(t, 76 / 255)
-
-    def test_grayscale_1ch(self):
-        t = imaging.to_tensor(rgb([[[255, 0, 0]]]), "grayscale_1ch")
-        assert t.shape == (1, 1, 1)
 
     def test_all_black(self):
         t = imaging.to_tensor(rgb([[[0, 0, 0]]]), "rgb")
@@ -112,7 +108,7 @@ class TestToTensor:
 
     def test_tensor_range_random_images(self):
         rng = np.random.default_rng(5)
-        for mode in imaging.GRAY_MODES:
+        for mode in imaging.COLOUR_MODES:
             img = imaging.RgbImage(rng.integers(0, 256, (9, 4, 3)).astype(np.uint8))
             t = imaging.to_tensor(img, mode)
             assert t.min() >= 0.0 and t.max() <= 1.0

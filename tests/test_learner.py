@@ -17,6 +17,7 @@ from bridgecap.learner import (
     load_checkpoint,
     make_checkpoint,
     micro_cnn,
+    network_from_checkpoint,
     normalize_descriptor,
     predict_proba,
     read_features_csv,
@@ -133,6 +134,17 @@ class TestForward:
                     class_labels=("a", "b"),
                 )
             )
+
+
+    def test_foreign_colour_mode_rejected(self):
+        with pytest.raises(ConfigError, match="colour mode"):
+            micro_cnn(["a", "b"], input_shape=(3, 8, 8), colour_mode="grayscale_1ch")
+        ckpt = make_checkpoint(Network(micro_cnn(["a", "b"], input_shape=(3, 8, 8)), seed=0))
+        data = checkpoint_to_bytes(ckpt)
+        forged = data.replace(b'"colour_mode":"rgb"', b'"colour_mode":"bgr"')
+        assert forged != data
+        with pytest.raises(ConfigError, match="colour mode"):
+            checkpoint_from_bytes(forged)
 
 
 class TestBackward:
@@ -259,11 +271,11 @@ class TestTraining:
                 items[side].append(DatasetItem(image_path=path, cls=cls))
         split = DatasetSplit(train=tuple(items["train"]), test=tuple(items["test"]))
 
-        from bridgecap.cli import make_loader
+        from bridgecap.imaging import make_loader
 
         net = Network(micro_cnn(["2", "5"], input_shape=(3, 8, 8)), seed=0)
         ckpt = train(net, split, TrainConfig(max_epochs=3, seed=0),
-                     make_loader(tmp_path, "rgb", 8))
+                     make_loader(tmp_path, "rgb", (8, 8)))
         assert len(ckpt.history["val_acc"]) == ckpt.history["stopped_epoch"]
 
     def test_head_width_mismatch(self):
@@ -287,7 +299,7 @@ class TestCheckpoint:
         assert loaded.history == ckpt.history
         x = np.random.default_rng(0).normal(size=(3, *net.descriptor.input_shape))
         out1 = net.forward(x)
-        out2 = Network.from_checkpoint(loaded).forward(x)
+        out2 = network_from_checkpoint(loaded).forward(x)
         assert np.array_equal(out1, out2)
 
     def test_serialization_deterministic(self):
@@ -333,7 +345,7 @@ class TestReinitHead:
     def test_forward_after_reinit(self):
         net = Network(micro_cnn(["a", "b", "c", "d"], input_shape=(3, 8, 8)), seed=0)
         ckpt = reinit_head(make_checkpoint(net), 3, seed=1)
-        probs = Network.from_checkpoint(ckpt).forward(np.zeros((2, 3, 8, 8)))
+        probs = network_from_checkpoint(ckpt).forward(np.zeros((2, 3, 8, 8)))
         assert probs.shape == (2, 3)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
