@@ -185,9 +185,11 @@ def _axis_coords(n_in: int, n_out: int):
 
 def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
     """Bilinear resize (not aspect-preserving). Resizing to the source
-    dimensions is an exact identity; uniform images stay uniform."""
+    dimensions returns ``img`` itself; uniform images stay uniform."""
     if out_w < 1 or out_h < 1:
         raise DomainError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
+    if (out_w, out_h) == (img.width, img.height):
+        return img
     gray = isinstance(img, GrayImage)
     px = img.pixels.astype(np.float64)
     if gray:
@@ -198,8 +200,8 @@ def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
     wx = wx[None, :, None]
     wy = wy[:, None, None]
 
-    # Lerp form a + w*(b - a) is exact when a == b, which keeps identity
-    # resizes and uniform images bit-stable.
+    # Lerp form a + w*(b - a) is exact when a == b, which keeps an axis
+    # resized to its own length and uniform images bit-stable.
     top = px[y0][:, x0] + wx * (px[y0][:, x1] - px[y0][:, x0])
     bot = px[y1][:, x0] + wx * (px[y1][:, x1] - px[y1][:, x0])
     out = top + wy * (bot - top)

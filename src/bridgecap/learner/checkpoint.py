@@ -14,12 +14,14 @@ Byte layout (all integers little-endian):
     ...        history: UTF-8 JSON (per-epoch train/val accuracy and
                loss, best/stopped epoch)
 
-Loading verifies magic, version, and the exact weight byte count, and
+Loading bounds-checks every length field against the file size and
+verifies magic, version, and the exact weight byte count. It
 round-trips bit-identically: save -> load -> forward matches at 32-bit
 precision.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,6 +32,7 @@ from .network import ArchitectureDescriptor, Network, normalize_descriptor
 
 MAGIC = b"BCAP"
 VERSION = 1
+_HEADER = struct.Struct("<4sIQ")  # magic, version, meta length
 
 _HISTORY_SERIES = ("train_acc", "train_loss", "val_acc", "val_loss")
 
@@ -71,34 +74,56 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     weights = _validate_weights(ckpt.descriptor, ckpt.weights)
     meta = json.dumps(ckpt.descriptor.to_dict(), sort_keys=True, separators=(",", ":")).encode()
     hist = json.dumps(ckpt.history, sort_keys=True, separators=(",", ":")).encode()
-    parts = [MAGIC, struct.pack("<I", ckpt.version), struct.pack("<Q", len(meta)), meta]
+    parts = [_HEADER.pack(MAGIC, ckpt.version, len(meta)), meta]
     parts.extend(arr.tobytes() for arr in weights)
     parts.append(struct.pack("<Q", len(hist)))
     parts.append(hist)
     return b"".join(parts)
 
 
+def _json_block(raw: bytes, what: str) -> dict:
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too
+    # deep for the parser raises RecursionError.
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"checkpoint {what} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise FormatError(f"checkpoint {what} is not a JSON object")
+    return value
+
+
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
+    """Decode checkpoint bytes. Malformed bytes raise ``FormatError``; a
+    well-formed descriptor that fails validation raises ``ConfigError``,
+    as it would at construction."""
     if data[:4] != MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    if len(data) < _HEADER.size:
+        raise FormatError(f"checkpoint header truncated at {len(data)} of {_HEADER.size} bytes")
+    _, version, meta_len = _HEADER.unpack_from(data)
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<Q", data, 8)
-    meta_end = 16 + meta_len
-    descriptor = ArchitectureDescriptor.from_dict(json.loads(data[16:meta_end].decode()))
+    meta_end = _HEADER.size + meta_len
+    if meta_end > len(data):
+        raise FormatError(f"metadata of {meta_len} bytes runs past the end of the file")
+    meta = _json_block(data[_HEADER.size : meta_end], "metadata")
+    try:
+        descriptor = ArchitectureDescriptor.from_dict(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint metadata: bad or missing field {exc}") from exc
 
     weights = []
     pos = meta_end
     for shape in descriptor.param_shapes():
-        nbytes = int(np.prod(shape)) * 4
-        if pos + nbytes > len(data):
+        count = math.prod(shape)
+        if pos + 4 * count > len(data):
             raise FormatError(
-                f"weight block truncated: need {nbytes} bytes at offset {pos}"
+                f"weight block truncated: need {4 * count} bytes at offset {pos}"
             )
-        weights.append(np.frombuffer(data, dtype="<f4", count=int(np.prod(shape)),
+        weights.append(np.frombuffer(data, dtype="<f4", count=count,
                                      offset=pos).reshape(shape).copy())
-        pos += nbytes
+        pos += 4 * count
 
     if pos + 8 > len(data):
         raise FormatError("missing history block")
@@ -108,7 +133,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         raise FormatError(
             f"history length mismatch: expected end at {pos + hist_len}, file has {len(data)}"
         )
-    history = json.loads(data[pos : pos + hist_len].decode())
+    history = _json_block(data[pos:], "history")
     return Checkpoint(descriptor=descriptor, weights=tuple(weights), history=history,
                       version=version)
 

@@ -1,9 +1,15 @@
 """Network layers with explicit forward/backward passes.
 
 Convolution and pooling are vectorized through slice-strided window
-gathering (a loop over the kernel footprint, not over pixels), which
-keeps a minutes-scale CPU training budget realistic. Every layer caches
-what its backward pass needs; gradients mirror parameter shapes.
+views (a loop over the kernel footprint, not over pixels), which keeps a
+minutes-scale CPU training budget realistic. Gradients mirror parameter
+shapes.
+
+``forward(x)`` is inference and keeps nothing. ``forward(x, train=True)``
+also saves what the next ``backward`` needs, and ``backward`` consumes
+it: no array outlives the step that made it, and a ``backward`` without
+a training forward before it raises ``InvariantError``. Layers never
+write into their input or into an array they have returned.
 """
 
 import numpy as np
@@ -11,7 +17,21 @@ import numpy as np
 from ..errors import InvariantError
 
 
-class Conv:
+class _Layer:
+    params = []
+    _saved = None
+
+    def grads(self):
+        return []
+
+    def _take_saved(self):
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise InvariantError(f"{type(self).__name__}.backward needs a training forward")
+        return saved
+
+
+class Conv(_Layer):
     """2-D convolution, zero padding, square stride."""
 
     def __init__(self, kh, kw, in_ch, out_ch, stride, pad, rng, dtype):
@@ -25,7 +45,6 @@ class Conv:
         self.b = np.zeros(out_ch, dtype=dtype)
         self.dw = None
         self.db = None
-        self._cache = None
 
     @property
     def params(self):
@@ -34,15 +53,7 @@ class Conv:
     def grads(self):
         return [self.dw, self.db]
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.in_ch:
-            raise InvariantError(f"conv expects {self.in_ch} channels, got {c}")
-        oh = (h + 2 * self.pad - self.kh) // self.stride + 1
-        ow = (w + 2 * self.pad - self.kw) // self.stride + 1
-        return (self.out_ch, oh, ow)
-
-    def forward(self, x):
+    def forward(self, x, train=False):
         n, c, h, w = x.shape
         s, p = self.stride, self.pad
         oh = (h + 2 * p - self.kh) // s + 1
@@ -53,19 +64,25 @@ class Conv:
             for j in range(self.kw):
                 cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
         cols2 = cols.reshape(n, c * self.kh * self.kw, oh * ow)
-        wm = self.w.reshape(self.out_ch, -1)
-        out = np.matmul(wm, cols2) + self.b[:, None]
-        self._cache = (cols2, (n, c, h, w), (oh, ow))
+        out = np.matmul(self.w.reshape(self.out_ch, -1), cols2)
+        out += self.b[:, None]
+        if train:
+            self._saved = (cols2, x.shape)
         return out.reshape(n, self.out_ch, oh, ow)
 
-    def backward(self, dout):
-        cols2, (n, c, h, w), (oh, ow) = self._cache
+    def backward(self, dout, input_grad=True):
+        """Fill dW and db and return dX; with ``input_grad=False`` (the
+        lowest parameter layer of a network) skip dX and return None."""
+        cols2, (n, c, h, w) = self._take_saved()
         s, p = self.stride, self.pad
+        oh, ow = dout.shape[2:]
         dout2 = dout.reshape(n, self.out_ch, oh * ow)
         self.dw = (
             np.matmul(dout2, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
         )
         self.db = dout.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         wm = self.w.reshape(self.out_ch, -1)
         dcols = np.matmul(wm.T, dout2).reshape(n, c, self.kh, self.kw, oh, ow)
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
@@ -75,83 +92,75 @@ class Conv:
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
 
-class Relu:
-    params = []
+class Relu(_Layer):
+    """max(x, 0); a training forward keeps only the x > 0 mask."""
 
-    def grads(self):
-        return []
-
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x, train=False):
+        if train:
+            self._saved = x > 0
+        return np.maximum(x, 0)
 
     def backward(self, dout):
-        return dout * self._mask
+        return dout * self._take_saved()
 
 
-class MaxPool:
-    """Max pooling; ties go to the first cell in window scan order."""
+class MaxPool(_Layer):
+    """Max pooling; ties go to the first cell in window scan order.
 
-    params = []
+    The forward pass folds the k*k strided window views into the output
+    with ``np.maximum``. A training forward keeps its input and output,
+    and the backward pass finds each window's winner again by walking
+    the same views in scan order: a cell wins where it equals the output
+    and no earlier cell of its window has won.
+    """
 
     def __init__(self, k, stride):
         self.k, self.stride = k, stride
 
-    def grads(self):
-        return []
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if h < self.k or w < self.k:
-            raise InvariantError(f"pool window {self.k} exceeds input {h}x{w}")
-        return (c, (h - self.k) // self.stride + 1, (w - self.k) // self.stride + 1)
-
-    def forward(self, x):
-        n, c, h, w = x.shape
+    def _views(self, oh, ow):
         k, s = self.k, self.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        windows = np.empty((k * k, n, c, oh, ow), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                windows[i * k + j] = x[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        self._arg = windows.argmax(axis=0)
-        self._in_shape = x.shape
-        return np.take_along_axis(windows, self._arg[None], axis=0)[0]
+        return [
+            (slice(None), slice(None), slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+            for i in range(k)
+            for j in range(k)
+        ]
+
+    def forward(self, x, train=False):
+        h, w = x.shape[2:]
+        oh = (h - self.k) // self.stride + 1
+        ow = (w - self.k) // self.stride + 1
+        first, *rest = self._views(oh, ow)
+        out = x[first].copy()
+        for view in rest:
+            np.maximum(out, x[view], out=out)
+        if train:
+            self._saved = (x, out)
+        return out
 
     def backward(self, dout):
-        n, c, h, w = self._in_shape
-        k, s = self.k, self.stride
-        oh, ow = dout.shape[2], dout.shape[3]
-        dx = np.zeros(self._in_shape, dtype=dout.dtype)
-        for i in range(k):
-            for j in range(k):
-                mask = self._arg == (i * k + j)
-                dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dout * mask
+        x, out = self._take_saved()
+        dx = np.zeros(x.shape, dtype=dout.dtype)
+        unclaimed = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        for view in self._views(*out.shape[2:]):
+            np.equal(x[view], out, out=hit)
+            hit &= unclaimed
+            unclaimed ^= hit
+            dx[view] += dout * hit
         return dx
 
 
-class Flatten:
-    params = []
-
-    def grads(self):
-        return []
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
-
-    def forward(self, x):
-        self._shape = x.shape
+class Flatten(_Layer):
+    def forward(self, x, train=False):
+        if train:
+            self._saved = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self._take_saved())
 
 
-class FullyConnected:
+class FullyConnected(_Layer):
     def __init__(self, n_in, n_out, rng, dtype):
         self.n_in, self.n_out = n_in, n_out
         a = np.sqrt(6.0 / (n_in + n_out))
@@ -167,34 +176,24 @@ class FullyConnected:
     def grads(self):
         return [self.dw, self.db]
 
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.n_in:
-            raise InvariantError(f"fc expects ({self.n_in},), got {in_shape}")
-        return (self.n_out,)
-
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train=False):
+        if train:
+            self._saved = x
         return x @ self.w + self.b
 
-    def backward(self, dout):
-        self.dw = self._x.T @ dout
+    def backward(self, dout, input_grad=True):
+        """Fill dW and db and return dX (None with ``input_grad=False``)."""
+        x = self._take_saved()
+        self.dw = x.T @ dout
         self.db = dout.sum(axis=0)
-        return dout @ self.w.T
+        return dout @ self.w.T if input_grad else None
 
 
-class Softmax:
+class Softmax(_Layer):
     """Terminal probability layer. The loss path bypasses its backward
     (softmax and cross-entropy are differentiated together)."""
 
-    params = []
-
-    def grads(self):
-        return []
-
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def forward(self, z):
+    def forward(self, z, train=False):
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)

@@ -59,6 +59,14 @@ class ArchitectureDescriptor:
         return shapes
 
 
+def _check_sizes(spec, where, least):
+    """``least`` maps each size field to its smallest allowed integer."""
+    for key, low in least.items():
+        value = spec[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{where}: {key} must be an integer >= {low}, got {value!r}")
+
+
 def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor:
     """Fill derived fields (conv in_ch, fc n_in) and verify the stack:
     shapes must compose, the final layer must be softmax over a head as
@@ -82,6 +90,7 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 spec.setdefault("kw", spec["kh"])
                 spec.setdefault("stride", 1)
                 spec.setdefault("pad", 0)
+                _check_sizes(spec, where, {"kh": 1, "kw": 1, "stride": 1, "out_ch": 1, "pad": 0})
                 spec["in_ch"] = shape[0]
                 c, h, w = shape
                 oh = (h + 2 * spec["pad"] - spec["kh"]) // spec["stride"] + 1
@@ -95,6 +104,7 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 if len(shape) != 3:
                     raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
                 spec.setdefault("stride", spec.get("k", 2))
+                _check_sizes(spec, where, {"k": 1, "stride": 1})
                 k, s = spec["k"], spec["stride"]
                 c, h, w = shape
                 if h < k or w < k:
@@ -117,6 +127,8 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 raise ConfigError(f"{where}: unknown op (have {_LAYER_OPS})")
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: bad field: {exc}") from exc
         normalized.append(spec)
 
     if not normalized or normalized[-1]["op"] != "softmax":
@@ -181,6 +193,12 @@ class Network:
     Single-threaded and deterministic: weights come from one seeded
     generator consumed in layer order. ``dtype`` is float32 for training
     and checkpoints; gradient-check tests build float64 instances.
+
+    ``forward`` and ``logits`` are inference: no layer keeps anything
+    after them. Only ``loss_and_grads`` runs layers in training mode,
+    and its backward pass consumes what they saved. It starts training
+    mode at the lowest layer with parameters and stops the backward pass
+    there, since no caller reads a gradient below it.
     """
 
     def __init__(self, descriptor: ArchitectureDescriptor, seed: int = 0, dtype=np.float32):
@@ -208,6 +226,9 @@ class Network:
                 self.layers.append(L.FullyConnected(spec["n_in"], spec["n_out"], rng, self.dtype))
             else:
                 self.layers.append(L.Softmax())
+        self._first_param = next(
+            (i for i, layer in enumerate(self.layers) if layer.params), len(self.layers) - 1
+        )
 
     # perfbench/tests/check_bench.py expects the benchmark tracer to
     # find the constructor under this name as well.
@@ -250,18 +271,18 @@ class Network:
             )
         return x
 
-    def forward(self, x) -> np.ndarray:
-        """Class probability rows (each sums to 1)."""
+    def _infer(self, x, layers):
         out = self._check_input(x)
-        for layer in self.layers:
+        for layer in layers:
             out = layer.forward(out)
         return out
 
+    def forward(self, x) -> np.ndarray:
+        """Class probability rows (each sums to 1)."""
+        return self._infer(x, self.layers)
+
     def logits(self, x) -> np.ndarray:
-        out = self._check_input(x)
-        for layer in self.layers[:-1]:
-            out = layer.forward(out)
-        return out
+        return self._infer(x, self.layers[:-1])
 
     def loss_and_grads(self, x, y) -> tuple[float, np.ndarray]:
         """Mean softmax cross-entropy over the batch plus its gradients.
@@ -270,7 +291,10 @@ class Network:
         (loss, predicted labels). The softmax/cross-entropy pair is
         differentiated jointly: dlogits = (p - onehot) / batch.
         """
-        z = self.logits(x)
+        trained = self.layers[self._first_param : -1]
+        z = self._infer(x, self.layers[: self._first_param])
+        for layer in trained:
+            z = layer.forward(z, train=True)
         n = z.shape[0]
         z_shift = z - z.max(axis=1, keepdims=True)
         logsumexp = np.log(np.exp(z_shift).sum(axis=1))
@@ -281,6 +305,8 @@ class Network:
         dz = probs
         dz[np.arange(n), y] -= 1.0
         dz = (dz / n).astype(self.dtype)
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(trained[1:]):
             dz = layer.backward(dz)
+        if trained:
+            trained[0].backward(dz, input_grad=False)
         return loss, z.argmax(axis=1)

@@ -65,6 +65,19 @@ class TestExitCodes:
             "--records", str(cut), "--out", str(tmp_path / "j"),
         ) == 2
 
+    def test_truncated_checkpoint_is_2(self, tmp_path):
+        from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
+
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(checkpoint_to_bytes(make_checkpoint(net))[:12])
+        split = tmp_path / "split.csv"
+        split.write_text("")
+        assert run(
+            "evaluate", "--checkpoint", str(ckpt), "--split", str(split),
+            "--image-root", str(tmp_path), "--out", str(tmp_path / "e"),
+        ) == 2
+
     def test_unknown_preset_is_2(self, small_corpus, tmp_path):
         assert run(
             "dataset-build", "DL99",

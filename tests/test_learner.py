@@ -1,10 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from bridgecap.datasets import DatasetItem, DatasetSplit
-from bridgecap.errors import ConfigError, DomainError, TrainingDivergedError
+from bridgecap.errors import (
+    ConfigError,
+    DomainError,
+    FormatError,
+    InvariantError,
+    TrainingDivergedError,
+)
 from bridgecap.learner import (
     ArchitectureDescriptor,
     EarlyStopper,
@@ -26,6 +33,8 @@ from bridgecap.learner import (
     train,
     train_head_on_features,
 )
+from bridgecap.learner import layers as L
+from bridgecap.learner.checkpoint import MAGIC, VERSION
 
 
 def tiny_descriptor(seed: int) -> ArchitectureDescriptor:
@@ -89,6 +98,69 @@ def max_relative_grad_error(net, x, y, step=1e-5):
             denom = max(abs(fd), abs(grad[idx]), 1e-8)
             worst = max(worst, abs(fd - grad[idx]) / denom)
     return worst
+
+
+class WindowStackMaxPool(L.MaxPool):
+    """Oracle: max pooling as an argmax over a (k*k, n, c, oh, ow) stack of
+    window views, keeping the winners after every forward."""
+
+    def forward(self, x, train=False):
+        n, c, h, w = x.shape
+        k, s = self.k, self.stride
+        oh = (h - k) // s + 1
+        ow = (w - k) // s + 1
+        windows = np.empty((k * k, n, c, oh, ow), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                windows[i * k + j] = x[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        self._arg = windows.argmax(axis=0)
+        self._in_shape = x.shape
+        return np.take_along_axis(windows, self._arg[None], axis=0)[0]
+
+    def backward(self, dout):
+        k, s = self.k, self.stride
+        oh, ow = dout.shape[2], dout.shape[3]
+        dx = np.zeros(self._in_shape, dtype=dout.dtype)
+        for i in range(k):
+            for j in range(k):
+                mask = self._arg == (i * k + j)
+                dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dout * mask
+        return dx
+
+
+class MaskRelu(L.Relu):
+    """Oracle: ReLU as x times its x > 0 mask."""
+
+    def forward(self, x, train=False):
+        self._mask = x > 0
+        return x * self._mask
+
+    def backward(self, dout):
+        return dout * self._mask
+
+
+def with_oracle_layers(net):
+    net.layers = [
+        WindowStackMaxPool(layer.k, layer.stride) if isinstance(layer, L.MaxPool)
+        else MaskRelu() if isinstance(layer, L.Relu)
+        else layer
+        for layer in net.layers
+    ]
+    return net
+
+
+def held_caches(net):
+    """(layer index, attribute) of everything a layer keeps besides its
+    parameters and gradients."""
+    held = []
+    for i, layer in enumerate(net.layers):
+        for name, value in vars(layer).items():
+            if name in ("w", "b", "dw", "db") or value is None:
+                continue
+            values = value if isinstance(value, tuple) else (value,)
+            if name == "_saved" or any(isinstance(v, np.ndarray) for v in values):
+                held.append((i, name))
+    return held
 
 
 class TestForward:
@@ -177,6 +249,91 @@ class TestBackward:
         net.loss_and_grads(x, np.array([0, 1, 1]))
         for param, grad in zip(net.parameters(), net.gradients()):
             assert param.shape == grad.shape
+
+
+class TestLayerOracles:
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (3, 1)])
+    @pytest.mark.parametrize("hw", [(8, 8), (9, 7), (10, 8)], ids=["8x8", "9x7", "10x8"])
+    def test_maxpool_matches_window_stack_bytes(self, k, stride, hw):
+        # (9, 7) and (10, 8) leave an uncovered border for some (k, stride).
+        rng = np.random.default_rng(10 * k + stride)
+        shape = (3, 2, *hw)
+        # Small integers after ReLU: many ties and all-zero windows.
+        tied = np.maximum(rng.integers(-2, 3, shape), 0).astype(np.float32)
+        for x in (tied, rng.normal(size=shape).astype(np.float32)):
+            pool, oracle = L.MaxPool(k, stride), WindowStackMaxPool(k, stride)
+            expected = oracle.forward(x)
+            assert pool.forward(x).tobytes() == expected.tobytes()
+            assert pool.forward(x, train=True).tobytes() == expected.tobytes()
+            dout = rng.normal(size=expected.shape).astype(np.float32)
+            dout.flat[::3] = -0.0
+            dout.flat[1::5] = 0.0
+            assert pool.backward(dout).tobytes() == oracle.backward(dout).tobytes()
+
+    def test_relu_matches_mask_form(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(4, 3, 5, 5)).astype(np.float32)
+        x.flat[::7] = 0.0
+        x.flat[1::7] = -0.0
+        relu, oracle = L.Relu(), MaskRelu()
+        out = relu.forward(x, train=True)
+        # Equal values; the mask form writes -0.0 where max(x, 0) writes 0.0.
+        assert np.array_equal(out, oracle.forward(x))
+        assert not np.signbit(out).any()
+        dout = rng.normal(size=x.shape).astype(np.float32)
+        assert relu.backward(dout).tobytes() == oracle.backward(dout).tobytes()
+
+    def test_sgd_steps_match_oracle_network_bytes(self):
+        desc = micro_cnn(["a", "b", "c"], input_shape=(3, 16, 16))
+        rng = np.random.default_rng(4)
+        # Quantized pixels give ReLU zeros and pooling ties.
+        x = (rng.integers(0, 4, size=(24, 3, 16, 16)) / 3).astype(np.float32)
+        y = rng.integers(0, 3, size=24)
+        config = TrainConfig(max_epochs=2, batch_size=8, seed=1)
+        ckpts = [
+            fit(net, x, y, x[:6], y[:6], config)
+            for net in (Network(desc, seed=6), with_oracle_layers(Network(desc, seed=6)))
+        ]
+        assert checkpoint_to_bytes(ckpts[0]) == checkpoint_to_bytes(ckpts[1])
+
+
+class TestTrainingOnlyCaches:
+    def test_inference_keeps_nothing(self):
+        net = Network(tiny_descriptor(3), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).normal(size=(4, *net.descriptor.input_shape))
+        net.forward(x)
+        assert held_caches(net) == []
+        net.loss_and_grads(x, np.array([0, 1, 0, 1]))
+        assert held_caches(net) == []
+        net.logits(x)
+        predict_proba(net, x)
+        assert held_caches(net) == []
+
+    def test_backward_needs_training_forward(self):
+        net = Network(tiny_descriptor(5), seed=0, dtype=np.float64)
+        x = np.random.default_rng(0).normal(size=(2, *net.descriptor.input_shape))
+        net.loss_and_grads(x, np.array([0, 1]))  # consumes what it saved
+        net.forward(x)
+        for layer in net.layers:
+            with pytest.raises(InvariantError):
+                layer.backward(np.zeros(1))
+
+    def test_predict_between_steps_leaves_gradients(self):
+        rng = np.random.default_rng(8)
+        desc = tiny_descriptor(6)
+        xs = [rng.normal(size=(3, *desc.input_shape)) for _ in range(3)]
+        y = np.array([0, 1, 0])
+        plain = Network(desc, seed=1, dtype=np.float64)
+        mixed = Network(desc, seed=1, dtype=np.float64)
+        plain.loss_and_grads(xs[0], y)
+        mixed.loss_and_grads(xs[0], y)
+        first = [g.copy() for g in mixed.gradients()]
+        predict_proba(mixed, xs[2])
+        assert all(np.array_equal(a, b) for a, b in zip(first, mixed.gradients()))
+        plain.loss_and_grads(xs[1], y)
+        mixed.loss_and_grads(xs[1], y)
+        for a, b in zip(plain.gradients(), mixed.gradients()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestEarlyStopping:
@@ -310,16 +467,58 @@ class TestCheckpoint:
     def test_truncated_weights_detected(self):
         net = Network(linear_head(3, ["a", "b"]), seed=0)
         data = checkpoint_to_bytes(make_checkpoint(net))
-        from bridgecap.errors import FormatError
-
         with pytest.raises(FormatError):
             checkpoint_from_bytes(data[:-9])
 
     def test_bad_magic_detected(self):
-        from bridgecap.errors import FormatError
-
         with pytest.raises(FormatError, match="magic"):
             checkpoint_from_bytes(b"NOPE" + b"\x00" * 32)
+
+    def test_every_truncation_is_format_error(self):
+        # Cut at every byte of the header, metadata and history block, and
+        # at each weight-block boundary and one byte either side of it; a
+        # cut inside a weight block takes the same branch wherever it falls.
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)), seed=0)
+        data = checkpoint_to_bytes(make_checkpoint(net, {"val_acc": [0.5]}))
+        (meta_len,) = struct.unpack_from("<Q", data, 8)
+        boundary = 16 + meta_len
+        cuts = set(range(boundary))
+        for arr in net.get_weights():
+            cuts.update((boundary - 1, boundary, boundary + 1))
+            boundary += arr.nbytes
+        cuts.update(range(boundary - 1, len(data)))
+        for cut in sorted(cuts):
+            with pytest.raises(FormatError):
+                checkpoint_from_bytes(data[:cut])
+
+    @pytest.mark.parametrize("meta", [
+        b"\xff\xfe{}",
+        b'{"input_shape": [2], "layers": [',
+        b"[1, 2]",
+        b'{"layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
+        b'{"input_shape": 2, "layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
+        b"[" * 100_000,
+    ], ids=["not_utf8", "cut_json", "not_an_object", "no_input_shape", "scalar_shape",
+            "too_deep"])
+    def test_bad_metadata_is_format_error(self, meta):
+        header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
+        with pytest.raises(FormatError):
+            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+
+    def test_metadata_length_past_eof_is_format_error(self):
+        data = checkpoint_to_bytes(make_checkpoint(Network(linear_head(2, ["a", "b"]))))
+        with pytest.raises(FormatError, match="past the end"):
+            checkpoint_from_bytes(data[:8] + struct.pack("<Q", 2**63) + data[16:])
+
+    def test_bad_layer_sizes_are_config_errors(self):
+        for key, value in (("out_ch", -4), ("stride", 0), ("kh", "3"), ("pad", -1)):
+            spec = {"op": "conv", "kh": 3, "out_ch": 2, key: value}
+            with pytest.raises(ConfigError, match=key):
+                normalize_descriptor(ArchitectureDescriptor(
+                    (1, 4, 4), (spec, {"op": "flatten"}, {"op": "softmax"}), ("a",) * 8))
+        with pytest.raises(ConfigError, match="stride"):
+            normalize_descriptor(ArchitectureDescriptor(
+                (1, 4, 4), ({"op": "maxpool", "k": 2, "stride": 0}, {"op": "softmax"}), ("a",)))
 
 
 class TestReinitHead:
