@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
-from .config import load_config, require_paths, resolve_output_dir
+from .config import load_config, read_json, require_paths, resolve_output_dir
 from .errors import BridgecapError, ConfigError, DomainError, FormatError
 from .learner import (
     Network,
@@ -71,8 +71,7 @@ def _write_run_manifest(out_dir: Path, subcommand: str, argv, inputs, outputs, s
 def _load_profile(ref: str) -> nbi.ParseProfile:
     if ref and (ref.endswith(".json") or "/" in ref):
         require_paths(ref)
-        cfg = json.loads(Path(ref).read_text())
-        return nbi.profile_from_dict(cfg)
+        return nbi.profile_from_dict(read_json(ref, "profile"))
     return nbi.load_builtin_profile(ref)
 
 
@@ -152,8 +151,7 @@ def _resolve_dataset_spec(args) -> datasets.DatasetSpec:
     preset = args.preset
     if preset.endswith(".json") or "/" in preset:
         require_paths(preset)
-        cfg = json.loads(Path(preset).read_text())
-        spec = datasets.spec_from_config(Path(preset).stem, cfg)
+        spec = datasets.spec_from_config(Path(preset).stem, read_json(preset, "spec"))
     else:
         spec = datasets.load_preset(preset)
     cfg_dataset = (args.config or {}).get("dataset", {})
@@ -222,10 +220,16 @@ def cmd_train(args, argv) -> int:
         colour = args.colour or "rgb"
         if args.dataset_manifest:
             require_paths(args.dataset_manifest)
-            manifest = json.loads(Path(args.dataset_manifest).read_text())
-            all_labels = manifest["class_labels"]
-            labels = [all_labels[c - 1] for c in classes]
-            colour = manifest["colour"]
+            manifest = read_json(args.dataset_manifest, "dataset manifest")
+            try:
+                all_labels = manifest["class_labels"]
+                colour = manifest["colour"]
+                labels = [all_labels[c - 1] for c in classes]
+            except (KeyError, TypeError, IndexError) as exc:
+                raise FormatError(
+                    f"dataset manifest {args.dataset_manifest} needs a 'colour' and "
+                    f"'class_labels' covering classes {classes}: {type(exc).__name__} {exc}"
+                ) from exc
             if args.colour is not None and args.colour != colour:
                 raise UsageError(
                     f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"
@@ -289,22 +293,28 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def _load_levels(path) -> list[evaluation.BinarizationLevel]:
-    raw = json.loads(Path(path).read_text())
-    return [
-        evaluation.BinarizationLevel(
-            level=int(entry["level"]),
-            threshold_tons=float(entry["threshold_tons"]),
-            boundary=int(entry["boundary"]),
-        )
-        for entry in raw
-    ]
+    raw = read_json(path, "levels file")
+    try:
+        return [
+            evaluation.BinarizationLevel(
+                level=int(entry["level"]),
+                threshold_tons=float(entry["threshold_tons"]),
+                boundary=int(entry["boundary"]),
+            )
+            for entry in raw
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"levels file {path} must be a list of objects with numeric level, "
+            f"threshold_tons and boundary: {type(exc).__name__} {exc}"
+        ) from exc
 
 
 def cmd_binarize(args, argv) -> int:
     require_paths(args.confusion)
     out_dir = resolve_output_dir(args.out, args.config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cm = evaluation.ConfusionMatrix.from_dict(json.loads(Path(args.confusion).read_text()))
+    cm = evaluation.ConfusionMatrix.from_dict(read_json(args.confusion, "confusion matrix"))
     if args.levels:
         require_paths(args.levels)
         levels = _load_levels(args.levels)
@@ -333,7 +343,7 @@ def cmd_report(args, argv) -> int:
     inputs, outputs = [], []
     if args.metrics:
         require_paths(args.metrics)
-        metrics_dict = json.loads(Path(args.metrics).read_text())
+        metrics_dict = read_json(args.metrics, "metrics")
         (out_dir / "metrics.csv").write_text(report.metrics_to_csv(metrics_dict))
         outputs.append("metrics.csv")
         if args.svg:
@@ -342,7 +352,7 @@ def cmd_report(args, argv) -> int:
         inputs.append(args.metrics)
     if args.distribution:
         require_paths(args.distribution)
-        dist_dict = json.loads(Path(args.distribution).read_text())
+        dist_dict = read_json(args.distribution, "error distribution")
         (out_dir / "error_distribution.csv").write_text(report.distribution_to_csv(dist_dict))
         outputs.append("error_distribution.csv")
         if args.svg:
@@ -353,7 +363,7 @@ def cmd_report(args, argv) -> int:
         inputs.append(args.distribution)
     if args.binarization:
         require_paths(args.binarization)
-        reports = json.loads(Path(args.binarization).read_text())
+        reports = read_json(args.binarization, "binarization")
         (out_dir / "binarization.csv").write_text(report.binarization_to_csv(reports))
         outputs.append("binarization.csv")
         if args.svg:

@@ -41,16 +41,19 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+def read_json(path, what: str):
+    """Parse the JSON file at ``path``; ``what`` names it in the
+    ConfigError raised when it cannot be read or is not JSON."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(cfg)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    return validate_config(read_json(path, "config"))
 
 
 def require_paths(*paths) -> None:

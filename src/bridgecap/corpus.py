@@ -194,9 +194,11 @@ def tag_completion(
     """Ensure every image carries a completion flag.
 
     source="manifest" passes existing flags through; images without one
-    become rejects. source="model" classifies each image file with a
-    2-class checkpoint (labels must include "complete") and records the
-    per-image probability. Labels and paths are never altered.
+    become rejects. source="model" decodes every image file (one that
+    cannot be read or decoded becomes a reject), classifies the decoded
+    ones in a single ``predict_proba`` call with a 2-class checkpoint
+    (labels must include "complete") and records the per-image
+    probability. Labels and paths are never altered.
     """
     if source == "manifest":
         tagged = []
@@ -213,6 +215,8 @@ def tag_completion(
     if checkpoint is None:
         raise ConfigError("source='model' requires a checkpoint")
 
+    import numpy as np
+
     from .imaging import make_loader
     from .learner import network_from_checkpoint, predict_proba
 
@@ -226,20 +230,25 @@ def tag_completion(
     descriptor = checkpoint.descriptor
     load = make_loader(image_root, descriptor.colour_mode, descriptor.input_shape[1:])
 
-    tagged = []
+    decoded = []
+    tensors = []
     rejects = []
-    probs = []
     for img in images:
-        path = img.image_path
         try:
-            tensor = load(path)
+            tensors.append(load(img.image_path))
         except (OSError, FormatError) as exc:
-            rejects.append((path, str(exc)))
+            rejects.append((img.image_path, str(exc)))
             continue
-        p = float(predict_proba(net, tensor[None])[0, complete_idx])
-        flag = "complete" if p >= 0.5 else "partial"
-        tagged.append(replace(img, completion=flag))
-        probs.append((path, p))
+        decoded.append(img)
+
+    tagged = []
+    probs = []
+    if decoded:
+        complete_probs = predict_proba(net, np.stack(tensors))[:, complete_idx]
+        for img, p in zip(decoded, complete_probs.tolist()):
+            flag = "complete" if p >= 0.5 else "partial"
+            tagged.append(replace(img, completion=flag))
+            probs.append((img.image_path, p))
     return tagged, TagReport(
         tagged=len(tagged), rejects=tuple(rejects), probabilities=tuple(probs)
     )

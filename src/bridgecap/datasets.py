@@ -501,10 +501,15 @@ _SPEC_KEYS = {
 def spec_from_config(name: str, cfg: dict) -> DatasetSpec:
     """Build a DatasetSpec from its JSON form (one presets.json entry or
     a user spec file)."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"spec {name!r} must be a JSON object, got {type(cfg).__name__}")
     unknown = set(cfg) - _SPEC_KEYS
     if unknown:
         raise ConfigError(f"spec {name!r} has unknown keys: {sorted(unknown)}")
     kind = cfg.get("kind")
+    required = {"load_rating": "edges", "design_load": "passthrough"}.get(kind)
+    if required is not None and required not in cfg:
+        raise ConfigError(f"spec {name!r} of kind {kind!r} is missing required key {required!r}")
     if kind == "load_rating":
         source = BinningScheme(
             name=name, edges=tuple(cfg["edges"]), labels=tuple(cfg.get("labels", ()))

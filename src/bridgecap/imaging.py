@@ -191,19 +191,24 @@ def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
     if (out_w, out_h) == (img.width, img.height):
         return img
     gray = isinstance(img, GrayImage)
-    px = img.pixels.astype(np.float64)
-    if gray:
-        px = px[:, :, None]
+    px = img.pixels[:, :, None] if gray else img.pixels
 
     x0, x1, wx = _axis_coords(img.width, out_w)
     y0, y1, wy = _axis_coords(img.height, out_h)
     wx = wx[None, :, None]
     wy = wy[:, None, None]
 
+    # Gather the four corner samples while still uint8 (rows, then
+    # columns) and convert only them: a downscale reads a small share of
+    # the source pixels.
+    top_rows, bot_rows = px.take(y0, axis=0), px.take(y1, axis=0)
+    a, b = (top_rows.take(x, axis=1).astype(np.float64) for x in (x0, x1))
+    c, d = (bot_rows.take(x, axis=1).astype(np.float64) for x in (x0, x1))
+
     # Lerp form a + w*(b - a) is exact when a == b, which keeps an axis
     # resized to its own length and uniform images bit-stable.
-    top = px[y0][:, x0] + wx * (px[y0][:, x1] - px[y0][:, x0])
-    bot = px[y1][:, x0] + wx * (px[y1][:, x1] - px[y1][:, x0])
+    top = a + wx * (b - a)
+    bot = c + wx * (d - c)
     out = top + wy * (bot - top)
 
     out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)

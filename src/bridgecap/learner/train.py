@@ -58,17 +58,30 @@ class EarlyStopper:
         return self.streak >= self.patience
 
 
-def predict_proba(net: Network, x, batch_size: int = 256) -> np.ndarray:
+def predict_proba(net: Network, x, batch_size: int = 8) -> np.ndarray:
+    """Class probabilities for ``x``, forwarded in ``ceil(n / batch_size)``
+    near-equal chunks.
+
+    Small chunks keep the first conv's im2col buffer near the size of a
+    core's L2 cache: a 64-px ``micro_cnn`` forward cost about 0.9 ms per
+    image in 8-image chunks against 1.5 ms in 256-image ones (2-vCPU
+    Xeon, one OpenBLAS thread; 16- and 32-image chunks were no faster
+    than 8). Near-equal chunks leave no one-row remainder when
+    ``n >= 2`` and ``batch_size >= 3``; NumPy sends a one-row matmul
+    through gemv, whose rounding differs from gemm's.
+    """
     x = np.asarray(x)
-    chunks = [net.forward(x[i : i + batch_size]) for i in range(0, len(x), batch_size)]
-    return np.concatenate(chunks) if chunks else np.empty((0, net.descriptor.num_classes))
+    if len(x) == 0:
+        return np.empty((0, net.descriptor.num_classes))
+    chunks = np.array_split(x, -(-len(x) // batch_size))
+    return np.concatenate([net.forward(chunk) for chunk in chunks])
 
 
-def predict(net: Network, x, batch_size: int = 256) -> np.ndarray:
+def predict(net: Network, x, batch_size: int = 8) -> np.ndarray:
     return predict_proba(net, x, batch_size).argmax(axis=1)
 
 
-def evaluate(net: Network, x, y, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(net: Network, x, y, batch_size: int = 8) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a held-out set."""
     y = np.asarray(y, dtype=np.int64)
     probs = predict_proba(net, x, batch_size)

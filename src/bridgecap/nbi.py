@@ -365,6 +365,8 @@ _COLUMN_ROLES = {"state", "structure", "design_load", "rating"}
 
 def profile_from_dict(cfg: dict) -> ParseProfile:
     """Build a ParseProfile from its JSON form, rejecting unknown keys."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"profile must be a JSON object, got {type(cfg).__name__}")
     unknown = set(cfg) - _PROFILE_KEYS
     if unknown:
         raise ConfigError(f"unknown profile keys: {sorted(unknown)}")
@@ -387,10 +389,17 @@ def profile_from_dict(cfg: dict) -> ParseProfile:
         unknown = set(fmt_cfg) - _FORMAT_KEYS_FW
         if unknown:
             raise ConfigError(f"unknown fixed-width-format keys: {sorted(unknown)}")
-        fields = tuple(
-            FixedWidthField(name=f["name"], start=int(f["start"]), length=int(f["length"]))
-            for f in fmt_cfg["layout"]
-        )
+        try:
+            fields = tuple(
+                FixedWidthField(name=f["name"], start=int(f["start"]), length=int(f["length"]))
+                for f in fmt_cfg["layout"]
+            )
+        except KeyError as exc:
+            raise ConfigError(f"fixed-width format is missing required key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"fixed-width layout must list objects with name, integer start and length: {exc}"
+            ) from exc
         if not fields:
             raise ConfigError("fixed-width layout is empty")
         fmt = FixedWidthFormat(fields=fields)

@@ -85,6 +85,71 @@ class TestExitCodes:
             "--out", str(tmp_path / "d"),
         ) == 2
 
+    @pytest.mark.parametrize("levels", [
+        '[{"level": 1, "boundary": 1}]',
+        "level 1 at 10 t",
+    ], ids=["missing_threshold", "not_json"])
+    def test_malformed_levels_is_2(self, tmp_path, levels):
+        cm = tmp_path / "confusion.json"
+        cm.write_text(json.dumps({"labels": ["a", "b"], "counts": [[3, 1], [0, 4]]}))
+        path = tmp_path / "levels.json"
+        path.write_text(levels)
+        assert run(
+            "binarize", "--confusion", str(cm), "--levels", str(path),
+            "--out", str(tmp_path / "b"),
+        ) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "load_rating", "labels": ["low", "high"]},
+        {"kind": "design_load", "drop": [1]},
+    ], ids=["no_edges", "no_passthrough"])
+    def test_spec_missing_required_key_is_2(self, tmp_path, spec):
+        corpus = tmp_path / "labeled.ndjson"
+        corpus.write_text("")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(
+            "dataset-build", str(path), "--corpus", str(corpus), "--out", str(tmp_path / "d"),
+        ) == 2
+
+    @pytest.mark.parametrize("key", ["class_labels", "colour"])
+    def test_dataset_manifest_missing_key_is_2(self, small_corpus, tmp_path, key):
+        data = tmp_path / "ds"
+        assert run(
+            "dataset-build", "LR5",
+            "--corpus", str(small_corpus / "joined" / "labeled.ndjson"),
+            "--seed", "3", "--out", str(data),
+        ) == 0
+        manifest = json.loads((data / "dataset_manifest.json").read_text())
+        del manifest[key]
+        (data / "dataset_manifest.json").write_text(json.dumps(manifest))
+        assert run(
+            "train", "--split", str(data / "split.csv"), "--image-root", str(small_corpus),
+            "--dataset-manifest", str(data / "dataset_manifest.json"),
+            "--size", "16", "--max-epochs", "1", "--out", str(tmp_path / "m"),
+        ) == 2
+
+    @pytest.mark.parametrize("layout", [
+        None,
+        [{"start": 0, "length": 2}],
+        [{"name": "state", "length": 2}],
+        [{"name": "state", "start": 0}],
+    ], ids=["no_layout", "no_name", "no_start", "no_length"])
+    def test_fixed_width_profile_missing_key_is_2(self, tmp_path, layout):
+        fmt = {"kind": "fixed_width"}
+        if layout is not None:
+            fmt["layout"] = layout
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(
+            {"format": fmt, "columns": {"state": "state", "structure": "structure"}}
+        ))
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("01S1\n")
+        assert run(
+            "nbi-parse", "--input", str(inventory), "--profile", str(profile),
+            "--out", str(tmp_path / "n"),
+        ) == 2
+
     def test_help_is_0(self, capsys):
         assert run("--help") == 0
         assert "bridgecap" in capsys.readouterr().out

@@ -180,9 +180,44 @@ class TestTagCompletion:
 
         net = network_from_checkpoint(ckpt)
         load = make_loader(tmp_path, "grayscale", (12, 12))
-        for path, p in report.probabilities:
-            assert p == float(net.forward(load(path)[None])[0, 1])
+        batch = net.forward(np.stack([load(img.image_path) for img in images]))
+        for (path, p), row in zip(report.probabilities, batch):
+            assert p == float(row[1])
 
+
+    def test_corrupt_image_rejected_rest_tagged_in_order(self, tmp_path):
+        import numpy as np
+
+        from bridgecap.imaging import RgbImage, encode_pnm, make_loader
+        from bridgecap.learner import (
+            Network, make_checkpoint, micro_cnn, network_from_checkpoint, predict_proba,
+        )
+
+        ckpt = make_checkpoint(
+            Network(micro_cnn(["complete", "partial"], input_shape=(3, 12, 12)), seed=4)
+        )
+        rng = np.random.default_rng(11)
+        images = []
+        for i in range(7):
+            data = encode_pnm(RgbImage(rng.integers(0, 256, (20, 18, 3)).astype(np.uint8)))
+            (tmp_path / f"m{i}.pnm").write_bytes(data[:-5] if i == 3 else data)
+            images.append(corpus.LabeledImage(image_path=f"m{i}.pnm", state="01",
+                                              structure=f"S{i}", design_load_class=1))
+        tagged, report = corpus.tag_completion(
+            images, source="model", checkpoint=ckpt, image_root=tmp_path
+        )
+        kept = [f"m{i}.pnm" for i in range(7) if i != 3]
+        assert [img.image_path for img in tagged] == kept
+        assert [path for path, _ in report.rejects] == ["m3.pnm"]
+        assert "payload length mismatch" in report.rejects[0][1]
+
+        load = make_loader(tmp_path, "rgb", (12, 12))
+        expected = predict_proba(network_from_checkpoint(ckpt),
+                                 np.stack([load(path) for path in kept]))[:, 0]
+        assert report.probabilities == tuple(zip(kept, expected.tolist()))
+        assert [img.completion for img in tagged] == [
+            "complete" if p >= 0.5 else "partial" for p in expected
+        ]
 
 class TestCorpusStats:
     def test_all_complete_all_labeled(self):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgecap import imaging
 from bridgecap.errors import DomainError, FormatError
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
 def rgb(rows):
@@ -43,6 +48,27 @@ class TestPnmCodec:
     def test_bad_maxval(self):
         with pytest.raises(FormatError, match="maxval"):
             imaging.decode_pnm(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
+
+
+def random_image(seed, height, width, gray):
+    rng = np.random.default_rng(seed)
+    if gray:
+        return imaging.GrayImage(rng.integers(0, 256, (height, width)).astype(np.uint8))
+    return imaging.RgbImage(rng.integers(0, 256, (height, width, 3)).astype(np.uint8))
+
+
+class TestPnmRoundTrip:
+    @PROPERTY
+    @given(height=st.integers(1, 40), width=st.integers(1, 40), gray=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_encode_decode_round_trip(self, height, width, gray, seed):
+        img = random_image(seed, height, width, gray)
+        data = imaging.encode_pnm(img)
+        decoded = imaging.decode_pnm(data)
+        assert type(decoded) is type(img)
+        assert decoded.pixels.shape == img.pixels.shape
+        assert decoded.pixels.tobytes() == img.pixels.tobytes()
+        assert imaging.encode_pnm(decoded) == data
 
 
 class TestGrayscale:
@@ -87,6 +113,41 @@ class TestResize:
         img = imaging.GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(DomainError):
             imaging.resize_bilinear(img, 0, 2)
+
+
+def float_first_resize(img, out_w, out_h):
+    """The resize ``resize_bilinear`` replaced, kept as its oracle: it
+    converts the whole image to float64 before gathering the corners."""
+    gray = isinstance(img, imaging.GrayImage)
+    px = img.pixels.astype(np.float64)
+    if gray:
+        px = px[:, :, None]
+    x0, x1, wx = imaging._axis_coords(img.width, out_w)
+    y0, y1, wy = imaging._axis_coords(img.height, out_h)
+    wx = wx[None, :, None]
+    wy = wy[:, None, None]
+    top = px[y0][:, x0] + wx * (px[y0][:, x1] - px[y0][:, x0])
+    bot = px[y1][:, x0] + wx * (px[y1][:, x1] - px[y1][:, x0])
+    out = top + wy * (bot - top)
+    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    return out[:, :, 0] if gray else out
+
+
+class TestResizeOracle:
+    @PROPERTY
+    @given(height=st.integers(1, 80), width=st.integers(1, 80),
+           out_h=st.integers(1, 80), out_w=st.integers(1, 80),
+           gray=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(height=80, width=80, out_h=7, out_w=13, gray=False, seed=1)  # downscale
+    @example(height=80, width=80, out_h=7, out_w=13, gray=True, seed=2)
+    @example(height=3, width=5, out_h=80, out_w=64, gray=False, seed=3)  # upscale
+    @example(height=3, width=5, out_h=80, out_w=64, gray=True, seed=4)
+    def test_matches_float_first_bytes(self, height, width, out_h, out_w, gray, seed):
+        img = random_image(seed, height, width, gray)
+        out = imaging.resize_bilinear(img, out_w, out_h).pixels
+        expected = float_first_resize(img, out_w, out_h)
+        assert out.shape == expected.shape and out.dtype == np.uint8
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestToTensor:

@@ -336,6 +336,44 @@ class TestTrainingOnlyCaches:
             assert a.tobytes() == b.tobytes()
 
 
+class TestPredictProba:
+    @staticmethod
+    def count_forward_rows(net):
+        """Record the row count of every ``net.forward`` call."""
+        rows = []
+        forward = net.forward
+
+        def counted(x):
+            rows.append(len(x))
+            return forward(x)
+
+        net.forward = counted
+        return rows
+
+    @pytest.mark.parametrize("batch_size", [None, 3, 16])
+    def test_no_one_row_forward_when_n_at_least_two(self, batch_size):
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 8, 8)), seed=0)
+        x = np.random.default_rng(1).random((70, 3, 8, 8), dtype=np.float32)
+        rows = self.count_forward_rows(net)
+        args = () if batch_size is None else (batch_size,)
+        limit = batch_size or 8  # the default chunk size
+        for n in range(1, 71):
+            rows.clear()
+            assert len(predict_proba(net, x[:n], *args)) == n
+            assert sum(rows) == n and len(rows) == math.ceil(n / limit)
+            assert max(rows) - min(rows) <= 1
+            assert min(rows) >= 2 or n == 1, (n, rows)
+
+    @pytest.mark.parametrize("n", [2, 17, 33, 120])
+    def test_chunks_agree_with_one_whole_batch_forward(self, n):
+        net = Network(micro_cnn(["a", "b", "c", "d"], input_shape=(3, 16, 16)), seed=2)
+        x = np.random.default_rng(n).random((n, 3, 16, 16), dtype=np.float32)
+        whole = net.forward(x)
+        chunked = predict_proba(net, x)
+        assert np.array_equal(chunked.argmax(axis=1), whole.argmax(axis=1))
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-6)
+
+
 class TestEarlyStopping:
     def test_stagnant_sequence_stops_on_schedule(self):
         stopper = EarlyStopper(patience=3, min_delta=1e-4)
