@@ -1,9 +1,12 @@
 """Subcommand front end wiring the pipeline stages together.
 
-Every run writes its artifacts plus a run manifest (input digests, the
-exact argument vector, seeds, package version) into the output
-directory; replaying a manifest's argv against unchanged inputs
-reproduces the artifacts byte for byte.
+Every run writes its artifacts plus a run manifest, ``run_<cmd>.json``,
+into the output directory: the exact argument vector, the seeds, the
+package version, the names of the files the run wrote, and the SHA-256
+of every file argument the run read, the ``--config`` file included.
+The images under ``--image-root`` are not hashed yet. Replaying a
+manifest's argv against unchanged inputs reproduces the artifacts byte
+for byte.
 
 Exit codes: 0 success, 1 usage error, 2 input/format error, 3 internal
 error.
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
-from .config import load_config, read_json, require_paths, resolve_output_dir
+from .config import SECTIONS, load_config, read_json, resolve_output_dir
 from .errors import BridgecapError, ConfigError, DomainError, FormatError
 from .learner import (
     Network,
@@ -55,31 +58,71 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_run_manifest(out_dir: Path, subcommand: str, argv, inputs, outputs, seeds=None):
-    manifest = {
-        "tool": "bridgecap",
-        "version": __version__,
-        "subcommand": subcommand,
-        "argv": list(argv),
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
-        "outputs": sorted(str(o) for o in outputs),
-        "seeds": seeds or {},
-    }
-    _dump_json(manifest, out_dir / f"run_{subcommand.replace('-', '_')}.json")
+class _Run:
+    """One subcommand run: records the files it reads and writes, and
+    writes the run manifest from those records."""
+
+    def __init__(self, args, argv):
+        self.subcommand = args.subcommand
+        self.argv = list(argv)
+        self.out_dir = resolve_output_dir(args.out, args.config)
+        self.inputs = []
+        self.outputs = []
+        if args.config_file:
+            self.input(args.config_file)
+
+    def input(self, path):
+        """Fail fast when ``path`` is missing; else record it for hashing."""
+        if not Path(path).exists():
+            raise ConfigError(f"referenced path does not exist: {path}")
+        self.inputs.append(path)
+        return path
+
+    def output(self, name: str) -> Path:
+        """Record ``name`` as written; its path in the output directory,
+        which is created on first use."""
+        if not self.outputs:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / name
+
+    def finish(self, seeds=None) -> None:
+        """Write ``run_<cmd>.json``, once every output is written."""
+        manifest = {
+            "tool": "bridgecap",
+            "version": __version__,
+            "subcommand": self.subcommand,
+            "argv": self.argv,
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": sorted(self.outputs),
+            "seeds": seeds or {},
+        }
+        _dump_json(manifest, self.out_dir / f"run_{self.subcommand.replace('-', '_')}.json")
 
 
-def _load_profile(ref: str) -> nbi.ParseProfile:
-    if ref and (ref.endswith(".json") or "/" in ref):
-        require_paths(ref)
-        return nbi.profile_from_dict(read_json(ref, "profile"))
-    return nbi.load_builtin_profile(ref)
+def _settings(args, section: str) -> dict:
+    """Each key of a config section from its flag, else from the config
+    file; a key set by neither is left out, so the dataclass default
+    holds."""
+    from_file = args.config.get(section, {})
+    settings = {}
+    for key in SECTIONS[section]:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = flag
+        elif key in from_file:
+            settings[key] = from_file[key]
+    return settings
+
+
+def _is_file_ref(ref: str) -> bool:
+    return ref.endswith(".json") or "/" in ref
 
 
 # --- subcommands -------------------------------------------------------------
 
 def cmd_synth_gen(args, argv) -> int:
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = _Run(args, argv)
     spec = synth.SynthSpec(
         classes=args.classes,
         images_per_class=args.per_class,
@@ -90,27 +133,29 @@ def cmd_synth_gen(args, argv) -> int:
         partial_fraction=args.partial_fraction,
         images_per_bridge=args.images_per_bridge,
     )
-    result = synth.gen_corpus(spec, out_dir)
-    outputs = ["manifest.csv", "inventory.csv"] + list(result.image_paths)
-    _write_run_manifest(out_dir, "synth-gen", argv, [], outputs, seeds={"synth": args.seed})
-    print(f"synth-gen: wrote {len(result.image_paths)} images under {out_dir}")
+    result = synth.gen_corpus(spec, run.out_dir)
+    for name in (result.manifest_path.name, result.inventory_path.name, *result.image_paths):
+        run.output(name)
+    run.finish(seeds={"synth": args.seed})
+    print(f"synth-gen: wrote {len(result.image_paths)} images under {run.out_dir}")
     return 0
 
 
 def cmd_nbi_parse(args, argv) -> int:
-    require_paths(args.input)
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    profile = _load_profile(args.profile)
-    with open(args.input, "rb") as fh:
+    run = _Run(args, argv)
+    source = run.input(args.input)
+    if _is_file_ref(args.profile):
+        profile = nbi.profile_from_dict(read_json(run.input(args.profile), "profile"))
+    else:
+        profile = nbi.load_builtin_profile(args.profile)
+    with open(source, "rb") as fh:
         records, stats = nbi.parse_nbi(fh, profile)
-    (out_dir / "records.ndjson").write_text(nbi.records_to_ndjson(records))
+    run.output("records.ndjson").write_text(nbi.records_to_ndjson(records))
     _dump_json(
         {"stats": asdict(stats), "rating_histogram": nbi.rating_histogram(records)},
-        out_dir / "nbi_stats.json",
+        run.output("nbi_stats.json"),
     )
-    _write_run_manifest(out_dir, "nbi-parse", argv, [args.input],
-                        ["records.ndjson", "nbi_stats.json"])
+    run.finish()
     print(
         f"nbi-parse: {stats.parsed_rows}/{stats.total_rows} rows parsed, "
         f"{stats.reject_count} rejected"
@@ -119,27 +164,21 @@ def cmd_nbi_parse(args, argv) -> int:
 
 
 def cmd_corpus_match(args, argv) -> int:
-    require_paths(args.manifest, args.records)
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.manifest) as fh:
+    run = _Run(args, argv)
+    with open(run.input(args.manifest)) as fh:
         manifest = corpus.read_manifest(fh)
-    records = nbi.records_from_ndjson(Path(args.records).read_text())
+    records = nbi.records_from_ndjson(Path(run.input(args.records)).read_text())
     labeled, join_report = corpus.join_labels(manifest, records)
-    outputs = ["labeled.ndjson", "join_report.json", "corpus_stats.json"]
     if args.completion_model:
-        require_paths(args.completion_model)
-        ckpt = load_checkpoint(args.completion_model)
+        ckpt = load_checkpoint(run.input(args.completion_model))
         labeled, tag_report = corpus.tag_completion(
             labeled, source="model", checkpoint=ckpt, image_root=args.image_root
         )
-        _dump_json(asdict(tag_report), out_dir / "completion_tags.json")
-        outputs.append("completion_tags.json")
-    (out_dir / "labeled.ndjson").write_text(corpus.labeled_to_ndjson(labeled))
-    _dump_json(asdict(join_report), out_dir / "join_report.json")
-    _dump_json(corpus.corpus_stats(labeled), out_dir / "corpus_stats.json")
-    inputs = [args.manifest, args.records] + ([args.completion_model] if args.completion_model else [])
-    _write_run_manifest(out_dir, "corpus-match", argv, inputs, outputs)
+        _dump_json(asdict(tag_report), run.output("completion_tags.json"))
+    run.output("labeled.ndjson").write_text(corpus.labeled_to_ndjson(labeled))
+    _dump_json(asdict(join_report), run.output("join_report.json"))
+    _dump_json(corpus.corpus_stats(labeled), run.output("corpus_stats.json"))
+    run.finish()
     print(
         f"corpus-match: matched {join_report.matched_images}, "
         f"unmatched {join_report.unmatched_images}, labeled {len(labeled)}"
@@ -147,80 +186,36 @@ def cmd_corpus_match(args, argv) -> int:
     return 0
 
 
-def _resolve_dataset_spec(args) -> datasets.DatasetSpec:
-    preset = args.preset
-    if preset.endswith(".json") or "/" in preset:
-        require_paths(preset)
-        spec = datasets.spec_from_config(Path(preset).stem, read_json(preset, "spec"))
-    else:
-        spec = datasets.load_preset(preset)
-    cfg_dataset = (args.config or {}).get("dataset", {})
-    overrides = {}
-    for field_name in ("seed", "colour", "group_split", "split_fraction", "stratified"):
-        flag = getattr(args, field_name, None)
-        if flag is not None:
-            overrides[field_name] = flag
-        elif field_name in cfg_dataset:
-            overrides[field_name] = cfg_dataset[field_name]
-    return replace(spec, **overrides) if overrides else spec
-
-
 def cmd_dataset_build(args, argv) -> int:
-    require_paths(args.corpus)
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labeled = corpus.labeled_from_ndjson(Path(args.corpus).read_text())
-    spec = _resolve_dataset_spec(args)
-    result = datasets.build_variant(spec, labeled)
-    (out_dir / "split.csv").write_text(datasets.write_split_csv(result.split))
-    _dump_json(result.to_manifest_dict(), out_dir / "dataset_manifest.json")
-    _write_run_manifest(
-        out_dir, "dataset-build", argv, [args.corpus],
-        ["split.csv", "dataset_manifest.json"], seeds={"dataset": result.spec.seed},
-    )
+    run = _Run(args, argv)
+    labeled = corpus.labeled_from_ndjson(Path(run.input(args.corpus)).read_text())
+    if _is_file_ref(args.preset):
+        spec_file = run.input(args.preset)
+        spec = datasets.spec_from_config(Path(spec_file).stem, read_json(spec_file, "spec"))
+    else:
+        spec = datasets.load_preset(args.preset)
+    result = datasets.build_variant(replace(spec, **_settings(args, "dataset")), labeled)
+    run.output("split.csv").write_text(datasets.write_split_csv(result.split))
+    _dump_json(result.to_manifest_dict(), run.output("dataset_manifest.json"))
+    run.finish(seeds={"dataset": result.spec.seed})
     counts = " ".join(f"{k}:{v}" for k, v in result.class_counts.items())
     print(f"dataset-build {result.spec.name}: total {result.total} ({counts})")
     return 0
 
 
-def _train_config_from(args) -> TrainConfig:
-    cfg_train = (args.config or {}).get("train", {})
-
-    def pick(flag_name, key, default):
-        flag = getattr(args, flag_name)
-        if flag is not None:
-            return flag
-        return cfg_train.get(key, default)
-
-    return TrainConfig(
-        learning_rate=pick("lr", "learning_rate", 0.01),
-        momentum=pick("momentum", "momentum", 0.9),
-        batch_size=pick("batch_size", "batch_size", 32),
-        max_epochs=pick("max_epochs", "max_epochs", 20),
-        patience=pick("patience", "patience", 3),
-        min_delta=pick("min_delta", "min_delta", 1e-4),
-        seed=pick("seed", "seed", 0),
-    )
-
-
 def cmd_train(args, argv) -> int:
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = _train_config_from(args)
+    run = _Run(args, argv)
+    config = TrainConfig(**_settings(args, "train"))
 
     if args.features:
-        require_paths(args.features)
-        ckpt = train_head_on_features(Path(args.features).read_text(), config=config)
-        inputs = [args.features]
-    else:
-        require_paths(args.split)
-        split = datasets.read_split_csv(Path(args.split).read_text())
-        classes = sorted({i.cls for i in split.train} | {i.cls for i in split.test})
+        ckpt = train_head_on_features(Path(run.input(args.features)).read_text(), config=config)
+    elif args.split:
+        split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
+        classes = split.classes
         labels = [str(c) for c in classes]
         colour = args.colour or "rgb"
         if args.dataset_manifest:
-            require_paths(args.dataset_manifest)
-            manifest = read_json(args.dataset_manifest, "dataset manifest")
+            manifest = read_json(run.input(args.dataset_manifest), "dataset manifest")
             try:
                 all_labels = manifest["class_labels"]
                 colour = manifest["colour"]
@@ -240,12 +235,12 @@ def cmd_train(args, argv) -> int:
         net = Network(descriptor, seed=config.seed)
         loader = imaging.make_loader(args.image_root, colour, descriptor.input_shape[1:])
         ckpt = train(net, split, config, loader)
-        inputs = [args.split] + ([args.dataset_manifest] if args.dataset_manifest else [])
+    else:
+        raise UsageError("train needs --split or --features")
 
-    save_checkpoint(ckpt, out_dir / "model.ckpt")
-    _dump_json(ckpt.history, out_dir / "history.json")
-    _write_run_manifest(out_dir, "train", argv, inputs, ["model.ckpt", "history.json"],
-                        seeds={"train": config.seed})
+    save_checkpoint(ckpt, run.output("model.ckpt"))
+    _dump_json(ckpt.history, run.output("history.json"))
+    run.finish(seeds={"train": config.seed})
     print(
         f"train: best epoch {ckpt.history['best_epoch']} "
         f"(val acc {max(ckpt.history['val_acc']):.4f}), "
@@ -255,17 +250,15 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_evaluate(args, argv) -> int:
-    require_paths(args.checkpoint, args.split)
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = load_checkpoint(args.checkpoint)
+    run = _Run(args, argv)
+    ckpt = load_checkpoint(run.input(args.checkpoint))
     net = network_from_checkpoint(ckpt)
-    split = datasets.read_split_csv(Path(args.split).read_text())
+    split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
     items = split.test if args.side == "test" else split.train
     if not items:
         raise DomainError(f"split has no {args.side} items")
 
-    classes = sorted({i.cls for i in split.train} | {i.cls for i in split.test})
+    classes = split.classes
     if len(classes) != ckpt.descriptor.num_classes:
         raise DomainError(
             f"split has {len(classes)} classes, checkpoint head is "
@@ -281,13 +274,10 @@ def cmd_evaluate(args, argv) -> int:
     cm = evaluation.confusion(preds, truths, k=len(classes), labels=ckpt.class_labels)
     rep = evaluation.metrics(cm)
     dist = evaluation.error_distribution(cm)
-    _dump_json(cm.to_dict(), out_dir / "confusion.json")
-    _dump_json(rep.to_dict(), out_dir / "metrics.json")
-    _dump_json(dist.to_dict(), out_dir / "error_distribution.json")
-    _write_run_manifest(
-        out_dir, "evaluate", argv, [args.checkpoint, args.split],
-        ["confusion.json", "metrics.json", "error_distribution.json"],
-    )
+    _dump_json(cm.to_dict(), run.output("confusion.json"))
+    _dump_json(rep.to_dict(), run.output("metrics.json"))
+    _dump_json(dist.to_dict(), run.output("error_distribution.json"))
+    run.finish()
     print(f"evaluate: accuracy {rep.accuracy:.4f} on {cm.total} {args.side} images")
     return 0
 
@@ -311,22 +301,19 @@ def _load_levels(path) -> list[evaluation.BinarizationLevel]:
 
 
 def cmd_binarize(args, argv) -> int:
-    require_paths(args.confusion)
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cm = evaluation.ConfusionMatrix.from_dict(read_json(args.confusion, "confusion matrix"))
+    run = _Run(args, argv)
+    cm = evaluation.ConfusionMatrix.from_dict(
+        read_json(run.input(args.confusion), "confusion matrix")
+    )
     if args.levels:
-        require_paths(args.levels)
-        levels = _load_levels(args.levels)
+        levels = _load_levels(run.input(args.levels))
     else:
         levels = [lv for lv in evaluation.DEFAULT_LEVELS if lv.boundary <= cm.k - 1]
     reports = evaluation.binarize_all_levels(cm, levels)
     payload = [rep.to_dict() for rep in reports]
-    _dump_json(payload, out_dir / "binarization.json")
-    (out_dir / "binarization.csv").write_text(report.binarization_to_csv(payload))
-    inputs = [args.confusion] + ([args.levels] if args.levels else [])
-    _write_run_manifest(out_dir, "binarize", argv, inputs,
-                        ["binarization.json", "binarization.csv"])
+    _dump_json(payload, run.output("binarization.json"))
+    run.output("binarization.csv").write_text(report.binarization_to_csv(payload))
+    run.finish()
     for rep in reports:
         print(
             f"binarize level {rep.level.level} (<{rep.level.threshold_tons:g} t): "
@@ -336,42 +323,36 @@ def cmd_binarize(args, argv) -> int:
 
 
 def cmd_report(args, argv) -> int:
-    if not (args.metrics or args.distribution or args.binarization):
+    run = _Run(args, argv)
+    rows = [
+        (args.metrics, "metrics", report.metrics_to_csv, report.metrics_chart_svg),
+        (args.distribution, "error_distribution", report.distribution_to_csv,
+         report.distribution_chart_svg),
+        (args.binarization, "binarization", report.binarization_to_csv,
+         report.binarization_chart_svg),
+    ]
+    if not any(row[0] for row in rows):
         raise UsageError("report needs --metrics, --distribution, or --binarization")
-    out_dir = resolve_output_dir(args.out, args.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    inputs, outputs = [], []
-    if args.metrics:
-        require_paths(args.metrics)
-        metrics_dict = read_json(args.metrics, "metrics")
-        (out_dir / "metrics.csv").write_text(report.metrics_to_csv(metrics_dict))
-        outputs.append("metrics.csv")
-        if args.svg:
-            (out_dir / "metrics.svg").write_text(report.metrics_chart_svg(metrics_dict))
-            outputs.append("metrics.svg")
-        inputs.append(args.metrics)
-    if args.distribution:
-        require_paths(args.distribution)
-        dist_dict = read_json(args.distribution, "error distribution")
-        (out_dir / "error_distribution.csv").write_text(report.distribution_to_csv(dist_dict))
-        outputs.append("error_distribution.csv")
-        if args.svg:
-            (out_dir / "error_distribution.svg").write_text(
-                report.distribution_chart_svg(dist_dict)
-            )
-            outputs.append("error_distribution.svg")
-        inputs.append(args.distribution)
-    if args.binarization:
-        require_paths(args.binarization)
-        reports = read_json(args.binarization, "binarization")
-        (out_dir / "binarization.csv").write_text(report.binarization_to_csv(reports))
-        outputs.append("binarization.csv")
-        if args.svg:
-            (out_dir / "binarization.svg").write_text(report.binarization_chart_svg(reports))
-            outputs.append("binarization.svg")
-        inputs.append(args.binarization)
-    _write_run_manifest(out_dir, "report", argv, inputs, outputs)
-    print(f"report: wrote {', '.join(outputs)}")
+    # Render every table before writing one, so a bad input writes nothing.
+    rendered = []
+    for path, stem, to_csv, to_svg in rows:
+        if not path:
+            continue
+        what = stem.replace("_", " ")
+        data = read_json(run.input(path), what)
+        try:
+            rendered.append((f"{stem}.csv", to_csv(data)))
+            if args.svg:
+                rendered.append((f"{stem}.svg", to_svg(data)))
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(
+                f"{what} file {path} does not have the shape the report needs: "
+                f"{type(exc).__name__} {exc}"
+            ) from exc
+    for name, text in rendered:
+        run.output(name).write_text(text)
+    run.finish()
+    print(f"report: wrote {', '.join(run.outputs)}")
     return 0
 
 
@@ -379,7 +360,8 @@ def cmd_report(args, argv) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bridgecap", description=__doc__)
-    parser.add_argument("--config", default=None, help="pipeline config JSON")
+    parser.add_argument("--config", dest="config_file", default=None,
+                        help="pipeline config JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic corpus")
@@ -417,7 +399,7 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--split-fraction", dest="split_fraction", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dataset_build, stratified=None)
+    p.set_defaults(func=cmd_dataset_build)
 
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("--split", default=None, help="split.csv")
@@ -427,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--colour", choices=imaging.COLOUR_MODES, default=None,
                    help="default: the dataset manifest's colour, else rgb")
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
@@ -473,13 +455,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
 
-    if args.config is not None:
-        try:
-            args.config = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        args.config = load_config(args.config_file) if args.config_file else {}
         return args.func(args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Pipeline config file: one JSON document defaulting the CLI's inputs.
 
 Strict by design: unknown keys anywhere are rejected so a typo cannot
-silently fall back to a default, and the paths a subcommand relies on
-must exist before it starts.
+silently fall back to a default, and a value of the wrong type is
+rejected before any subcommand reads it.
 """
 
 import json
@@ -11,33 +11,46 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-_TOP_KEYS = {"paths", "dataset", "train"}
-_PATH_KEYS = {"output_dir"}
-_DATASET_KEYS = {"seed", "colour", "group_split", "split_fraction", "stratified"}
-_TRAIN_KEYS = {
-    "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
-    "min_delta", "seed",
+# Section -> key -> type. ``validate_config`` checks a config file
+# against it, and the CLI resolves each section's keys from it.
+SECTIONS = {
+    "paths": {"output_dir": str},
+    "dataset": {
+        "seed": int, "colour": str, "group_split": str, "split_fraction": float,
+        "stratified": bool,
+    },
+    "train": {
+        "learning_rate": float, "momentum": float, "batch_size": int, "max_epochs": int,
+        "patience": int, "min_delta": float, "seed": int,
+    },
 }
 
 OUTPUT_DIR_ENV = "BRIDGECAP_OUT"
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _fits(value, kind) -> bool:
+    # bool is an int in Python: only a bool key takes one. A float key
+    # also takes an int.
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+
+
+def _check(section, keys: dict, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(section).__name__}")
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in section.items():
+        kind = keys[key]
+        if isinstance(kind, dict):
+            _check(value, kind, f"{where}.{key}")
+        elif not _fits(value, kind):
+            raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {json.dumps(value)}")
 
 
 def validate_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if "paths" in cfg:
-        _check_keys(cfg["paths"], _PATH_KEYS, "config.paths")
-    if "dataset" in cfg:
-        _check_keys(cfg["dataset"], _DATASET_KEYS, "config.dataset")
-    if "train" in cfg:
-        _check_keys(cfg["train"], _TRAIN_KEYS, "config.train")
+    _check(cfg, SECTIONS, "config")
     return cfg
 
 
@@ -56,14 +69,7 @@ def load_config(path) -> dict:
     return validate_config(read_json(path, "config"))
 
 
-def require_paths(*paths) -> None:
-    """Fail fast when a referenced input is missing."""
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise ConfigError(f"referenced path does not exist: {p}")
-
-
-def resolve_output_dir(flag_value, cfg: dict | None = None) -> Path:
+def resolve_output_dir(flag_value, cfg: dict) -> Path:
     """Output directory precedence: explicit flag, then the environment
     override, then the config file, then the working directory."""
     if flag_value:
@@ -71,6 +77,4 @@ def resolve_output_dir(flag_value, cfg: dict | None = None) -> Path:
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:
         return Path(env)
-    if cfg and cfg.get("paths", {}).get("output_dir"):
-        return Path(cfg["paths"]["output_dir"])
-    return Path(".")
+    return Path(cfg.get("paths", {}).get("output_dir") or ".")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
 from .nbi import DESIGN_CLASS_NAMES
 
@@ -209,6 +209,11 @@ class DatasetSplit:
     train: tuple[DatasetItem, ...]
     test: tuple[DatasetItem, ...]
 
+    @property
+    def classes(self) -> list[int]:
+        """The distinct classes of both sides, ascending."""
+        return sorted({item.cls for item in self.train + self.test})
+
     def class_counts(self, side: str) -> dict[int, int]:
         items = self.train if side == "train" else self.test
         counts: dict[int, int] = {}
@@ -367,7 +372,7 @@ def _filter_completion(corpus, completion_filter: str):
     return [img for img in corpus if img.completion == want]
 
 
-def build_variant(spec, corpus, seed: int | None = None, do_split: bool = True) -> VariantResult:
+def build_variant(spec, corpus, seed: int | None = None) -> VariantResult:
     """Apply a DatasetSpec (or a named preset) to a labeled corpus.
 
     Labeling, optional small-class merging, capping, and splitting run in
@@ -428,16 +433,13 @@ def build_variant(spec, corpus, seed: int | None = None, do_split: bool = True) 
         counts[item.cls] = counts.get(item.cls, 0) + 1
     counts = dict(sorted(counts.items()))
 
-    if do_split:
-        split = split_dataset(
-            items,
-            split_fraction=spec.split_fraction,
-            seed=sub_split,
-            stratified=spec.stratified,
-            group_split=spec.group_split,
-        )
-    else:
-        split = DatasetSplit(train=tuple(sorted(items, key=lambda i: i.image_path)), test=())
+    split = split_dataset(
+        items,
+        split_fraction=spec.split_fraction,
+        seed=sub_split,
+        stratified=spec.stratified,
+        group_split=spec.group_split,
+    )
     return VariantResult(spec=spec, class_labels=labels, class_counts=counts, split=split)
 
 
@@ -464,18 +466,19 @@ def read_split_csv(text: str) -> DatasetSplit:
     header = next(reader, None)
     if header != ["image_path", "class", "side"]:
         raise ConfigError(f"unexpected split-manifest header: {header}")
-    train, test = [], []
+    sides = {"train": [], "test": []}
     for row in reader:
         if not row:
             continue
-        item = DatasetItem(image_path=row[0], cls=int(row[1]))
-        if row[2] == "train":
-            train.append(item)
-        elif row[2] == "test":
-            test.append(item)
-        else:
-            raise ConfigError(f"unknown split side {row[2]!r}")
-    return DatasetSplit(train=tuple(train), test=tuple(test))
+        try:
+            image_path, cls, side = row
+            sides[side].append(DatasetItem(image_path=image_path, cls=int(cls)))
+        except (KeyError, ValueError) as exc:
+            raise FormatError(
+                f"split-manifest line {reader.line_num}: expected image_path,class,side "
+                f"with an integer class and side train or test, got {row}"
+            ) from exc
+    return DatasetSplit(train=tuple(sides["train"]), test=tuple(sides["test"]))
 
 
 # --- presets -----------------------------------------------------------------

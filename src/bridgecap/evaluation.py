@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FormatError
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,15 @@ class ConfusionMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConfusionMatrix":
-        return cls(counts=np.array(d["counts"], dtype=np.int64), labels=tuple(d["labels"]))
+        try:
+            counts = np.array(d["counts"], dtype=np.int64)
+            labels = tuple(d["labels"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"confusion matrix needs integer 'counts' rows and 'labels': "
+                f"{type(exc).__name__} {exc}"
+            ) from exc
+        return cls(counts=counts, labels=labels)
 
 
 def confusion(predictions, truths, k: int, labels=()) -> ConfusionMatrix:

@@ -169,7 +169,7 @@ def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
     (c, h, w) tensor for one image. Split classes (1-based, possibly
     sparse) are mapped onto the head's label positions in sorted order
     and must match its width."""
-    classes = sorted({item.cls for item in split.train} | {item.cls for item in split.test})
+    classes = split.classes
     if len(classes) != net.descriptor.num_classes:
         raise DomainError(
             f"split has {len(classes)} classes but the model head is "

@@ -375,6 +375,8 @@ def profile_from_dict(cfg: dict) -> ParseProfile:
         columns = cfg["columns"]
     except KeyError as exc:
         raise ConfigError(f"profile is missing required key {exc}") from exc
+    if not isinstance(fmt_cfg, dict):
+        raise ConfigError(f"profile format must be a JSON object, got {type(fmt_cfg).__name__}")
 
     kind = fmt_cfg.get("kind")
     if kind == "delimited":

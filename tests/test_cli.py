@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -84,6 +85,7 @@ class TestExitCodes:
             "--corpus", str(small_corpus / "joined" / "labeled.ndjson"),
             "--out", str(tmp_path / "d"),
         ) == 2
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("levels", [
         '[{"level": 1, "boundary": 1}]',
@@ -150,6 +152,78 @@ class TestExitCodes:
             "--out", str(tmp_path / "n"),
         ) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"train": {"batch_size": "32"}},
+        {"train": {"max_epochs": 2.5}},
+        {"train": {"learning_rate": None}},
+        {"train": []},
+        {"dataset": {"split_fraction": "0.8"}},
+        {"dataset": {"seed": "x"}},
+        {"paths": {"output_dir": 5}},
+    ], ids=["int_as_string", "int_as_float", "float_as_null", "section_as_list",
+            "float_as_string", "seed_as_string", "path_as_int"])
+    def test_config_value_of_wrong_type_is_2(self, small_corpus, tmp_path, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)  # synth-gen without --out writes to the working directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"r{i},{i % 2},{i},{'ab'[i % 2]}\n" for i in range(8)))
+        argv = {
+            "train": ["train", "--features", str(features), "--out", str(tmp_path / "o")],
+            "dataset": ["dataset-build", "LR5", "--out", str(tmp_path / "o"),
+                        "--corpus", str(small_corpus / "joined" / "labeled.ndjson")],
+            "paths": ["synth-gen", "--classes", "2", "--per-class", "3", "--size", "8"],
+        }[next(iter(doc))]
+        assert run("--config", str(cfg), *argv) == 2
+
+    @pytest.mark.parametrize("row", ["a.pnm,1", "a.pnm,x,test", "a.pnm,1,val"],
+                             ids=["two_fields", "non_integer_class", "unknown_side"])
+    def test_malformed_split_row_is_2(self, tmp_path, row):
+        split = tmp_path / "split.csv"
+        split.write_text(f"image_path,class,side\n{row}\n")
+        assert run(
+            "train", "--split", str(split), "--image-root", str(tmp_path),
+            "--out", str(tmp_path / "m"),
+        ) == 2
+
+    def test_confusion_without_counts_is_2(self, tmp_path):
+        cm = tmp_path / "confusion.json"
+        cm.write_text(json.dumps({"labels": ["a", "b"]}))
+        assert run("binarize", "--confusion", str(cm), "--out", str(tmp_path / "b")) == 2
+
+    def test_profile_format_not_object_is_2(self, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(
+            {"format": "csv", "columns": {"state": "state", "structure": "structure"}}
+        ))
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("state,structure\n01,S1\n")
+        assert run(
+            "nbi-parse", "--input", str(inventory), "--profile", str(profile),
+            "--out", str(tmp_path / "n"),
+        ) == 2
+
+    @pytest.mark.parametrize("metrics, distribution", [
+        ({"accuracy": 0.5, "macro_precision": 0.5, "macro_recall": 0.5, "macro_f1": 0.5,
+          "per_class": [], "total": 4}, None),
+        ({"accuracy": 0.5, "per_class": []}, {"mass": {"0": 1.0}}),
+    ], ids=["missing_distribution", "metrics_without_macro_precision"])
+    def test_report_bad_input_is_2_and_writes_nothing(self, tmp_path, metrics, distribution):
+        (tmp_path / "metrics.json").write_text(json.dumps(metrics))
+        if distribution is not None:
+            (tmp_path / "error_distribution.json").write_text(json.dumps(distribution))
+        out = tmp_path / "rep"
+        assert run(
+            "report", "--metrics", str(tmp_path / "metrics.json"),
+            "--distribution", str(tmp_path / "error_distribution.json"),
+            "--svg", "--out", str(out),
+        ) == 2
+        assert not out.exists()
+
+    def test_train_without_split_or_features_is_1(self, tmp_path):
+        assert run("train", "--out", str(tmp_path / "m")) == 1
+        assert not (tmp_path / "m").exists()
+
     def test_help_is_0(self, capsys):
         assert run("--help") == 0
         assert "bridgecap" in capsys.readouterr().out
@@ -176,6 +250,86 @@ class TestArtifacts:
         assert manifest["argv"][0] == "synth-gen"
         manifest = json.loads((small_corpus / "nbi" / "run_nbi_parse.json").read_text())
         assert str(small_corpus / "inventory.csv") in manifest["inputs"]
+
+
+@pytest.fixture()
+def stage_argv(small_corpus, tmp_path):
+    """Subcommand -> argv without ``--out`` for all eight stages. The
+    stages after corpus-match read a chain run under ``tmp_path/chain``;
+    corpus-match also tags completion with an untrained 2-class model."""
+    from bridgecap.learner import Network, make_checkpoint, micro_cnn, save_checkpoint
+
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    completion = chain / "completion.ckpt"
+    save_checkpoint(make_checkpoint(
+        Network(micro_cnn(["complete", "partial"], input_shape=(3, 16, 16)))
+    ), completion)
+    argv = {
+        "synth-gen": ["synth-gen", "--classes", "2", "--per-class", "3", "--size", "8"],
+        "nbi-parse": ["nbi-parse", "--input", str(small_corpus / "inventory.csv")],
+        "corpus-match": ["corpus-match", "--manifest", str(small_corpus / "manifest.csv"),
+                         "--records", str(small_corpus / "nbi" / "records.ndjson"),
+                         "--completion-model", str(completion),
+                         "--image-root", str(small_corpus)],
+        "dataset-build": ["dataset-build", "LR5", "--seed", "3",
+                          "--corpus", str(small_corpus / "joined" / "labeled.ndjson")],
+        "train": ["train", "--split", str(chain / "dataset-build" / "split.csv"),
+                  "--image-root", str(small_corpus),
+                  "--dataset-manifest", str(chain / "dataset-build" / "dataset_manifest.json"),
+                  "--size", "16", "--max-epochs", "1", "--seed", "1"],
+        "evaluate": ["evaluate", "--checkpoint", str(chain / "train" / "model.ckpt"),
+                     "--split", str(chain / "dataset-build" / "split.csv"),
+                     "--image-root", str(small_corpus)],
+        "binarize": ["binarize", "--confusion", str(chain / "evaluate" / "confusion.json")],
+        "report": ["report", "--metrics", str(chain / "evaluate" / "metrics.json"),
+                   "--distribution", str(chain / "evaluate" / "error_distribution.json"),
+                   "--binarization", str(chain / "binarize" / "binarization.json"), "--svg"],
+    }
+    for name in ("dataset-build", "train", "evaluate", "binarize"):
+        assert run(*argv[name], "--out", str(chain / name)) == 0
+    return argv
+
+
+def _manifest(out, subcommand):
+    return json.loads((out / f"run_{subcommand.replace('-', '_')}.json").read_text())
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize("subcommand", [
+        "synth-gen", "nbi-parse", "corpus-match", "dataset-build",
+        "train", "evaluate", "binarize", "report",
+    ])
+    def test_outputs_are_the_files_written(self, stage_argv, tmp_path, subcommand):
+        out = tmp_path / "out"
+        assert run(*stage_argv[subcommand], "--out", str(out)) == 0
+        manifest_name = f"run_{subcommand.replace('-', '_')}.json"
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert set(_manifest(out, subcommand)["outputs"]) == written - {manifest_name}
+
+    @pytest.mark.parametrize("kind", ["profile", "spec", "config"])
+    def test_file_arguments_are_hashed(self, small_corpus, tmp_path, kind):
+        from importlib.resources import files
+
+        def builtin(table, name):
+            return json.loads(files("bridgecap.data").joinpath(table).read_text())[name]
+
+        path = tmp_path / f"{kind}.json"
+        out = tmp_path / "out"
+        labeled = str(small_corpus / "joined" / "labeled.ndjson")
+        if kind == "profile":
+            path.write_text(json.dumps(builtin("nbi_profiles.json", "standard")))
+            argv = ["nbi-parse", "--input", str(small_corpus / "inventory.csv"),
+                    "--profile", str(path)]
+        elif kind == "spec":
+            path.write_text(json.dumps(builtin("presets.json", "LR5")))
+            argv = ["dataset-build", str(path), "--corpus", labeled]
+        else:
+            path.write_text(json.dumps({"dataset": {"seed": 3}}))
+            argv = ["--config", str(path), "dataset-build", "LR5", "--corpus", labeled]
+        assert run(*argv, "--out", str(out)) == 0
+        manifest = _manifest(out, argv[2] if kind == "config" else argv[0])
+        assert manifest["inputs"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPipeline:
@@ -272,7 +426,7 @@ class TestPipeline:
         ckpt = load_checkpoint(tmp_path / "m" / "model.ckpt")
         assert ckpt.descriptor.colour_mode == "grayscale"
         assert run(*train, "--colour", "rgb", "--out", str(tmp_path / "m2")) == 1
-        assert not (tmp_path / "m2" / "model.ckpt").exists()
+        assert not (tmp_path / "m2").exists()
 
 
 class TestDeterminism:
@@ -288,6 +442,16 @@ class TestDeterminism:
         manifest = json.loads((data / "run_dataset_build.json").read_text())
         assert run(*manifest["argv"]) == 0
         assert (data / "split.csv").read_bytes() == first
+
+    def test_replay_train_manifest_reproduces_checkpoint(self, stage_argv, tmp_path):
+        first = tmp_path / "first"
+        assert run(*stage_argv["train"], "--out", str(first)) == 0
+        argv = _manifest(first, "train")["argv"]
+        replay = tmp_path / "replay"
+        argv[argv.index("--out") + 1] = str(replay)
+        assert run(*argv) == 0
+        assert (replay / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
+        assert _manifest(replay, "train")["inputs"] == _manifest(first, "train")["inputs"]
 
     def test_env_var_output_dir(self, small_corpus, tmp_path, monkeypatch):
         out = tmp_path / "env_out"
