@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
-from .config import SECTIONS, load_config, read_json, resolve_output_dir
+from .config import SECTIONS, check, load_config, read_json, resolve_output_dir
 from .errors import BridgecapError, ConfigError, DomainError, FormatError
 from .learner import (
     Network,
@@ -282,22 +282,18 @@ def cmd_evaluate(args, argv) -> int:
     return 0
 
 
+_LEVELS_SHAPE = [{"level": int, "threshold_tons": float, "boundary": int}]
+
+
 def _load_levels(path) -> list[evaluation.BinarizationLevel]:
     raw = read_json(path, "levels file")
-    try:
-        return [
-            evaluation.BinarizationLevel(
-                level=int(entry["level"]),
-                threshold_tons=float(entry["threshold_tons"]),
-                boundary=int(entry["boundary"]),
-            )
-            for entry in raw
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"levels file {path} must be a list of objects with numeric level, "
-            f"threshold_tons and boundary: {type(exc).__name__} {exc}"
-        ) from exc
+    check(raw, _LEVELS_SHAPE, f"levels file {path}")
+    if any(entry.keys() != _LEVELS_SHAPE[0].keys() for entry in raw):
+        raise ConfigError(f"every level in {path} needs a level, threshold_tons and boundary")
+    return [
+        evaluation.BinarizationLevel(e["level"], float(e["threshold_tons"]), e["boundary"])
+        for e in raw
+    ]
 
 
 def cmd_binarize(args, argv) -> int:

@@ -7,11 +7,12 @@ rejected before any subcommand reads it.
 
 import json
 import os
+import sys
 from pathlib import Path
 
 from .errors import ConfigError
 
-# Section -> key -> type. ``validate_config`` checks a config file
+# Section -> key -> type. ``load_config`` checks a config file
 # against it, and the CLI resolves each section's keys from it.
 SECTIONS = {
     "paths": {"output_dir": str},
@@ -30,43 +31,76 @@ OUTPUT_DIR_ENV = "BRIDGECAP_OUT"
 
 def _fits(value, kind) -> bool:
     # bool is an int in Python: only a bool key takes one. A float key
-    # also takes an int.
+    # also takes an int. A number must fit an int64 or a finite double.
     accepted = (int, float) if kind is float else kind
-    return isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        return False
+    limit = {int: 2**63 - 1, float: sys.float_info.max}.get(kind)
+    return limit is None or -limit <= value <= limit
 
 
-def _check(section, keys: dict, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(section).__name__}")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in section.items():
-        kind = keys[key]
-        if isinstance(kind, dict):
-            _check(value, kind, f"{where}.{key}")
-        elif not _fits(value, kind):
-            raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {json.dumps(value)}")
+def _describe(shape) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(map(_describe, shape))
+    if isinstance(shape, list):
+        return "a list"
+    return "a JSON object" if isinstance(shape, dict) else getattr(shape, "__name__", "null")
 
 
-def validate_config(cfg: dict) -> dict:
-    _check(cfg, SECTIONS, "config")
-    return cfg
+def check(value, shape, where: str) -> None:
+    """Raise ConfigError, naming the path below ``where``, unless the
+    parsed JSON ``value`` has ``shape``. A shape is a JSON scalar type
+    (``str``, ``int``, ``float`` or ``bool``: a bool is never an int, a
+    float also takes an int, and a number must fit an int64 or a finite
+    double), ``None`` for null, a tuple of alternative shapes, ``[shape]``
+    for a list of ``shape``, or a dict for an object with only those keys,
+    where a ``str`` key means any key. No key is required: each reader
+    checks the keys it cannot do without.
+    """
+    if isinstance(shape, tuple):
+        for alternative in shape:
+            try:
+                return check(value, alternative, where)
+            except ConfigError:
+                pass
+    elif isinstance(shape, dict):
+        if isinstance(value, dict):
+            unknown = set() if str in shape else set(value) - set(shape)
+            if unknown:
+                raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+            for key, item in value.items():
+                check(item, shape.get(key, shape.get(str)), f"{where}.{key}")
+            return
+    elif isinstance(shape, list):
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                check(item, shape[0], f"{where}[{i}]")
+            return
+    elif value is None if shape is None else _fits(value, shape):
+        return
+    raise ConfigError(f"{where} must be {_describe(shape)}, got {json.dumps(value)}")
+
+
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def read_json(path, what: str):
     """Parse the JSON file at ``path``; ``what`` names it in the
-    ConfigError raised when it cannot be read or is not JSON."""
+    ConfigError raised when it cannot be read or is not JSON, which
+    includes the ``NaN``, ``Infinity`` and ``-Infinity`` tokens."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=_not_json)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _not_json
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path) -> dict:
-    return validate_config(read_json(path, "config"))
+    cfg = read_json(path, "config")
+    check(cfg, SECTIONS, "config")
+    return cfg
 
 
 def resolve_output_dir(flag_value, cfg: dict) -> Path:

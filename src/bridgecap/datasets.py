@@ -18,18 +18,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import SECTIONS, check
 from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
-from .nbi import DESIGN_CLASS_NAMES
+from .nbi import DESIGN_CLASS_NAMES, _fmt_tons
 
 DESIGN_CLASS_RANGE = tuple(range(1, 13))
 COMPLETION_FILTERS = ("any", "complete_only", "partial_only")
 GROUP_SPLITS = ("image_level", "bridge_level")
 MATCH_MIN = "match_min"
-
-
-def _fmt_tons(x: float) -> str:
-    return str(int(x)) if float(x) == int(x) else str(x)
 
 
 def default_bin_labels(edges) -> tuple[str, ...]:
@@ -182,7 +179,11 @@ class DatasetSpec:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.caps, dict):
+            if not all(str(k).isdecimal() for k in self.caps):
+                raise ConfigError(f"caps keys must be class numbers, got {list(self.caps)}")
             caps = {int(k): int(v) for k, v in self.caps.items()}
             if any(v <= 0 for v in caps.values()):
                 raise ConfigError("caps must be positive")
@@ -494,54 +495,36 @@ def preset_names() -> list[str]:
     return sorted(_load_preset_table())
 
 
-_SPEC_KEYS = {
-    "kind", "edges", "labels", "passthrough", "merge_groups", "drop", "caps",
-    "min_class_size", "completion", "colour", "split_fraction", "seed",
-    "group_split", "stratified",
+_SPEC_SHAPE = {
+    **SECTIONS["dataset"], "kind": str, "edges": [float], "labels": [str],
+    "passthrough": [int], "merge_groups": [[int]], "drop": [int],
+    "caps": (str, {str: int}, None), "min_class_size": (int, None), "completion": str,
+}
+# Kind -> label source and the spec keys it is built from; the first is required.
+_LABEL_SOURCES = {
+    "load_rating": (BinningScheme, ("edges", "labels")),
+    "design_load": (ClassMapSpec, ("passthrough", "merge_groups", "drop", "labels")),
 }
 
 
 def spec_from_config(name: str, cfg: dict) -> DatasetSpec:
     """Build a DatasetSpec from its JSON form (one presets.json entry or
     a user spec file)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"spec {name!r} must be a JSON object, got {type(cfg).__name__}")
-    unknown = set(cfg) - _SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"spec {name!r} has unknown keys: {sorted(unknown)}")
-    kind = cfg.get("kind")
-    required = {"load_rating": "edges", "design_load": "passthrough"}.get(kind)
-    if required is not None and required not in cfg:
-        raise ConfigError(f"spec {name!r} of kind {kind!r} is missing required key {required!r}")
-    if kind == "load_rating":
-        source = BinningScheme(
-            name=name, edges=tuple(cfg["edges"]), labels=tuple(cfg.get("labels", ()))
-        )
-    elif kind == "design_load":
-        source = ClassMapSpec(
-            name=name,
-            passthrough=tuple(cfg["passthrough"]),
-            merge_groups=tuple(frozenset(g) for g in cfg.get("merge_groups", [])),
-            drop=frozenset(cfg.get("drop", [])),
-            labels=tuple(cfg.get("labels", ())),
-        )
-    else:
+    check(cfg, _SPEC_SHAPE, f"spec {name!r}")
+    settings = dict(cfg)
+    kind = settings.pop("kind", None)
+    if kind not in _LABEL_SOURCES:
         raise ConfigError(f"spec {name!r} has unknown kind {kind!r}")
-    caps = cfg.get("caps")
-    if isinstance(caps, dict):
-        caps = {int(k): int(v) for k, v in caps.items()}
-    return DatasetSpec(
-        name=name,
-        label_source=source,
-        caps=caps,
-        min_class_size=cfg.get("min_class_size"),
-        split_fraction=float(cfg.get("split_fraction", 0.8)),
-        seed=int(cfg.get("seed", 0)),
-        completion_filter=cfg.get("completion", "any"),
-        colour=cfg.get("colour", "rgb"),
-        group_split=cfg.get("group_split", "image_level"),
-        stratified=bool(cfg.get("stratified", True)),
-    )
+    source_type, keys = _LABEL_SOURCES[kind]
+    if keys[0] not in settings:
+        raise ConfigError(f"spec {name!r} of kind {kind!r} is missing required key {keys[0]!r}")
+    source = source_type(name=name, **{key: settings.pop(key) for key in keys if key in settings})
+    other = settings.keys() & {k for _, ks in _LABEL_SOURCES.values() for k in ks}
+    if other:
+        raise ConfigError(f"spec {name!r} of kind {kind!r} does not take {sorted(other)}")
+    if "completion" in settings:
+        settings["completion_filter"] = settings.pop("completion")
+    return DatasetSpec(name=name, label_source=source, **settings)
 
 
 def load_preset(name: str) -> DatasetSpec:

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
 from .errors import DomainError, FormatError
+
+
+_CONFUSION_SHAPE = {"labels": [str], "counts": [[int]]}
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,11 @@ class ConfusionMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConfusionMatrix":
-        try:
-            counts = np.array(d["counts"], dtype=np.int64)
-            labels = tuple(d["labels"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                f"confusion matrix needs integer 'counts' rows and 'labels': "
-                f"{type(exc).__name__} {exc}"
-            ) from exc
-        return cls(counts=counts, labels=labels)
+        check(d, _CONFUSION_SHAPE, "confusion matrix")
+        counts = d.get("counts", [])
+        if d.keys() != _CONFUSION_SHAPE.keys() or any(len(row) != len(counts) for row in counts):
+            raise FormatError("confusion matrix needs 'labels' and square 'counts' rows")
+        return cls(counts=np.array(counts, dtype=np.int64), labels=tuple(d["labels"]))
 
 
 def confusion(predictions, truths, k: int, labels=()) -> ConfusionMatrix:

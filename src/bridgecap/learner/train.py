@@ -35,8 +35,8 @@ class TrainConfig:
             raise ConfigError("learning rate, batch size, and max epochs must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience < 1 or self.min_delta < 0:
-            raise ConfigError("patience must be >= 1 and min_delta >= 0")
+        if self.patience < 1 or self.min_delta < 0 or self.seed < 0:
+            raise ConfigError("patience must be >= 1, and min_delta and seed >= 0")
 
 
 class EarlyStopper:

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from ._records import as_text, from_ndjson, to_ndjson
+from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
 # Sorted-by-load-level design classes. Class index -> (name, nominal tons);
@@ -299,13 +300,13 @@ def rating_histogram(records, bin_width: float = 5.0) -> dict[str, int]:
             continue
         lo = bin_width * int(rec.load_rating_tons // bin_width)
         counts[lo] = counts.get(lo, 0) + 1
-
-    def fmt(x: float) -> str:
-        return str(int(x)) if x == int(x) else str(x)
-
     return {
-        f"{fmt(lo)}-{fmt(lo + bin_width)}": counts[lo] for lo in sorted(counts)
+        f"{_fmt_tons(lo)}-{_fmt_tons(lo + bin_width)}": counts[lo] for lo in sorted(counts)
     }
+
+
+def _fmt_tons(x: float) -> str:
+    return str(int(x)) if x == int(x) else str(x)
 
 
 # --- serialization ---------------------------------------------------------
@@ -357,67 +358,53 @@ def records_from_ndjson(text: str) -> list[NbiRecord]:
 
 # --- profile config --------------------------------------------------------
 
-_PROFILE_KEYS = {"name", "format", "columns", "design_code_map", "rating_divisor"}
-_FORMAT_KEYS_DELIM = {"kind", "separator", "has_header"}
-_FORMAT_KEYS_FW = {"kind", "layout"}
-_COLUMN_ROLES = {"state", "structure", "design_load", "rating"}
+# Format kind -> the keys of its ``format`` object.
+_FORMATS = {
+    "delimited": {"kind": str, "separator": str, "has_header": bool},
+    "fixed_width": {"kind": str, "layout": [{"name": str, "start": int, "length": int}]},
+}
+_PROFILE_SHAPE = {
+    "name": str,
+    "format": {**_FORMATS["delimited"], **_FORMATS["fixed_width"]},
+    "columns": {
+        "state": (str, int), "structure": (str, int),
+        "design_load": (str, int, None), "rating": (str, int, None),
+    },
+    "design_code_map": {str: int},
+    "rating_divisor": float,
+}
 
 
 def profile_from_dict(cfg: dict) -> ParseProfile:
     """Build a ParseProfile from its JSON form, rejecting unknown keys."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"profile must be a JSON object, got {type(cfg).__name__}")
-    unknown = set(cfg) - _PROFILE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown profile keys: {sorted(unknown)}")
-    try:
-        fmt_cfg = cfg["format"]
-        columns = cfg["columns"]
-    except KeyError as exc:
-        raise ConfigError(f"profile is missing required key {exc}") from exc
-    if not isinstance(fmt_cfg, dict):
-        raise ConfigError(f"profile format must be a JSON object, got {type(fmt_cfg).__name__}")
-
-    kind = fmt_cfg.get("kind")
-    if kind == "delimited":
-        unknown = set(fmt_cfg) - _FORMAT_KEYS_DELIM
-        if unknown:
-            raise ConfigError(f"unknown delimited-format keys: {sorted(unknown)}")
-        fmt = DelimitedFormat(
-            separator=fmt_cfg.get("separator", ","),
-            has_header=bool(fmt_cfg.get("has_header", True)),
-        )
-    elif kind == "fixed_width":
-        unknown = set(fmt_cfg) - _FORMAT_KEYS_FW
-        if unknown:
-            raise ConfigError(f"unknown fixed-width-format keys: {sorted(unknown)}")
-        try:
-            fields = tuple(
-                FixedWidthField(name=f["name"], start=int(f["start"]), length=int(f["length"]))
-                for f in fmt_cfg["layout"]
-            )
-        except KeyError as exc:
-            raise ConfigError(f"fixed-width format is missing required key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"fixed-width layout must list objects with name, integer start and length: {exc}"
-            ) from exc
-        if not fields:
-            raise ConfigError("fixed-width layout is empty")
-        fmt = FixedWidthFormat(fields=fields)
-    else:
+    check(cfg, _PROFILE_SHAPE, "profile")
+    fmt_cfg = dict(cfg.get("format", {}))
+    kind = fmt_cfg.pop("kind", None)
+    if kind not in _FORMATS:
         raise ConfigError(f"unknown format kind {kind!r}")
+    check(cfg["format"], _FORMATS[kind], f"{kind} profile.format")  # only its kind's keys
+    if kind == "delimited":
+        fmt = DelimitedFormat(**fmt_cfg)
+        if len(fmt.separator) != 1:
+            raise ConfigError(f"separator must be one character, got {fmt.separator!r}")
+    else:
+        layout = fmt_cfg.get("layout", [])
+        if not layout or any(len(f) != 3 for f in layout):
+            raise ConfigError("fixed-width layout must list fields with a name, start and length")
+        fmt = FixedWidthFormat(fields=tuple(FixedWidthField(**f) for f in layout))
 
-    unknown = set(columns) - _COLUMN_ROLES
-    if unknown:
-        raise ConfigError(f"unknown column roles: {sorted(unknown)}")
+    columns = cfg.get("columns", {})
     if "state" not in columns or "structure" not in columns:
         raise ConfigError("profile must map the state and structure columns")
+    if any(isinstance(ref, int) and ref < 0 for ref in columns.values()):
+        raise ConfigError(f"column indexes must be non-negative, got {columns}")
 
-    code_map = {str(k): int(v) for k, v in cfg.get("design_code_map", {}).items()}
+    code_map = cfg.get("design_code_map", {})
     for raw, cls in code_map.items():
         if not 1 <= cls <= 12:
             raise ConfigError(f"design code {raw!r} maps to {cls}, outside 1..12")
+    if cfg.get("rating_divisor", 1.0) <= 0:
+        raise ConfigError(f"rating_divisor must be positive, got {cfg['rating_divisor']}")
 
     return ParseProfile(
         file_format=fmt,
@@ -439,6 +426,4 @@ def load_builtin_profile(name: str) -> ParseProfile:
     profiles = json.loads(raw)
     if name not in profiles:
         raise ConfigError(f"no built-in profile {name!r}; have {sorted(profiles)}")
-    cfg = dict(profiles[name])
-    cfg.setdefault("name", name)
-    return profile_from_dict(cfg)
+    return profile_from_dict({"name": name, **profiles[name]})

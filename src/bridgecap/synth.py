@@ -46,6 +46,8 @@ class SynthSpec:
             raise DomainError("images per class, image size, and images per bridge must be positive")
         if not 0.0 <= self.partial_fraction <= 1.0:
             raise DomainError(f"partial_fraction must be in [0, 1], got {self.partial_fraction}")
+        if min(self.seed, self.noise, self.jitter) < 0:
+            raise DomainError("seed, noise and jitter must be non-negative")
 
 
 def rating_scheme(classes: int) -> BinningScheme:

@@ -1,7 +1,10 @@
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bridgecap.cli import main
 
@@ -227,6 +230,190 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         assert run("--help") == 0
         assert "bridgecap" in capsys.readouterr().out
+
+
+# One valid document of each kind the CLI reads as input.
+DOCUMENTS = {
+    "config": {
+        "paths": {"output_dir": "unused"},  # every run passes --out
+        "dataset": {"seed": 3, "colour": "rgb", "group_split": "image_level",
+                    "split_fraction": 0.75, "stratified": True},
+        "train": {"learning_rate": 0.01, "momentum": 0.9, "batch_size": 4, "max_epochs": 1,
+                  "patience": 1, "min_delta": 0.0, "seed": 1},
+    },
+    "spec": {
+        "kind": "load_rating", "edges": [0, 15, 30], "labels": ["low", "mid", "high"],
+        "caps": {"1": 10}, "min_class_size": 2, "completion": "any", "seed": 3,
+        "colour": "rgb", "group_split": "image_level", "split_fraction": 0.75,
+        "stratified": True,
+    },
+    "design_load_spec": {
+        "kind": "design_load", "passthrough": [1, 2, 3], "merge_groups": [[4, 5]],
+        "drop": [6, 7, 8, 9, 10, 11, 12], "labels": ["H10", "H15", "H20", "heavier"],
+    },
+    "profile": {
+        "name": "csv", "format": {"kind": "delimited", "separator": ",", "has_header": True},
+        "columns": {"state": "state", "structure": "structure",
+                    "design_load": "design_load_code", "rating": "load_rating_tons"},
+        "design_code_map": {"1": 1, "2": 2, "3": 3}, "rating_divisor": 1,
+    },
+    "fixed_width_profile": {
+        "format": {"kind": "fixed_width", "layout": [
+            {"name": "state", "start": 0, "length": 2},
+            {"name": "structure", "start": 3, "length": 12},
+        ]},
+        "columns": {"state": "state", "structure": "structure"},
+    },
+    "levels": [{"level": 1, "threshold_tons": 10.0, "boundary": 1},
+               {"level": 2, "threshold_tons": 15.0, "boundary": 2}],
+    "confusion": {"labels": ["a", "b", "c"], "counts": [[3, 1, 0], [0, 4, 1], [1, 0, 5]]},
+}
+
+
+def _with(kind, value, *path):
+    """DOCUMENTS[kind] with ``value`` at the key ``path``."""
+    doc = copy.deepcopy(DOCUMENTS[kind])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every object key in ``doc``, through lists."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield (*prefix, key)
+            yield from _key_paths(value, (*prefix, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, (*prefix, i))
+
+
+@pytest.fixture()
+def read_document(small_corpus, tmp_path):
+    """``read(kind, doc)`` writes ``doc`` (a JSON value, or JSON text) to a
+    file and returns the exit codes of the runs that read it as the
+    document the last word of ``kind`` names."""
+    labeled = str(small_corpus / "joined" / "labeled.ndjson")
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(DOCUMENTS["confusion"]))
+    # One row per class: train rejects it after resolving the train
+    # section and before the first epoch, so no learning rate can diverge.
+    features = tmp_path / "one_row_per_class.csv"
+    features.write_text("r0,0.5,a\nr1,1.5,b\n")
+
+    def read(kind, doc):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        runs = {
+            "config": [["--config", str(path), "dataset-build", "LR5", "--corpus", labeled],
+                       ["--config", str(path), "train", "--features", str(features)]],
+            "spec": [["dataset-build", str(path), "--corpus", labeled]],
+            "profile": [["nbi-parse", "--input", str(small_corpus / "inventory.csv"),
+                         "--profile", str(path)]],
+            "levels": [["binarize", "--confusion", str(matrix), "--levels", str(path)]],
+            "confusion": [["binarize", "--confusion", str(path)]],
+        }[kind.split("_")[-1]]
+        return [run(*argv, "--out", str(tmp_path / "out")) for argv in runs]
+
+    return read
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=5,
+)
+
+
+class TestDocumentShapes:
+    def test_every_document_is_valid(self, read_document):
+        for kind, doc in DOCUMENTS.items():
+            assert read_document(kind, doc)[0] == 0, kind
+
+    @pytest.mark.parametrize("kind, doc", [
+        ("profile", _with("profile", 5, "columns")),
+        ("profile", _with("profile", {"1": "x"}, "design_code_map")),
+        ("profile", _with("profile", [1], "design_code_map")),
+        ("profile", _with("profile", "x", "rating_divisor")),
+        ("profile", _with("profile", 0, "rating_divisor")),
+        ("profile", _with("profile", 5, "format", "separator")),
+        ("profile", _with("profile", "", "format", "separator")),
+        ("profile", _with("profile", "no", "format", "has_header")),
+        ("profile", _with("profile", 5, "name")),
+        ("spec", _with("spec", "x", "seed")),
+        ("spec", _with("spec", {"a": 1}, "caps")),
+        ("spec", _with("spec", "3", "min_class_size")),
+        ("spec", _with("spec", [0, "x"], "edges")),
+        ("design_load_spec", _with("design_load_spec", 5, "passthrough")),
+        ("design_load_spec", _with("design_load_spec", [5], "merge_groups")),
+        ("design_load_spec", _with("design_load_spec", 4, "drop")),
+        ("spec", _with("spec", "015", "edges")),
+        ("spec", _with("spec", "0.5", "split_fraction")),
+        ("spec", _with("spec", "no", "stratified")),
+        ("spec", _with("spec", "abc", "labels")),
+        ("design_load_spec", _with("design_load_spec", "123", "passthrough")),
+        ("design_load_spec", _with("design_load_spec", [1, 2, "3"], "passthrough")),
+        ("spec", _with("spec", "3", "seed")),
+        ("spec", _with("spec", -1, "seed")),
+        ("spec", '{"kind": "load_rating", "edges": [0, NaN]}'),
+        ("spec", '{"kind": "load_rating", "edges": [0, 15, Infinity]}'),
+        ("levels", [{"level": 1, "threshold_tons": "10", "boundary": 1}]),
+        ("levels", [{"level": 1.7, "threshold_tons": 10.0, "boundary": True}]),
+        ("confusion", _with("confusion", "abc", "labels")),
+        ("confusion", _with("confusion", [1, 2, 3], "labels")),
+        ("confusion", _with("confusion", [[3, 1.5, 0], [0, 4, 1], [1, 0, 5]], "counts")),
+        ("confusion", _with("confusion", [[3, True, 0], [0, 4, 1], [1, 0, 5]], "counts")),
+        ("config", '{"train": {"learning_rate": NaN}}'),
+        ("config", '{"train": {"min_delta": Infinity}}'),
+        ("config", {"dataset": {"seed": -1}}),
+    ], ids=[
+        "profile_columns_int", "profile_code_map_value_str", "profile_code_map_list",
+        "profile_divisor_str", "profile_divisor_zero", "profile_separator_int",
+        "profile_separator_empty", "profile_has_header_str", "profile_name_int",
+        "spec_seed_str", "spec_caps_key_not_class", "spec_min_class_size_str",
+        "spec_edge_str", "spec_passthrough_int", "spec_merge_group_int", "spec_drop_int",
+        "spec_edges_str", "spec_split_fraction_str", "spec_stratified_str",
+        "spec_labels_str", "spec_passthrough_str", "spec_passthrough_item_str",
+        "spec_seed_numeric_str", "spec_seed_negative", "spec_edge_nan", "spec_edge_infinity",
+        "levels_threshold_str", "levels_level_float_boundary_bool",
+        "confusion_labels_str", "confusion_labels_int", "confusion_count_float",
+        "confusion_count_bool",
+        "config_learning_rate_nan", "config_min_delta_infinity", "config_seed_negative",
+    ])
+    def test_malformed_document_is_2(self, read_document, kind, doc):
+        assert set(read_document(kind, doc)) == {2}
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset-build", "LR5", "--seed", "-1"],
+        ["train", "--seed", "-1"],
+        ["synth-gen", "--seed", "-1"],
+        ["synth-gen", "--noise", "-1"],
+        ["synth-gen", "--jitter", "-1"],
+    ], ids=["dataset_build_seed", "train_seed", "synth_seed", "synth_noise", "synth_jitter"])
+    def test_negative_seed_or_amplitude_flag_is_2(self, small_corpus, tmp_path, argv):
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"r{i},{i % 2},{i},{'ab'[i % 2]}\n" for i in range(8)))
+        inputs = {
+            "dataset-build": ["--corpus", str(small_corpus / "joined" / "labeled.ndjson")],
+            "train": ["--features", str(features), "--max-epochs", "1"],
+            "synth-gen": ["--classes", "2", "--per-class", "2", "--size", "8"],
+        }[argv[0]]
+        assert run(*argv, *inputs, "--out", str(tmp_path / "out")) == 2
+
+    @PROPERTY
+    @given(swap=st.sampled_from([(kind, path) for kind, doc in DOCUMENTS.items()
+                                 for path in _key_paths(doc)]),
+           value=JSON_VALUES)
+    def test_any_value_at_any_key_is_0_or_2(self, read_document, swap, value):
+        kind, path = swap
+        assert set(read_document(kind, _with(kind, value, *path))) <= {0, 2}
 
 
 class TestArtifacts:
