@@ -1,13 +1,15 @@
 """One serialization path for the pipeline's record dataclasses.
 
-A record is a flat frozen dataclass whose fields hold JSON values
-(strings, numbers, None, tuples). On disk a list of records is ndjson:
-one compact object per line, keys sorted, so equal records give equal
-bytes.
+The one rule: a record's JSON is its fields. ``plain`` gives that JSON
+value for every document the CLI writes and for checkpoint metadata. A
+list of flat records is ndjson: one compact object per line, keys
+sorted, so equal records give equal bytes.
 """
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -21,6 +23,21 @@ def as_text(source, encoding: str) -> str:
     return data.decode(encoding) if isinstance(data, bytes) else data
 
 
+def plain(value):
+    """``value`` as a JSON value: a dataclass becomes an object of its
+    fields, a tuple, list or ndarray a list, and every dict key a string;
+    anything else is returned as it is."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
 def to_ndjson(cls, records) -> str:
     """One line per record of type ``cls``."""
     names = [f.name for f in fields(cls)]
@@ -29,8 +46,8 @@ def to_ndjson(cls, records) -> str:
 
 def from_ndjson(cls, text: str) -> list:
     """Records of type ``cls``, one per non-blank line. A field with a
-    default may be absent; a line that is not a JSON object or lacks a
-    required field raises FormatError naming its 1-based line number."""
+    default may be absent; a line that is not a parseable JSON object or
+    lacks a required field raises FormatError naming its 1-based line."""
     # Dataclass fields without a default precede those with one, so the
     # values can be passed positionally in this order.
     required = [f.name for f in fields(cls) if f.default is MISSING]
@@ -43,6 +60,8 @@ def from_ndjson(cls, text: str) -> list:
             d = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise FormatError(f"line {lineno}: nested too deeply to parse") from exc
         if not isinstance(d, dict):
             raise FormatError(f"line {lineno}: expected a JSON object")
         try:

@@ -16,12 +16,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
+from ._records import plain
 from .config import SECTIONS, check, load_config, read_json, resolve_output_dir
 from .errors import BridgecapError, ConfigError, DomainError, FormatError
 from .learner import (
@@ -55,7 +56,7 @@ def _sha256(path) -> str:
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(plain(obj), sort_keys=True, indent=2) + "\n")
 
 
 class _Run:
@@ -151,10 +152,8 @@ def cmd_nbi_parse(args, argv) -> int:
     with open(source, "rb") as fh:
         records, stats = nbi.parse_nbi(fh, profile)
     run.output("records.ndjson").write_text(nbi.records_to_ndjson(records))
-    _dump_json(
-        {"stats": asdict(stats), "rating_histogram": nbi.rating_histogram(records)},
-        run.output("nbi_stats.json"),
-    )
+    _dump_json({"stats": stats, "rating_histogram": nbi.rating_histogram(records)},
+               run.output("nbi_stats.json"))
     run.finish()
     print(
         f"nbi-parse: {stats.parsed_rows}/{stats.total_rows} rows parsed, "
@@ -174,9 +173,9 @@ def cmd_corpus_match(args, argv) -> int:
         labeled, tag_report = corpus.tag_completion(
             labeled, source="model", checkpoint=ckpt, image_root=args.image_root
         )
-        _dump_json(asdict(tag_report), run.output("completion_tags.json"))
+        _dump_json(tag_report, run.output("completion_tags.json"))
     run.output("labeled.ndjson").write_text(corpus.labeled_to_ndjson(labeled))
-    _dump_json(asdict(join_report), run.output("join_report.json"))
+    _dump_json(join_report, run.output("join_report.json"))
     _dump_json(corpus.corpus_stats(labeled), run.output("corpus_stats.json"))
     run.finish()
     print(
@@ -274,9 +273,9 @@ def cmd_evaluate(args, argv) -> int:
     cm = evaluation.confusion(preds, truths, k=len(classes), labels=ckpt.class_labels)
     rep = evaluation.metrics(cm)
     dist = evaluation.error_distribution(cm)
-    _dump_json(cm.to_dict(), run.output("confusion.json"))
-    _dump_json(rep.to_dict(), run.output("metrics.json"))
-    _dump_json(dist.to_dict(), run.output("error_distribution.json"))
+    _dump_json(cm, run.output("confusion.json"))
+    _dump_json(rep, run.output("metrics.json"))
+    _dump_json(dist, run.output("error_distribution.json"))
     run.finish()
     print(f"evaluate: accuracy {rep.accuracy:.4f} on {cm.total} {args.side} images")
     return 0
@@ -305,14 +304,13 @@ def cmd_binarize(args, argv) -> int:
         levels = _load_levels(run.input(args.levels))
     else:
         levels = [lv for lv in evaluation.DEFAULT_LEVELS if lv.boundary <= cm.k - 1]
-    reports = evaluation.binarize_all_levels(cm, levels)
-    payload = [rep.to_dict() for rep in reports]
-    _dump_json(payload, run.output("binarization.json"))
-    run.output("binarization.csv").write_text(report.binarization_to_csv(payload))
+    reports = [evaluation.binarize(cm, level) for level in levels]
+    _dump_json(reports, run.output("binarization.json"))
+    run.output("binarization.csv").write_text(report.binarization_to_csv(plain(reports)))
     run.finish()
     for rep in reports:
         print(
-            f"binarize level {rep.level.level} (<{rep.level.threshold_tons:g} t): "
+            f"binarize level {rep.level} (<{rep.threshold_tons:g} t): "
             f"accuracy {rep.accuracy:.4f}"
         )
     return 0

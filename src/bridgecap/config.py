@@ -86,14 +86,14 @@ def _not_json(token: str):
 
 
 def read_json(path, what: str):
-    """Parse the JSON file at ``path``; ``what`` names it in the
-    ConfigError raised when it cannot be read or is not JSON, which
-    includes the ``NaN``, ``Infinity`` and ``-Infinity`` tokens."""
+    """Parse the JSON file at ``path``; ``what`` names it in the ConfigError
+    raised when it cannot be read or is not JSON, which includes the ``NaN``,
+    ``Infinity`` and ``-Infinity`` tokens and nesting too deep to parse."""
     try:
         return json.loads(Path(path).read_text(), parse_constant=_not_json)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _not_json
+    except (ValueError, RecursionError) as exc:  # includes _not_json and deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

@@ -196,6 +196,10 @@ class DatasetSpec:
             raise ConfigError(f"unknown colour mode {self.colour!r}")
         if self.group_split not in GROUP_SPLITS:
             raise ConfigError(f"unknown group split {self.group_split!r}")
+        if self.group_split == "bridge_level" and not self.stratified:
+            raise ConfigError("group_split 'bridge_level' needs a stratified split")
+        if self.min_class_size is not None and not isinstance(self.label_source, BinningScheme):
+            raise ConfigError("min_class_size merges load-rating bins; design_load has none")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Conventions, fixed once so every report means the same thing:
   boundary class", i.e. capacity lower than the next level up.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "counts": self.counts.tolist()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ConfusionMatrix":
         check(d, _CONFUSION_SHAPE, "confusion matrix")
@@ -85,16 +82,6 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
     total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": [dict(c) for c in self.per_class],
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "total": self.total,
-        }
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
@@ -147,9 +134,6 @@ class ErrorDistribution:
     mass: dict[int, float]
     total: int
 
-    def to_dict(self) -> dict:
-        return {"total": self.total, "mass": {str(d): m for d, m in sorted(self.mass.items())}}
-
 
 def error_distribution(cm: ConfusionMatrix) -> ErrorDistribution:
     if cm.total == 0:
@@ -186,26 +170,15 @@ DEFAULT_LEVELS = (
 
 @dataclass(frozen=True)
 class BinaryReport:
-    level: BinarizationLevel
+    level: int
+    threshold_tons: float
+    boundary: int
     matrix: ConfusionMatrix  # 2x2: rows/cols ordered (positive, negative)
     accuracy: float
     precision: float
     recall: float
     f1: float
-    metrics: MetricsReport = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level.level,
-            "threshold_tons": self.level.threshold_tons,
-            "boundary": self.level.boundary,
-            "positive": "lower than threshold",
-            "matrix": self.matrix.to_dict(),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+    positive: str = "lower than threshold"  # the class precision, recall and f1 describe
 
 
 def binarize(cm: ConfusionMatrix, level: BinarizationLevel) -> BinaryReport:
@@ -232,17 +205,10 @@ def binarize(cm: ConfusionMatrix, level: BinarizationLevel) -> BinaryReport:
     rep = metrics(matrix)
     pos = rep.per_class[0]
     return BinaryReport(
-        level=level,
+        level=level.level, threshold_tons=level.threshold_tons, boundary=b,
         matrix=matrix,
         accuracy=rep.accuracy,
         precision=pos["precision"],
         recall=pos["recall"] if pos["recall"] is not None else 0.0,
         f1=pos["f1"] if pos["f1"] is not None else 0.0,
-        metrics=rep,
     )
-
-
-def binarize_all_levels(cm: ConfusionMatrix, levels=DEFAULT_LEVELS) -> list[BinaryReport]:
-    """One binary report per threshold level; levels whose boundary does
-    not fit the matrix are rejected."""
-    return [binarize(cm, level) for level in levels]

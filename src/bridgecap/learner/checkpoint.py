@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._records import plain
 from ..errors import DomainError, FormatError
 from .network import ArchitectureDescriptor, Network, normalize_descriptor
 
@@ -72,7 +73,7 @@ def make_checkpoint(net: Network, history: dict | None = None) -> Checkpoint:
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     weights = _validate_weights(ckpt.descriptor, ckpt.weights)
-    meta = json.dumps(ckpt.descriptor.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    meta = json.dumps(plain(ckpt.descriptor), sort_keys=True, separators=(",", ":")).encode()
     hist = json.dumps(ckpt.history, sort_keys=True, separators=(",", ":")).encode()
     parts = [_HEADER.pack(MAGIC, ckpt.version, len(meta)), meta]
     parts.extend(arr.tobytes() for arr in weights)

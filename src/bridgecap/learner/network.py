@@ -24,14 +24,6 @@ class ArchitectureDescriptor:
     class_labels: tuple[str, ...]
     colour_mode: str = "rgb"
 
-    def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "layers": [dict(spec) for spec in self.layers],
-            "class_labels": list(self.class_labels),
-            "colour_mode": self.colour_mode,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureDescriptor":
         return normalize_descriptor(

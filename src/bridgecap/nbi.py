@@ -319,16 +319,18 @@ def write_delimited(records, separator: str = ",") -> str:
     (see ``standard_profile``); re-parsing yields identical records."""
     out = io.StringIO()
     writer = csv.writer(out, delimiter=separator, lineterminator="\n")
+    # The writer quotes a field holding its line terminator but not a bare
+    # "\r", which the reader rejects unquoted: a row with one quotes all.
+    quoting = csv.writer(out, delimiter=separator, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_WRITER_COLUMNS)
     for rec in records:
-        writer.writerow(
-            [
-                rec.state,
-                rec.structure_raw,
-                rec.raw_design_code if rec.raw_design_code is not None else "",
-                "" if rec.load_rating_tons is None else repr(rec.load_rating_tons),
-            ]
-        )
+        row = [
+            rec.state,
+            rec.structure_raw,
+            rec.raw_design_code if rec.raw_design_code is not None else "",
+            "" if rec.load_rating_tons is None else repr(rec.load_rating_tons),
+        ]
+        (quoting if "\r" in "".join(row) else writer).writerow(row)
     return out.getvalue()
 
 

@@ -373,6 +373,10 @@ class TestDocumentShapes:
         ("config", '{"train": {"learning_rate": NaN}}'),
         ("config", '{"train": {"min_delta": Infinity}}'),
         ("config", {"dataset": {"seed": -1}}),
+        ("config", "[" * 100_000),
+        ("design_load_spec", _with("design_load_spec", 1000, "min_class_size")),
+        ("spec", {**DOCUMENTS["spec"], "stratified": False, "group_split": "bridge_level"}),
+        ("config", {"dataset": {"stratified": False, "group_split": "bridge_level"}}),
     ], ids=[
         "profile_columns_int", "profile_code_map_value_str", "profile_code_map_list",
         "profile_divisor_str", "profile_divisor_zero", "profile_separator_int",
@@ -386,9 +390,20 @@ class TestDocumentShapes:
         "confusion_labels_str", "confusion_labels_int", "confusion_count_float",
         "confusion_count_bool",
         "config_learning_rate_nan", "config_min_delta_infinity", "config_seed_negative",
+        "config_nested_deep", "design_load_spec_min_class_size",
+        "spec_unstratified_bridge_level", "config_unstratified_bridge_level",
     ])
     def test_malformed_document_is_2(self, read_document, kind, doc):
         assert set(read_document(kind, doc)) == {2}
+
+    def test_bridge_level_flag_on_unstratified_config_is_2(self, small_corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": {"stratified": False}}))
+        argv = ["--config", str(cfg), "dataset-build", "DL1",
+                "--corpus", str(small_corpus / "joined" / "labeled.ndjson")]
+        assert run(*argv, "--out", str(tmp_path / "plain")) == 0
+        assert run(*argv, "--group-split", "bridge_level", "--out", str(tmp_path / "b")) == 2
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("argv", [
         ["dataset-build", "LR5", "--seed", "-1"],

@@ -264,7 +264,8 @@ class TestCorpusStats:
         ('{"image_path":"b","state":"01","struc', "not valid JSON"),
         ('{"image_path":"b","state":"01"}', "missing required field 'structure'"),
         ("[1, 2]", "expected a JSON object"),
-    ], ids=["truncated", "missing_field", "not_an_object"])
+        ("[" * 100_000, "nested too deeply to parse"),
+    ], ids=["truncated", "missing_field", "not_an_object", "deeply_nested"])
     def test_malformed_ndjson_line_is_format_error(self, bad, reason):
         good = corpus.labeled_to_ndjson(synth.gen_labeled_corpus({1: 1}))
         with pytest.raises(FormatError, match=f"line 3: {reason}"):

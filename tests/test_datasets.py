@@ -249,6 +249,15 @@ class TestVariants:
         assert result.class_labels == ("0-10 tons", ">10 tons")
         assert result.class_counts == {1: 53, 2: 60}
 
+    def test_spec_rejects_settings_it_cannot_honour(self):
+        design_load = ds.load_preset("DL1").label_source
+        assert ds.DatasetSpec("dl", design_load, min_class_size=None).min_class_size is None
+        with pytest.raises(ConfigError, match="min_class_size"):
+            ds.DatasetSpec("dl", design_load, min_class_size=1000)
+        assert not ds.DatasetSpec("dl", design_load, stratified=False).stratified
+        with pytest.raises(ConfigError, match="bridge_level"):
+            ds.DatasetSpec("dl", design_load, stratified=False, group_split="bridge_level")
+
     def test_completion_filter(self, column_a_corpus):
         # column-A corpus is all complete, so partial-only variants starve
         with pytest.raises(DomainError):

@@ -208,6 +208,6 @@ class TestBinarize:
 
     def test_all_levels_default_table(self):
         cm = ev.ConfusionMatrix(np.eye(6, dtype=np.int64) * 2)
-        reports = ev.binarize_all_levels(cm)
-        assert [r.level.threshold_tons for r in reports] == [10.0, 15.0, 20.0, 27.0, 36.0]
+        reports = [ev.binarize(cm, level) for level in ev.DEFAULT_LEVELS]
+        assert [r.threshold_tons for r in reports] == [10.0, 15.0, 20.0, 27.0, 36.0]
         assert all(r.accuracy == 1.0 for r in reports)

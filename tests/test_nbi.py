@@ -2,9 +2,13 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgecap import nbi
 from bridgecap.errors import ConfigError, DegenerateKeyError, FormatError
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
 # Hand-built expectations for the 20-row fixture: 17 parsed, 3 rejected.
 GOLDEN = [
@@ -67,6 +71,44 @@ class TestCanonicalize:
             assert nbi.canonicalize(canonical) == canonical
             assert nbi.canonicalize("  " + raw.lower()) == canonical
             checked += 1
+
+
+def _canonical(raw):
+    try:
+        return nbi.canonicalize(raw)
+    except DegenerateKeyError:
+        return None
+
+
+STRUCTURES = st.text(max_size=nbi.MAX_STRUCTURE_LEN).filter(_canonical)
+
+
+@st.composite
+def nbi_records(draw):
+    raw = draw(STRUCTURES)
+    code = draw(st.none() | st.integers(1, 12))
+    return nbi.NbiRecord(
+        state=draw(st.text("0123456789", min_size=2, max_size=2)),
+        structure_raw=raw,
+        structure=nbi.canonicalize(raw),
+        design_load_class=code,
+        load_rating_tons=draw(st.none() | st.floats(0, nbi.MAX_RATING_TONS, exclude_max=True)),
+        raw_design_code=None if code is None else str(code),
+    )
+
+
+class TestProperties:
+    @PROPERTY
+    @given(raw=STRUCTURES)
+    def test_canonicalize_is_idempotent(self, raw):
+        assert nbi.canonicalize(nbi.canonicalize(raw)) == nbi.canonicalize(raw)
+
+    @PROPERTY
+    @given(records=st.lists(nbi_records(), max_size=5))
+    def test_write_then_parse_round_trips(self, records):
+        again, stats = nbi.parse_nbi(nbi.write_delimited(records), nbi.standard_profile())
+        assert again == records
+        assert stats.reject_count == 0
 
 
 class TestParseFixture:

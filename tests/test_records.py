@@ -1,0 +1,117 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bridgecap import cli
+from bridgecap import evaluation as ev
+from bridgecap._records import plain
+from bridgecap.corpus import JoinReport, TagReport
+from bridgecap.learner import Network, micro_cnn
+from bridgecap.learner.checkpoint import checkpoint_to_bytes, make_checkpoint
+from bridgecap.nbi import NbiFileStats
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+CM3 = ev.ConfusionMatrix(np.array([[3, 1, 0], [0, 4, 1], [1, 0, 5]]), labels=("a", "b", "c"))
+
+# Each record type the CLI writes, and its JSON in compact form; the
+# file holds the same keys in the same order, indented by two spaces.
+WRITTEN = {
+    "confusion": (
+        lambda: CM3,
+        '{"counts": [[3, 1, 0], [0, 4, 1], [1, 0, 5]], "labels": ["a", "b", "c"]}',
+    ),
+    "metrics_with_null_recall": (
+        lambda: ev.metrics(ev.ConfusionMatrix(np.array([[2, 1], [0, 0]]), labels=("x", "y"))),
+        '{"accuracy": 0.6666666666666666, "macro_f1": 0.8, "macro_precision": 0.5,'
+        ' "macro_recall": 0.6666666666666666, "per_class": ['
+        '{"f1": 0.8, "label": "x", "precision": 1.0, "recall": 0.6666666666666666},'
+        ' {"f1": null, "label": "y", "precision": 0.0, "recall": null}], "total": 3}',
+    ),
+    "error_distribution": (
+        lambda: ev.error_distribution(CM3),
+        '{"mass": {"-1": 0.0, "-2": 0.06666666666666667, "0": 0.8,'
+        ' "1": 0.13333333333333333, "2": 0.0}, "total": 15}',
+    ),
+    "binarization": (
+        lambda: [ev.binarize(CM3, level) for level in ev.DEFAULT_LEVELS[:2]],
+        '[{"accuracy": 0.8666666666666667, "boundary": 1, "f1": 0.75, "level": 1,'
+        ' "matrix": {"counts": [[3, 1], [1, 10]], "labels": ["<= class 1", "> class 1"]},'
+        ' "positive": "lower than threshold", "precision": 0.75, "recall": 0.75,'
+        ' "threshold_tons": 10.0},'
+        ' {"accuracy": 0.8666666666666667, "boundary": 2, "f1": 0.8888888888888888, "level": 2,'
+        ' "matrix": {"counts": [[8, 1], [1, 5]], "labels": ["<= class 2", "> class 2"]},'
+        ' "positive": "lower than threshold", "precision": 0.8888888888888888,'
+        ' "recall": 0.8888888888888888, "threshold_tons": 15.0}]',
+    ),
+    "join_report": (
+        lambda: JoinReport(5, 1, 4, 3, 2, 1, duplicate_record_keys=1),
+        '{"complete_count": 2, "duplicate_record_keys": 1, "images_with_design_load": 4,'
+        ' "images_with_rating": 3, "matched_images": 5, "partial_count": 1,'
+        ' "unmatched_images": 1}',
+    ),
+    "tag_report": (
+        lambda: TagReport(2, rejects=(("b.pnm", "truncated"),),
+                          probabilities=(("a.pnm", 0.25), ("c.pnm", 0.75))),
+        '{"probabilities": [["a.pnm", 0.25], ["c.pnm", 0.75]],'
+        ' "rejects": [["b.pnm", "truncated"]], "tagged": 2}',
+    ),
+    "nbi_stats_with_rejects": (
+        lambda: NbiFileStats(4, 2, 1, 0, 2, rejects=(
+            (3, "bad state code 'x1'"), (5, "structure number longer than 15 chars"))),
+        '{"parsed_rows": 2, "reject_count": 2, "rejects": [[3, "bad state code \'x1\'"],'
+        ' [5, "structure number longer than 15 chars"]], "rows_missing_design_load": 1,'
+        ' "rows_missing_rating": 0, "total_rows": 4}',
+    ),
+}
+
+MICRO_CNN_METADATA = (
+    '{"class_labels":["low","high"],"colour_mode":"grayscale","input_shape":[1,8,8],'
+    '"layers":[{"in_ch":1,"kh":3,"kw":3,"op":"conv","out_ch":16,"pad":1,"stride":1},'
+    '{"op":"relu"},{"k":2,"op":"maxpool","stride":2},'
+    '{"in_ch":16,"kh":3,"kw":3,"op":"conv","out_ch":32,"pad":1,"stride":1},'
+    '{"op":"relu"},{"k":2,"op":"maxpool","stride":2},{"op":"flatten"},'
+    '{"n_in":128,"n_out":128,"op":"fc"},{"op":"relu"},{"n_in":128,"n_out":2,"op":"fc"},'
+    '{"op":"softmax"}]}'
+)
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("kind", WRITTEN)
+    def test_cli_json_writer(self, tmp_path, kind):
+        make, compact = WRITTEN[kind]
+        path = tmp_path / f"{kind}.json"
+        cli._dump_json(make(), path)
+        assert path.read_text() == json.dumps(json.loads(compact), indent=2) + "\n"
+
+    def test_checkpoint_metadata(self):
+        descriptor = micro_cnn(("low", "high"), input_shape=(1, 8, 8), colour_mode="grayscale")
+        data = checkpoint_to_bytes(make_checkpoint(Network(descriptor, seed=0)))
+        (meta_len,) = struct.unpack_from("<Q", data, 8)
+        assert data[16:16 + meta_len].decode() == MICRO_CNN_METADATA
+
+
+@st.composite
+def confusion_matrices(draw):
+    k = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.lists(st.integers(0, 2**62), min_size=k, max_size=k),
+                           min_size=k, max_size=k))
+    labels = draw(st.just(()) | st.lists(st.text(max_size=5), min_size=k, max_size=k))
+    return ev.ConfusionMatrix(np.array(counts, dtype=np.int64), labels=tuple(labels))
+
+
+class TestPlain:
+    @PROPERTY
+    @given(cm=confusion_matrices())
+    def test_confusion_matrix_round_trips(self, cm):
+        back = ev.ConfusionMatrix.from_dict(json.loads(json.dumps(plain(cm))))
+        assert back.counts.dtype == cm.counts.dtype
+        assert np.array_equal(back.counts, cm.counts)
+        assert back.labels == cm.labels
+
+    def test_values_become_json(self):
+        assert plain({1: (2, [np.arange(2)]), "k": None}) == {"1": [2, [[0, 1]]], "k": None}
