@@ -4,16 +4,52 @@ The one rule: a record's JSON is its fields. ``plain`` gives that JSON
 value for every document the CLI writes and for checkpoint metadata. A
 list of flat records is ndjson: one compact object per line, keys
 sorted, so equal records give equal bytes.
+
+The ndjson codec contract:
+
+- ``to_ndjson`` writes, for each record, exactly the bytes of
+  ``json.dumps(fields, sort_keys=True, separators=(",", ":"))``. Each
+  class gets one line template filled by the encoders ``json`` itself
+  uses for a ``str``, ``int``, finite ``float`` and ``None``; any other
+  value goes through the json encoder.
+- ``from_ndjson`` type-checks what it reads. Each value must have its
+  field's annotated type (an ``int`` also fills a ``float`` field; a
+  ``bool`` is never a number), and ``NaN``, ``Infinity`` and literals
+  that overflow a double are rejected. A line that breaks any of this
+  raises FormatError naming its 1-based line, so a record it returns
+  holds only values ``to_ndjson`` writes back unchanged.
 """
 
 import json
-from dataclasses import MISSING, fields, is_dataclass
+import math
+import types
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import FormatError
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def reject_constant(token: str):
+    """A ``parse_constant`` hook: JSON has no ``NaN``, ``Infinity`` or
+    ``-Infinity``, so each raises ValueError."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        raise ValueError(f"{token} overflows a double")
+    return value
+
+
+_decoder = json.JSONDecoder(parse_float=_finite_float, parse_constant=reject_constant)
 
 
 def as_text(source, encoding: str) -> str:
@@ -38,34 +74,123 @@ def plain(value):
     return value
 
 
+def _encode_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _encode(value)
+
+
+# Exact type -> the encoder the json module applies to it.
+_SCALAR_ENCODERS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _encode_float,
+    type(None): lambda _: "null",
+}
+
+# Annotation -> the JSON value types a field of it accepts.
+_JSON_TYPES = {str: (str,), int: (int,), float: (float, int), type(None): (type(None),)}
+
+
+@dataclass(frozen=True)
+class _Codec:
+    sorted_values: Callable  # record -> tuple of its field values, in sorted-name order
+    line: str  # "%s" template of one line, keys sorted
+    names: frozenset
+    required: tuple
+    optional: tuple  # (name, default) pairs
+    accepted: frozenset  # (name, value type) pairs
+    annotations: dict  # name -> its annotation, as written
+
+
+@cache
+def _codec(cls) -> _Codec:
+    accepted = set()
+    for f in fields(cls):
+        members = f.type.__args__ if isinstance(f.type, types.UnionType) else (f.type,)
+        if not all(m in _JSON_TYPES for m in members):
+            raise TypeError(f"{cls.__name__}.{f.name}: ndjson fields are JSON scalars")
+        accepted.update((f.name, t) for m in members for t in _JSON_TYPES[m])
+    names = sorted(f.name for f in fields(cls))
+    getter = attrgetter(*names)
+    return _Codec(
+        sorted_values=getter if len(names) > 1 else lambda r: (getter(r),),
+        line="{" + ",".join(f"{encode_basestring_ascii(n)}:%s" for n in names) + "}\n",
+        names=frozenset(names),
+        # Fields without a default precede those with one, so the values
+        # can be passed positionally in this order.
+        required=tuple(f.name for f in fields(cls) if f.default is MISSING),
+        optional=tuple((f.name, f.default) for f in fields(cls) if f.default is not MISSING),
+        accepted=frozenset(accepted),
+        annotations={f.name: getattr(f.type, "__name__", str(f.type)) for f in fields(cls)},
+    )
+
+
 def to_ndjson(cls, records) -> str:
     """One line per record of type ``cls``."""
-    names = [f.name for f in fields(cls)]
-    return "".join(_encode({n: getattr(r, n) for n in names}) + "\n" for r in records)
+    codec = _codec(cls)
+    line, values, encoders = codec.line, codec.sorted_values, _SCALAR_ENCODERS
+    return "".join(
+        [line % tuple([encoders.get(type(v), _encode)(v) for v in values(r)]) for r in records]
+    )
+
+
+def _parse_line(line: str, lineno: int):
+    """The JSON value of one line, or FormatError."""
+    try:
+        return _decoder.decode(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # from reject_constant or _finite_float
+        raise FormatError(f"line {lineno}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"line {lineno}: nested too deeply to parse") from exc
+
+
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a decimal number", bool: "a boolean",
+               type(None): "null", list: "an array", dict: "an object"}
+
+
+def _check_types(codec: _Codec, d: dict, lineno: int) -> None:
+    """FormatError for the first field whose value has the wrong type;
+    a key that names no field is not checked."""
+    for name, value in d.items():
+        if name in codec.names and (name, type(value)) not in codec.accepted:
+            raise FormatError(
+                f"line {lineno}: field {name!r} must be {codec.annotations[name]}, "
+                f"got {_JSON_NAMES[type(value)]}"
+            )
 
 
 def from_ndjson(cls, text: str) -> list:
     """Records of type ``cls``, one per non-blank line. A field with a
-    default may be absent; a line that is not a parseable JSON object or
-    lacks a required field raises FormatError naming its 1-based line."""
-    # Dataclass fields without a default precede those with one, so the
-    # values can be passed positionally in this order.
-    required = [f.name for f in fields(cls) if f.default is MISSING]
-    optional = [(f.name, f.default) for f in fields(cls) if f.default is not MISSING]
+    default may be absent and a key that names no field is ignored; a
+    line that is not a parseable JSON object, lacks a required field or
+    holds a value of the wrong type raises FormatError naming its 1-based
+    line."""
+    codec = _codec(cls)
+    scan, accepted, names = _decoder.scan_once, codec.accepted, codec.names
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        # Fast path: a line that is exactly one JSON object and nothing
+        # else. Every other line is parsed again below, which raises the
+        # precise error or skips it when blank.
+        try:
+            d, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            d = end = None
+        if type(d) is not dict or end != len(line):
+            if not line.strip():
+                continue
+            d = _parse_line(line, lineno)
+            if not isinstance(d, dict):
+                raise FormatError(f"line {lineno}: expected a JSON object")
+        if not accepted.issuperset(zip(d, map(type, d.values()))):
+            _check_types(codec, d, lineno)
+        if d.keys() == names:
+            out.append(cls(**d))
             continue
         try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-        except RecursionError as exc:
-            raise FormatError(f"line {lineno}: nested too deeply to parse") from exc
-        if not isinstance(d, dict):
-            raise FormatError(f"line {lineno}: expected a JSON object")
-        try:
-            out.append(cls(*[d[n] for n in required], *[d.get(n, v) for n, v in optional]))
+            out.append(cls(*[d[n] for n in codec.required],
+                           *[d.get(n, v) for n, v in codec.optional]))
         except KeyError as exc:
             raise FormatError(f"line {lineno}: missing required field {exc}") from exc
     return out

@@ -13,6 +13,7 @@ error.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -439,6 +440,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # The cyclic garbage collector is paused for the whole subcommand: its
+    # records hold no reference cycles, so reference counting frees them,
+    # and the collector would only rescan them again and again as they
+    # pile up. Re-enabling it lets the next allocation start a collection
+    # of whatever the caller holds, so it is the last thing main does.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -10,6 +10,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._records import reject_constant
 from .errors import ConfigError
 
 # Section -> key -> type. ``load_config`` checks a config file
@@ -81,19 +82,15 @@ def check(value, shape, where: str) -> None:
     raise ConfigError(f"{where} must be {_describe(shape)}, got {json.dumps(value)}")
 
 
-def _not_json(token: str):
-    raise ValueError(f"{token} is not a JSON number")
-
-
 def read_json(path, what: str):
     """Parse the JSON file at ``path``; ``what`` names it in the ConfigError
     raised when it cannot be read or is not JSON, which includes the ``NaN``,
     ``Infinity`` and ``-Infinity`` tokens and nesting too deep to parse."""
     try:
-        return json.loads(Path(path).read_text(), parse_constant=_not_json)
+        return json.loads(Path(path).read_text(), parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # includes _not_json and deep nesting
+    except (ValueError, RecursionError) as exc:  # includes reject_constant and deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

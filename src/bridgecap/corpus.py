@@ -55,44 +55,49 @@ class JoinReport:
 
 def read_manifest(source) -> list[ManifestEntry]:
     """Parse a manifest CSV. The completion column is optional; when
-    present it must hold 'complete', 'partial', or be blank."""
-    reader = csv.reader(io.StringIO(as_text(source, "utf-8")))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+    present it must hold 'complete', 'partial', or be blank. A FormatError
+    names the file line where the bad row ends."""
+    rows = _nonblank_rows(csv.reader(io.StringIO(as_text(source, "utf-8"))))
+    first = next(rows, None)
+    if first is None:
         return []
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in first[1]]
     for col in MANIFEST_COLUMNS[:4]:
         if col not in header:
             raise FormatError(f"manifest header is missing column {col!r}")
-    idx = {col: header.index(col) for col in header}
-    has_completion = "completion" in idx
+    path_at, id_at, state_at, structure_at = map(header.index, MANIFEST_COLUMNS[:4])
+    need = max(path_at, id_at, state_at, structure_at) + 1
+    completion_at = header.index("completion") if "completion" in header else None
 
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) < 4:
+    for lineno, row in rows:
+        if len(row) < need:
             raise FormatError(f"manifest line {lineno}: too few fields")
         completion = None
-        if has_completion and idx["completion"] < len(row):
-            value = row[idx["completion"]].strip().lower()
-            if value:
-                if value not in COMPLETION_VALUES:
-                    raise FormatError(
-                        f"manifest line {lineno}: bad completion value {value!r}"
-                    )
-                completion = value
-        path = row[idx["image_path"]].strip()
+        if completion_at is not None and completion_at < len(row):
+            completion = row[completion_at].strip().lower() or None
+            if completion is not None and completion not in COMPLETION_VALUES:
+                raise FormatError(
+                    f"manifest line {lineno}: bad completion value {completion!r}"
+                )
+        path = row[path_at].strip()
         if not path:
             raise FormatError(f"manifest line {lineno}: empty image_path")
-        entries.append(
-            ManifestEntry(
-                image_path=path,
-                bridge_local_id=row[idx["bridge_local_id"]].strip(),
-                state=row[idx["state"]].strip(),
-                structure_raw=row[idx["structure"]],
-                completion=completion,
-            )
-        )
+        entries.append(ManifestEntry(
+            path, row[id_at].strip(), row[state_at].strip(), row[structure_at], completion
+        ))
     return entries
+
+
+def _nonblank_rows(reader):
+    """(file line where the row ends, row) for each row with a non-blank
+    cell; the reader's csv.Error becomes FormatError naming its line."""
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"manifest line {reader.line_num}: {exc}") from exc
 
 
 def write_manifest(entries) -> str:
@@ -121,12 +126,9 @@ def join_labels(manifest, records) -> tuple[list[LabeledImage], JoinReport]:
         seen_paths.add(entry.image_path)
 
     index = {}
-    duplicates = 0
     for rec in records:
-        if rec.key in index:
-            duplicates += 1
-        else:
-            index[rec.key] = rec
+        index.setdefault(rec.key, rec)
+    duplicates = len(records) - len(index)
 
     labeled: list[LabeledImage] = []
     matched = unmatched = 0
@@ -146,24 +148,17 @@ def join_labels(manifest, records) -> tuple[list[LabeledImage], JoinReport]:
             unmatched += 1
             continue
         matched += 1
-        if rec.design_load_class is None and rec.load_rating_tons is None:
+        design, rating, completion = rec.design_load_class, rec.load_rating_tons, entry.completion
+        if design is None and rating is None:
             continue  # matched but unusable: no label of either kind
-        img = LabeledImage(
-            image_path=entry.image_path,
-            state=key[0],
-            structure=key[1],
-            design_load_class=rec.design_load_class,
-            load_rating_tons=rec.load_rating_tons,
-            completion=entry.completion,
-        )
-        labeled.append(img)
-        if img.design_load_class is not None:
+        labeled.append(LabeledImage(entry.image_path, *key, design, rating, completion))
+        if design is not None:
             with_design += 1
-        if img.load_rating_tons is not None:
+        if rating is not None:
             with_rating += 1
-        if img.completion == "complete":
+        if completion == "complete":
             complete += 1
-        elif img.completion == "partial":
+        elif completion == "partial":
             partial += 1
 
     report = JoinReport(

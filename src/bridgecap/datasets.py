@@ -10,11 +10,14 @@ The named presets live in ``data/presets.json`` so alternative readings
 of the published count tables can be re-encoded without code changes.
 """
 
+import bisect
 import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,10 +71,10 @@ class BinningScheme:
 
 def bin_load_rating(tons: float, scheme: BinningScheme) -> int:
     """Map a tonnage to its 1-based bin index under [a, b) intervals."""
-    if tons < 0:
+    if not tons >= 0:  # NaN too
         raise DomainError(f"load rating must be non-negative, got {tons}")
     # First edge strictly greater than tons == the 1-based [a, b) bin.
-    return int(np.searchsorted(scheme.edges, tons, side="right"))
+    return bisect.bisect_right(scheme.edges, tons)
 
 
 def merge_small_classes(counts, scheme: BinningScheme, threshold: int) -> BinningScheme:
@@ -220,18 +223,18 @@ class DatasetSplit:
         return sorted({item.cls for item in self.train + self.test})
 
     def class_counts(self, side: str) -> dict[int, int]:
-        items = self.train if side == "train" else self.test
-        counts: dict[int, int] = {}
-        for item in items:
-            counts[item.cls] = counts.get(item.cls, 0) + 1
-        return dict(sorted(counts.items()))
+        return _class_counts(self.train if side == "train" else self.test)
+
+
+def _class_counts(items) -> dict[int, int]:
+    return dict(sorted(Counter(map(attrgetter("cls"), items)).items()))
 
 
 def _by_class(items) -> dict[int, list]:
     out: dict[int, list] = {}
     for item in items:
         out.setdefault(item.cls, []).append(item)
-    return {cls: sorted(v, key=lambda i: i.image_path) for cls, v in sorted(out.items())}
+    return {cls: sorted(v, key=attrgetter("image_path")) for cls, v in sorted(out.items())}
 
 
 def downsample(items, caps, seed: int):
@@ -404,11 +407,8 @@ def build_variant(spec, corpus, seed: int | None = None) -> VariantResult:
             scheme = merge_small_classes(counts, scheme, spec.min_class_size)
             spec = replace(spec, label_source=scheme)
         items = [
-            DatasetItem(
-                image_path=img.image_path,
-                cls=bin_load_rating(img.load_rating_tons, scheme),
-                bridge_key=img.bridge_key,
-            )
+            DatasetItem(img.image_path, bin_load_rating(img.load_rating_tons, scheme),
+                        img.bridge_key)
             for img in rated
         ]
         labels = scheme.labels
@@ -420,9 +420,7 @@ def build_variant(spec, corpus, seed: int | None = None) -> VariantResult:
         for img in classed:
             out = map_design_load(img.design_load_class, source)
             if out is not None:
-                items.append(
-                    DatasetItem(image_path=img.image_path, cls=out, bridge_key=img.bridge_key)
-                )
+                items.append(DatasetItem(img.image_path, out, img.bridge_key))
         labels = source.labels
 
     caps = spec.caps
@@ -433,11 +431,7 @@ def build_variant(spec, corpus, seed: int | None = None) -> VariantResult:
     sub_down, sub_split = _derive_seeds(spec.seed)
     items = downsample(items, caps, seed=sub_down)
 
-    counts: dict[int, int] = {}
-    for item in items:
-        counts[item.cls] = counts.get(item.cls, 0) + 1
-    counts = dict(sorted(counts.items()))
-
+    counts = _class_counts(items)
     split = split_dataset(
         items,
         split_fraction=spec.split_fraction,
@@ -461,18 +455,21 @@ def write_split_csv(split: DatasetSplit) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["image_path", "class", "side"])
     for side, items in (("train", split.train), ("test", split.test)):
-        for item in items:
-            writer.writerow([item.image_path, item.cls, side])
+        writer.writerows((item.image_path, item.cls, side) for item in items)
     return out.getvalue()
 
 
 def read_split_csv(text: str) -> DatasetSplit:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise FormatError(f"split-manifest line {reader.line_num}: {exc}") from exc
+    header = rows[0][1] if rows else None
     if header != ["image_path", "class", "side"]:
         raise ConfigError(f"unexpected split-manifest header: {header}")
     sides = {"train": [], "test": []}
-    for row in reader:
+    for line_num, row in rows[1:]:
         if not row:
             continue
         try:
@@ -480,7 +477,7 @@ def read_split_csv(text: str) -> DatasetSplit:
             sides[side].append(DatasetItem(image_path=image_path, cls=int(cls)))
         except (KeyError, ValueError) as exc:
             raise FormatError(
-                f"split-manifest line {reader.line_num}: expected image_path,class,side "
+                f"split-manifest line {line_num}: expected image_path,class,side "
                 f"with an integer class and side train or test, got {row}"
             ) from exc
     return DatasetSplit(train=tuple(sides["train"]), test=tuple(sides["test"]))

@@ -182,8 +182,16 @@ def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile):
         "rating": profile.rating_column,
     }
     header_consumed = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # the reader resumes at the next line
+            yield reader.line_num, None, f"unreadable row: {exc}"
+            continue
+        lineno = reader.line_num  # where the row ends: a quoted field may hold newlines
+        if not "".join(row).strip():
             continue
         if fmt.has_header and not header_consumed:
             header_consumed = True

@@ -1,12 +1,16 @@
 import copy
+import gc
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bridgecap import synth
 from bridgecap.cli import main
+from bridgecap.errors import InvariantError
 
 
 def run(*argv):
@@ -230,6 +234,49 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         assert run("--help") == 0
         assert "bridgecap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ['"abc"', "true", "NaN", "Infinity", "1e400"])
+    def test_labeled_rating_not_a_finite_number_is_2(self, small_corpus, tmp_path, value):
+        lines = (small_corpus / "joined" / "labeled.ndjson").read_text().splitlines()
+        lines[-1] = re.sub(r'"load_rating_tons":[^,}]+', f'"load_rating_tons":{value}', lines[-1])
+        labeled = tmp_path / "labeled.ndjson"
+        labeled.write_text("\n".join(lines) + "\n")
+        assert run("dataset-build", "LR5", "--corpus", str(labeled),
+                   "--out", str(tmp_path / "d")) == 2
+
+    def test_unreadable_inventory_row_is_rejected(self, tmp_path):
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_bytes(b"state,structure,design_load_code,load_rating_tons\n"
+                              b"01,1\r2,3,4\n02,S5,3,12.5\n")
+        assert run("nbi-parse", "--input", str(inventory), "--out", str(tmp_path / "n")) == 0
+        stats = json.loads((tmp_path / "n" / "nbi_stats.json").read_text())["stats"]
+        assert (stats["parsed_rows"], stats["reject_count"]) == (1, 1)
+
+
+class TestCyclicGc:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_collector_state(self, tmp_path, monkeypatch, enabled):
+        during = []
+
+        def gen_corpus(spec, out_dir):
+            during.append(gc.isenabled())
+            raise InvariantError("stop")
+
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run("synth-gen", "--out", str(tmp_path / "s"), "--classes", "2",
+                       "--per-class", "2", "--size", "8") == 0
+            assert gc.isenabled() is enabled
+            assert run("nbi-parse", "--input", str(tmp_path / "missing.csv"),
+                       "--out", str(tmp_path / "n")) == 2
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(synth, "gen_corpus", gen_corpus)
+            assert run("synth-gen", "--out", str(tmp_path / "t")) == 3
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during == [False]
 
 
 # One valid document of each kind the CLI reads as input.

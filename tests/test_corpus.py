@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bridgecap import corpus, nbi, synth
@@ -37,6 +39,22 @@ class TestManifest:
     def test_bad_completion_value(self):
         text = "image_path,bridge_local_id,state,structure,completion\na,0,01,S1,half\n"
         with pytest.raises(FormatError, match="completion"):
+            corpus.read_manifest(text)
+
+    @pytest.mark.parametrize("source", [str, str.encode], ids=["str", "bytes"])
+    def test_unreadable_row_is_format_error(self, source):
+        text = "image_path,bridge_local_id,state,structure\na.pnm,0,01,S\r1\n"
+        with pytest.raises(FormatError, match="manifest line 2: new-line character"):
+            corpus.read_manifest(source(text))
+
+    def test_error_names_the_file_line(self):
+        text = "image_path,bridge_local_id,state,structure,completion\n\n\na,0,01,S1,half\n"
+        with pytest.raises(FormatError, match="manifest line 4: bad completion"):
+            corpus.read_manifest(text)
+
+    def test_header_beyond_row_is_format_error(self):
+        text = "completion,image_path,bridge_local_id,state,structure\ncomplete,a.pnm,0,01\n"
+        with pytest.raises(FormatError, match="manifest line 2: too few fields"):
             corpus.read_manifest(text)
 
 
@@ -259,6 +277,28 @@ class TestCorpusStats:
         assert corpus.labeled_from_ndjson(text) == [
             corpus.LabeledImage(image_path="a", state="01", structure="S1")
         ]
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("load_rating_tons", '"abc"', "must be float | None, got a string"),
+        ("load_rating_tons", "true", "must be float | None, got a boolean"),
+        ("design_load_class", "2.0", "must be int | None, got a decimal number"),
+        ("image_path", "null", "must be str, got null"),
+        ("completion", "[1]", "must be str | None, got an array"),
+        ("load_rating_tons", "NaN", "NaN is not a JSON number"),
+        ("load_rating_tons", "Infinity", "Infinity is not a JSON number"),
+        ("load_rating_tons", "-Infinity", "-Infinity is not a JSON number"),
+        ("load_rating_tons", "1e400", "1e400 overflows a double"),
+    ])
+    def test_ndjson_value_of_wrong_type_is_format_error(self, field, value, reason):
+        good = corpus.labeled_to_ndjson(synth.gen_labeled_corpus({1: 1}))
+        # The original value moves to a key no field has, which is ignored.
+        bad = good.replace(f'"{field}":', f'"{field}":{value},"_":', 1)
+        with pytest.raises(FormatError, match=f"line 2: .*{re.escape(reason)}"):
+            corpus.labeled_from_ndjson(good + bad)
+
+    def test_ndjson_int_fills_float_field(self):
+        text = '{"image_path":"a","state":"01","structure":"S1","load_rating_tons":10}\n'
+        assert corpus.labeled_from_ndjson(text)[0].load_rating_tons == 10
 
     @pytest.mark.parametrize("bad, reason", [
         ('{"image_path":"b","state":"01","struc', "not valid JSON"),

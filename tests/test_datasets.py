@@ -5,7 +5,7 @@ import pytest
 
 from bridgecap import datasets as ds
 from bridgecap.corpus import LabeledImage
-from bridgecap.errors import ConfigError, DomainError
+from bridgecap.errors import ConfigError, DomainError, FormatError
 from bridgecap.synth import gen_labeled_corpus
 
 # Published per-class design-load counts the synthetic corpus reproduces.
@@ -41,6 +41,10 @@ class TestBinning:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             ds.bin_load_rating(-1.0, LR5)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            ds.bin_load_rating(math.nan, LR5)
 
     def test_totality(self):
         rng = np.random.default_rng(8)
@@ -284,6 +288,10 @@ class TestVariants:
         again = ds.read_split_csv(text)
         assert [i.image_path for i in again.train] == [i.image_path for i in result.split.train]
         assert [i.cls for i in again.test] == [i.cls for i in result.split.test]
+
+    def test_unreadable_split_row_is_format_error(self):
+        with pytest.raises(FormatError, match="split-manifest line 2: new-line character"):
+            ds.read_split_csv("image_path,class,side\na\rb.pnm,1,train\n")
 
     def test_all_presets_instantiate(self):
         for name in ds.preset_names():

@@ -191,6 +191,19 @@ class TestParseEdges:
         assert stats.reject_count == 1
         assert "shorter than layout" in stats.rejects[0][1]
 
+    def test_unreadable_row_is_rejected_and_parsing_resumes(self):
+        # A bare carriage return inside an unquoted field is a csv.Error.
+        text = "state,structure,design_load_code,load_rating_tons\n01,1\r2,3,4\n02,S5,3,12.5\n"
+        records, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        assert [r.structure for r in records] == ["S5"]
+        assert stats.total_rows == 2
+        assert stats.rejects[0][0] == 2 and "unreadable row" in stats.rejects[0][1]
+
+    def test_reject_names_the_file_line(self):
+        text = 'state,structure,design_load_code,load_rating_tons\n01,"S\n1",3,4\nX1,S2,3,4\n'
+        _, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        assert stats.rejects == ((4, "bad state code 'X1'"),)
+
     def test_structure_too_long_rejected(self):
         text = "state,structure,design_load_code,load_rating_tons\n01,ABCDEFGH12345678,1,1\n"
         _, stats = nbi.parse_nbi(text, nbi.standard_profile())

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from bridgecap import cli
 from bridgecap import evaluation as ev
-from bridgecap._records import plain
-from bridgecap.corpus import JoinReport, TagReport
+from bridgecap._records import from_ndjson, plain, to_ndjson
+from bridgecap.corpus import JoinReport, LabeledImage, TagReport
+from bridgecap.datasets import BinningScheme, bin_load_rating
+from bridgecap.errors import FormatError
 from bridgecap.learner import Network, micro_cnn
 from bridgecap.learner.checkpoint import checkpoint_to_bytes, make_checkpoint
-from bridgecap.nbi import NbiFileStats
+from bridgecap.nbi import NbiFileStats, NbiRecord
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -115,3 +119,90 @@ class TestPlain:
 
     def test_values_become_json(self):
         assert plain({1: (2, [np.arange(2)]), "k": None}) == {"1": [2, [[0, 1]]], "k": None}
+
+
+# Any code point: lone surrogates, control characters and line separators too.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["\ud800", "\udfff x", "\x00\x1f\x7f", "é\u2028\x85", '"\\/', "NaN"])
+INTS = st.integers(-(2**70), 2**70)
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(min_value=1e15, max_value=1e17)
+          | st.sampled_from([-0.0, 1e16, 1e16 + 2, 2.0**53 + 1, 5e-324]))
+
+
+def record_lists(numbers):
+    """(record class, list of its records) with ``numbers`` in float fields."""
+    nbi = st.builds(NbiRecord, state=TEXT, structure_raw=TEXT, structure=TEXT,
+                    design_load_class=st.none() | INTS,
+                    load_rating_tons=st.none() | numbers | INTS,
+                    raw_design_code=st.none() | TEXT)
+    labeled = st.builds(LabeledImage, image_path=TEXT, state=TEXT, structure=TEXT,
+                        design_load_class=st.none() | INTS,
+                        load_rating_tons=st.none() | numbers | INTS,
+                        completion=st.none() | TEXT)
+    return (st.tuples(st.just(NbiRecord), st.lists(nbi, max_size=4))
+            | st.tuples(st.just(LabeledImage), st.lists(labeled, max_size=4)))
+
+
+JSON_LINES = st.lists(
+    st.recursive(st.none() | st.booleans() | INTS | st.floats() | TEXT,
+                 lambda children: st.lists(children, max_size=3)
+                 | st.dictionaries(TEXT | st.sampled_from([f.name for f in fields(LabeledImage)]),
+                                   children, max_size=7),
+                 max_leaves=8).map(json.dumps),
+    max_size=3,
+).map("\n".join)
+
+
+class TestNdjson:
+    @PROPERTY
+    @given(case=record_lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_lines_are_the_json_encoding(self, case):
+        cls, records = case
+        expected = "".join(
+            json.dumps({f.name: getattr(r, f.name) for f in fields(cls)},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records
+        )
+        assert to_ndjson(cls, records) == expected
+
+    @PROPERTY
+    @given(case=record_lists(FINITE))
+    def test_round_trips(self, case):
+        cls, records = case
+        text = to_ndjson(cls, records)
+        back = from_ndjson(cls, text)
+        assert back == records
+        assert to_ndjson(cls, back) == text  # -0.0 and int-valued floats kept
+
+    @PROPERTY
+    @given(text=JSON_LINES | st.text(st.characters(exclude_categories=())))
+    def test_arbitrary_text_raises_only_format_error(self, text):
+        try:
+            records = from_ndjson(LabeledImage, text)
+        except FormatError:
+            return
+        for r in records:
+            assert isinstance(r.image_path, str)
+            assert r.load_rating_tons is None or math.isfinite(r.load_rating_tons)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_format_error(self, value):
+        line = '{"image_path":"a","state":"01","structure":"S1","load_rating_tons":%s}'
+        with pytest.raises(FormatError, match="line 1: not valid JSON"):
+            from_ndjson(LabeledImage, line % value)
+
+
+@st.composite
+def schemes(draw):
+    rest = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=6, unique=True))
+    return BinningScheme(name="s", edges=(0.0, *sorted(rest)))
+
+
+class TestBinner:
+    @PROPERTY
+    @given(scheme=schemes(), tons=st.floats(min_value=0.0, max_value=1e301)
+           | st.integers(0, 2**40))
+    def test_matches_searchsorted(self, scheme, tons):
+        expected = int(np.searchsorted(np.array(scheme.edges), tons, side="right"))
+        assert bin_load_rating(tons, scheme) == expected
