@@ -10,11 +10,100 @@ also saves what the next ``backward`` needs, and ``backward`` consumes
 it: no array outlives the step that made it, and a ``backward`` without
 a training forward before it raises ``InvariantError``. Layers never
 write into their input or into an array they have returned.
+
+Per-image work runs on every core. ``Conv`` (im2col, the per-image
+GEMMs, bias and col2im), ``Relu`` and ``MaxPool`` write each image's
+results into full-batch buffers through ``_split``, which hands
+slices of ``_SLICE`` images to whichever thread asks next: the calling
+thread and one helper per further CPU. Work that mixes images stays
+whole-batch on the calling thread: the ``dw`` sum over per-image
+products, every ``db``, and all of ``FullyConnected``. So every output
+byte is the same whatever the helper count and wherever the slices fall,
+and layer methods themselves only ever run on the calling thread.
+
+The calling thread also pads the input and allocates every full-batch
+buffer, gradient buffers zeroed, in the order a whole-batch layer would.
+glibc reuses freed heap memory well for that order and poorly for
+others: padding per slice after allocating ``cols2`` and zeroing each
+slice of an ``np.empty`` gradient buffer tripled the page faults of a
+``train`` run with BLAS on two threads (about 75k against 26k) and made
+it 13% slower.
+
+Helpers are used only when the process may run on more than one CPU and
+BLAS is configured for one thread through the variables it reads
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``: at
+least one set, every one set reading 1). With BLAS left to start its own
+threads, its spinning workers compete with the helpers: a 64-px
+``micro_cnn`` SGD step on 32 images went from 104 to 130 ms on a 2-vCPU
+Xeon with OpenBLAS 0.3.31 when helpers were forced on. Without
+helpers ``_split`` runs the whole batch as one slice on the calling
+thread, through the same code.
 """
+
+import os
+import threading
 
 import numpy as np
 
 from ..errors import InvariantError
+
+_SLICE = 4  # images per slice: small enough that an idle thread finds work
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# (executor or None, helper count), made on first use; None until then.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _make_pool():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    settings = [os.environ[var].strip() for var in _BLAS_THREAD_VARS if var in os.environ]
+    helpers = (cpus or 1) - 1 if settings and all(v == "1" for v in settings) else 0
+    if not helpers:
+        return None, 0
+    # Imported here: it pulls in logging, which a process that never
+    # trains would load for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(helpers, "bridgecap-split"), helpers
+
+
+def _split(fn, n):
+    """Run ``fn(part)`` over consecutive slices ``part`` of ``range(n)``
+    that together cover it once, then return. ``fn`` must touch only its
+    own slice of any batch buffer. An exception from a slice reaches the
+    caller after every slice already started has finished."""
+    global _pool
+    if _pool is None:
+        with _pool_lock:
+            if _pool is None:
+                _pool = _make_pool()
+    executor, helpers = _pool
+    slices = -(-n // _SLICE)
+    if not helpers or slices < 2:
+        fn(slice(0, n))
+        return
+    starts = iter(range(0, n, _SLICE))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            fn(slice(start, min(start + _SLICE, n)))
+
+    futures = [executor.submit(work) for _ in range(min(helpers, slices - 1))]
+    try:
+        work()
+    finally:
+        # A helper that has not started has nothing left to do: cancel it
+        # rather than wait for it to wake. exception() waits for the rest.
+        errors = [future.exception() for future in futures if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 class _Layer:
@@ -59,13 +148,20 @@ class Conv(_Layer):
         oh = (h + 2 * p - self.kh) // s + 1
         ow = (w + 2 * p - self.kw) // s + 1
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = np.empty((n, c, self.kh, self.kw, oh, ow), dtype=x.dtype)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        cols2 = cols.reshape(n, c * self.kh * self.kw, oh * ow)
-        out = np.matmul(self.w.reshape(self.out_ch, -1), cols2)
-        out += self.b[:, None]
+        cols2 = np.empty((n, c * self.kh * self.kw, oh * ow), dtype=x.dtype)
+        out = np.empty((n, self.out_ch, oh * ow), dtype=np.result_type(self.w, x))
+        wm = self.w.reshape(self.out_ch, -1)
+
+        def run(part):
+            xs = xp[part]
+            cols = cols2[part].reshape(-1, c, self.kh, self.kw, oh, ow)
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    cols[:, :, i, j] = xs[:, :, i : i + s * oh : s, j : j + s * ow : s]
+            np.matmul(wm, cols2[part], out=out[part])
+            out[part] += self.b[:, None]
+
+        _split(run, n)
         if train:
             self._saved = (cols2, x.shape)
         return out.reshape(n, self.out_ch, oh, ow)
@@ -77,18 +173,25 @@ class Conv(_Layer):
         s, p = self.stride, self.pad
         oh, ow = dout.shape[2:]
         dout2 = dout.reshape(n, self.out_ch, oh * ow)
-        self.dw = (
-            np.matmul(dout2, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
-        )
+        wm = self.w.reshape(self.out_ch, -1)
+        dw_each = np.empty((n, *wm.shape), dtype=np.result_type(dout, cols2))
+        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype) if input_grad else None
+
+        def run(part):
+            np.matmul(dout2[part], cols2[part].transpose(0, 2, 1), out=dw_each[part])
+            if not input_grad:
+                return
+            dcols = np.matmul(wm.T, dout2[part]).reshape(-1, c, self.kh, self.kw, oh, ow)
+            dx = dxp[part]
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, i, j]
+
+        _split(run, n)
+        self.dw = dw_each.sum(axis=0).reshape(self.w.shape)
         self.db = dout.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        wm = self.w.reshape(self.out_ch, -1)
-        dcols = np.matmul(wm.T, dout2).reshape(n, c, self.kh, self.kw, oh, ow)
-        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, i, j]
         return dxp[:, :, p : p + h, p : p + w] if p else dxp
 
 
@@ -96,12 +199,28 @@ class Relu(_Layer):
     """max(x, 0); a training forward keeps only the x > 0 mask."""
 
     def forward(self, x, train=False):
+        out = np.empty_like(x)
+        mask = np.empty(x.shape, dtype=bool) if train else None
+
+        def run(part):
+            np.maximum(x[part], 0, out=out[part])
+            if train:
+                np.greater(x[part], 0, out=mask[part])
+
+        _split(run, len(x))
         if train:
-            self._saved = x > 0
-        return np.maximum(x, 0)
+            self._saved = mask
+        return out
 
     def backward(self, dout):
-        return dout * self._take_saved()
+        mask = self._take_saved()
+        dx = np.empty_like(dout)
+
+        def run(part):
+            np.multiply(dout[part], mask[part], out=dx[part])
+
+        _split(run, len(dout))
+        return dx
 
 
 class MaxPool(_Layer):
@@ -126,27 +245,39 @@ class MaxPool(_Layer):
         ]
 
     def forward(self, x, train=False):
-        h, w = x.shape[2:]
+        n, c, h, w = x.shape
         oh = (h - self.k) // self.stride + 1
         ow = (w - self.k) // self.stride + 1
         first, *rest = self._views(oh, ow)
-        out = x[first].copy()
-        for view in rest:
-            np.maximum(out, x[view], out=out)
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+
+        def run(part):
+            xs, outs = x[part], out[part]
+            np.copyto(outs, xs[first])
+            for view in rest:
+                np.maximum(outs, xs[view], out=outs)
+
+        _split(run, n)
         if train:
             self._saved = (x, out)
         return out
 
     def backward(self, dout):
         x, out = self._take_saved()
+        views = self._views(*out.shape[2:])
         dx = np.zeros(x.shape, dtype=dout.dtype)
-        unclaimed = np.ones(out.shape, dtype=bool)
-        hit = np.empty(out.shape, dtype=bool)
-        for view in self._views(*out.shape[2:]):
-            np.equal(x[view], out, out=hit)
-            hit &= unclaimed
-            unclaimed ^= hit
-            dx[view] += dout * hit
+
+        def run(part):
+            xs, outs, douts, dxs = x[part], out[part], dout[part], dx[part]
+            unclaimed = np.ones(outs.shape, dtype=bool)
+            hit = np.empty(outs.shape, dtype=bool)
+            for view in views:
+                np.equal(xs[view], outs, out=hit)
+                hit &= unclaimed
+                unclaimed ^= hit
+                dxs[view] += douts * hit
+
+        _split(run, len(x))
         return dx
 
 

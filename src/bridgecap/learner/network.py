@@ -182,9 +182,12 @@ def network_from_checkpoint(ckpt, dtype=np.float32) -> "Network":
 class Network:
     """A stack of layers instantiated from a descriptor.
 
-    Single-threaded and deterministic: weights come from one seeded
-    generator consumed in layer order. ``dtype`` is float32 for training
-    and checkpoints; gradient-check tests build float64 instances.
+    Deterministic: weights come from one seeded generator consumed in
+    layer order. Its methods and every layer method run on the calling
+    thread; layers may hand per-image slices to helper threads, which
+    changes no output byte (see ``layers``). ``dtype`` is float32 for
+    training and checkpoints; gradient-check tests build float64
+    instances.
 
     ``forward`` and ``logits`` are inference: no layer keeps anything
     after them. Only ``loss_and_grads`` runs layers in training mode,

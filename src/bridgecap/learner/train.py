@@ -62,11 +62,11 @@ def predict_proba(net: Network, x, batch_size: int = 8) -> np.ndarray:
     """Class probabilities for ``x``, forwarded in ``ceil(n / batch_size)``
     near-equal chunks.
 
-    Small chunks keep the first conv's im2col buffer near the size of a
-    core's L2 cache: a 64-px ``micro_cnn`` forward cost about 0.9 ms per
-    image in 8-image chunks against 1.5 ms in 256-image ones (2-vCPU
-    Xeon, one OpenBLAS thread; 16- and 32-image chunks were no faster
-    than 8). Near-equal chunks leave no one-row remainder when
+    The layers already work through a chunk in slices of a few images,
+    so larger chunks gain little: a 64-px ``micro_cnn`` forward cost
+    about 0.84 ms per image in 8-image chunks and 0.8 ms in 32- or
+    256-image ones (2-vCPU Xeon, one OpenBLAS thread and so one layer
+    helper thread). Near-equal chunks leave no one-row remainder when
     ``n >= 2`` and ``batch_size >= 3``; NumPy sends a one-row matmul
     through gemv, whose rounding differs from gemm's.
     """

@@ -171,6 +171,9 @@ def _build_record(fields: dict, profile: ParseProfile) -> NbiRecord:
     )
 
 
+_CSV_OPEN_HINT = " - do you need to open the file in universal-newline mode?"
+
+
 def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile):
     """Yield (line_number, role->value dict or None, reason) triples."""
     reader = csv.reader(io.StringIO(text), delimiter=fmt.separator)
@@ -188,7 +191,10 @@ def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile):
         except StopIteration:
             return
         except csv.Error as exc:  # the reader resumes at the next line
-            yield reader.line_num, None, f"unreadable row: {exc}"
+            # The text was decoded from bytes with its newlines kept, so
+            # the csv module's hint about opening files does not apply.
+            reason = str(exc).removesuffix(_CSV_OPEN_HINT)
+            yield reader.line_num, None, f"unreadable row: {reason}"
             continue
         lineno = reader.line_num  # where the row ends: a quoted field may hold newlines
         if not "".join(row).strip():

@@ -1,8 +1,15 @@
+import contextlib
 import math
 import struct
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bridgecap.datasets import DatasetItem, DatasetSplit
 from bridgecap.errors import (
@@ -12,8 +19,10 @@ from bridgecap.errors import (
     InvariantError,
     TrainingDivergedError,
 )
+from bridgecap.imaging import COLOUR_MODES
 from bridgecap.learner import (
     ArchitectureDescriptor,
+    Checkpoint,
     EarlyStopper,
     Network,
     TrainConfig,
@@ -35,6 +44,9 @@ from bridgecap.learner import (
 )
 from bridgecap.learner import layers as L
 from bridgecap.learner.checkpoint import MAGIC, VERSION
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+HELPER_COUNTS = (0, 1, 3)
 
 
 def tiny_descriptor(seed: int) -> ArchitectureDescriptor:
@@ -161,6 +173,36 @@ def held_caches(net):
             if name == "_saved" or any(isinstance(v, np.ndarray) for v in values):
                 held.append((i, name))
     return held
+
+
+@contextlib.contextmanager
+def split_helpers(count):
+    """Make ``layers._split`` use ``count`` helper threads, whatever the
+    host's CPUs and BLAS settings."""
+    saved = L._pool
+    executor = ThreadPoolExecutor(count) if count else None
+    L._pool = (executor, count)
+    try:
+        yield
+    finally:
+        L._pool = saved
+        if executor is not None:
+            executor.shutdown()
+
+
+def layer_bytes(make_layer, x, dout, **backward_args):
+    """Bytes of an inference forward, a training forward, its backward
+    and the parameter gradients, for each helper count."""
+    runs = []
+    for count in HELPER_COUNTS:
+        layer = make_layer()
+        with split_helpers(count):
+            inferred = layer.forward(x)
+            trained = layer.forward(x, train=True)
+            dx = layer.backward(dout, **backward_args)
+        runs.append([inferred.tobytes(), trained.tobytes(), None if dx is None else dx.tobytes()]
+                    + [g.tobytes() for g in layer.grads()])
+    return runs
 
 
 class TestForward:
@@ -374,6 +416,206 @@ class TestPredictProba:
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-6)
 
 
+class TestSplit:
+    """Per-image layer work spread over helper threads gives the same
+    bytes as one slice on the calling thread."""
+
+    @PROPERTY
+    @given(n=st.integers(1, 37), c=st.integers(1, 4), out_ch=st.integers(1, 4),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), h=st.integers(1, 9), w=st.integers(1, 9),
+           input_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_conv_bytes_do_not_depend_on_helpers(self, n, c, out_ch, kh, kw, stride, pad,
+                                                 h, w, input_grad, seed):
+        assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        dout = rng.normal(size=(n, out_ch, oh, ow)).astype(np.float32)
+
+        def make():
+            return L.Conv(kh, kw, c, out_ch, stride, pad, np.random.default_rng(seed), np.float32)
+
+        first, *rest = layer_bytes(make, x, dout, input_grad=input_grad)
+        assert all(run == first for run in rest)
+
+    @PROPERTY
+    @given(n=st.integers(1, 37), c=st.integers(1, 3), h=st.integers(3, 9),
+           w=st.integers(3, 9), k_stride=st.sampled_from([(2, 2), (3, 2), (3, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_bytes_do_not_depend_on_helpers(self, n, c, h, w, k_stride, seed):
+        k, stride = k_stride
+        rng = np.random.default_rng(seed)
+        # Small integers give tied windows; zeros of both signs tie too.
+        x = rng.integers(-1, 3, size=(n, c, h, w)).astype(np.float32)
+        x[x == -1] = -0.0
+        oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+        dout = rng.normal(size=(n, c, oh, ow)).astype(np.float32)
+        dout.flat[::3] = -0.0
+        first, *rest = layer_bytes(lambda: L.MaxPool(k, stride), x, dout)
+        assert all(run == first for run in rest)
+
+    @PROPERTY
+    @given(shape=st.one_of(st.tuples(st.integers(1, 37), st.integers(1, 4), st.integers(1, 6),
+                                     st.integers(1, 6)),
+                           st.tuples(st.integers(1, 37), st.integers(1, 20))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relu_bytes_do_not_depend_on_helpers(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape).astype(np.float32)
+        x.flat[::5] = -0.0
+        x.flat[1::5] = 0.0
+        dout = rng.normal(size=shape).astype(np.float32)
+        first, *rest = layer_bytes(L.Relu, x, dout)
+        assert all(run == first for run in rest)
+
+    @pytest.mark.parametrize("cpus,env,helpers", [
+        (2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1),
+        (4, {"OMP_NUM_THREADS": "1"}, 3),
+        (4, {"OPENBLAS_NUM_THREADS": " 1 "}, 3),
+        (2, {}, 0),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 0),
+        (2, {"MKL_NUM_THREADS": ""}, 0),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 0),
+    ])
+    def test_helpers_only_when_blas_runs_one_thread(self, monkeypatch, cpus, env, helpers):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(L.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        executor, count = L._make_pool()
+        assert count == helpers and (executor is None) == (helpers == 0)
+        if executor is not None:
+            executor.shutdown()
+
+    def test_fit_and_predict_bytes_do_not_depend_on_helpers(self):
+        desc = micro_cnn(["a", "b", "c"], input_shape=(3, 16, 16))
+        rng = np.random.default_rng(5)
+        x = (rng.integers(0, 4, size=(45, 3, 16, 16)) / 3).astype(np.float32)
+        y = rng.integers(0, 3, size=45)
+        config = TrainConfig(max_epochs=2, batch_size=13, seed=2)
+        ckpts, probs = [], []
+        for count in HELPER_COUNTS:
+            with split_helpers(count):
+                net = Network(desc, seed=3)
+                ckpts.append(checkpoint_to_bytes(fit(net, x, y, x[:9], y[:9], config)))
+                probs.append(predict_proba(net, x, batch_size=16).tobytes())
+        assert ckpts[1:] == ckpts[:1] * 2
+        assert probs[1:] == probs[:1] * 2
+
+    def test_layer_and_network_methods_stay_on_the_calling_thread(self, monkeypatch):
+        caller = threading.get_ident()
+        method_threads, slice_threads = set(), set()
+
+        def recorded(fn):
+            def run(*args, **kwargs):
+                method_threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return run
+
+        classes = [L.Conv, L.Relu, L.MaxPool, L.Flatten, L.FullyConnected, L.Softmax]
+        for cls in classes:
+            for name in ("forward", "backward"):
+                monkeypatch.setattr(cls, name, recorded(vars(cls)[name]))
+        for name, value in list(vars(Network).items()):
+            if callable(value) and not isinstance(value, (type, staticmethod)):
+                monkeypatch.setattr(Network, name, recorded(value))
+        split = L._split
+
+        def recorded_split(fn, n):
+            def run(part):
+                slice_threads.add(threading.get_ident())
+                fn(part)
+            split(run, n)
+
+        monkeypatch.setattr(L, "_split", recorded_split)
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 16, 16)), seed=0)
+        x = np.random.default_rng(1).random((37, 3, 16, 16), dtype=np.float32)
+        with split_helpers(3):
+            for _ in range(3):
+                net.loss_and_grads(x, np.arange(37) % 2)
+            net.set_weights(net.get_weights())
+            net.logits(x)
+            predict_proba(net, x, batch_size=37)
+        assert method_threads == {caller}
+        assert len(slice_threads) > 1  # the helpers did take slices
+
+    def test_error_reaches_caller_after_every_started_slice(self):
+        caller = threading.get_ident()
+        boom = RuntimeError("slice failed")
+        raised, sleeping = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        finished = []
+
+        def fn(part):
+            if threading.get_ident() == caller:
+                raised.wait(10)
+                sleeping.wait(10)
+                return
+            with lock:
+                first = not raised.is_set()
+                raised.set()
+            if first:
+                raise boom
+            sleeping.set()
+            time.sleep(0.2)
+            finished.append(part)
+
+        with split_helpers(2):
+            with pytest.raises(RuntimeError) as info:
+                L._split(fn, 3 * L._SLICE)
+            assert info.value is boom and finished
+
+    @pytest.mark.parametrize("make_layer,shape", [
+        (lambda: L.Conv(3, 3, 2, 3, 1, 1, np.random.default_rng(0), np.float32),
+         (17, 2, 6, 6)),
+        (L.Relu, (17, 2, 6, 6)),
+        (lambda: L.MaxPool(2, 2), (17, 2, 6, 6)),
+    ], ids=["conv", "relu", "maxpool"])
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_helper_exception_reaches_caller_and_pool_survives(self, monkeypatch, make_layer,
+                                                               shape, stage):
+        caller = threading.get_ident()
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape).astype(np.float32)
+        dout = make_layer().forward(x)
+        dout = rng.normal(size=dout.shape).astype(np.float32)
+        expected = make_layer()
+        expected.forward(x, train=True)
+        expected = expected.backward(dout).tobytes()
+        boom = RuntimeError("slice failed")
+        raised = threading.Event()
+        lock = threading.Lock()
+        split = L._split
+
+        def failing_split(fn, n):
+            # The calling thread waits until a helper has raised.
+            def run(part):
+                if threading.get_ident() == caller:
+                    raised.wait(10)
+                else:
+                    with lock:
+                        if not raised.is_set():
+                            raised.set()
+                            raise boom
+                fn(part)
+            split(run, n)
+
+        layer = make_layer()
+        with split_helpers(3):
+            if stage == "backward":
+                layer.forward(x, train=True)
+            monkeypatch.setattr(L, "_split", failing_split)
+            with pytest.raises(RuntimeError) as info:
+                layer.forward(x, train=True) if stage == "forward" else layer.backward(dout)
+            assert info.value is boom and raised.is_set()
+            assert layer._saved is None
+            monkeypatch.setattr(L, "_split", split)
+            layer.forward(x, train=True)
+            assert layer.backward(dout).tobytes() == expected
+
+
 class TestEarlyStopping:
     def test_stagnant_sequence_stops_on_schedule(self):
         stopper = EarlyStopper(patience=3, min_delta=1e-4)
@@ -547,6 +789,25 @@ class TestCheckpoint:
         data = checkpoint_to_bytes(make_checkpoint(Network(linear_head(2, ["a", "b"]))))
         with pytest.raises(FormatError, match="past the end"):
             checkpoint_from_bytes(data[:8] + struct.pack("<Q", 2**63) + data[16:])
+
+    @PROPERTY
+    @given(cnn=st.booleans(), labels=st.lists(st.text(max_size=4), min_size=1, max_size=9),
+           colour_mode=st.sampled_from(COLOUR_MODES), side=st.integers(4, 24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_descriptor_weights_and_bytes(self, cnn, labels, colour_mode,
+                                                           side, seed):
+        desc = (micro_cnn(labels, input_shape=(3, side, side), colour_mode=colour_mode)
+                if cnn else replace(linear_head(side, labels), colour_mode=colour_mode))
+        rng = np.random.default_rng(seed)
+        # Any bit pattern: NaN payloads, infinities, -0.0 and subnormals.
+        weights = tuple(rng.integers(0, 2**32, size=shape, dtype=np.uint32).view("<f4")
+                        for shape in desc.param_shapes())
+        ckpt = Checkpoint(desc, weights, {"val_acc": [0.5], "best_epoch": 1})
+        data_bytes = checkpoint_to_bytes(ckpt)
+        loaded = checkpoint_from_bytes(data_bytes)
+        assert loaded.descriptor == desc
+        assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in weights]
+        assert checkpoint_to_bytes(loaded) == data_bytes
 
     def test_bad_layer_sizes_are_config_errors(self):
         for key, value in (("out_ch", -4), ("stride", 0), ("kh", "3"), ("pad", -1)):

@@ -198,6 +198,7 @@ class TestParseEdges:
         assert [r.structure for r in records] == ["S5"]
         assert stats.total_rows == 2
         assert stats.rejects[0][0] == 2 and "unreadable row" in stats.rejects[0][1]
+        assert stats.rejects[0][1] == "unreadable row: new-line character seen in unquoted field"
 
     def test_reject_names_the_file_line(self):
         text = 'state,structure,design_load_code,load_rating_tons\n01,"S\n1",3,4\nX1,S2,3,4\n'
