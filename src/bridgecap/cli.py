@@ -265,9 +265,11 @@ def cmd_evaluate(args, argv) -> int:
             f"{ckpt.descriptor.num_classes} wide"
         )
     index = {cls: i for i, cls in enumerate(classes)}
-    loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode,
-                                 ckpt.descriptor.input_shape[1:])
-    x = np.stack([loader(item.image_path) for item in items])
+    size = ckpt.descriptor.input_shape[1:]
+    loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode, size)
+    x = np.empty((len(items), 3, *size), dtype=np.uint8)
+    for row, item in zip(x, items):
+        row[...] = loader(item.image_path)
     truths = np.array([index[item.cls] for item in items])
     preds = predict(net, x)
 

@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from ._records import as_text, from_ndjson, to_ndjson
+from ._records import as_text, from_ndjson, to_csv, to_ndjson
 from .errors import ConfigError, FormatError
 from .nbi import DegenerateKeyError, canonicalize, is_valid_state_code
 
@@ -101,14 +101,11 @@ def _nonblank_rows(reader):
 
 
 def write_manifest(entries) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MANIFEST_COLUMNS)
-    for e in entries:
-        writer.writerow(
-            [e.image_path, e.bridge_local_id, e.state, e.structure_raw, e.completion or ""]
-        )
-    return out.getvalue()
+    entries = list(entries)
+    return to_csv(MANIFEST_COLUMNS, lambda: (
+        [e.image_path, e.bridge_local_id, e.state, e.structure_raw, e.completion or ""]
+        for e in entries
+    ))
 
 
 def join_labels(manifest, records) -> tuple[list[LabeledImage], JoinReport]:
@@ -189,9 +186,10 @@ def tag_completion(
     """Ensure every image carries a completion flag.
 
     source="manifest" passes existing flags through; images without one
-    become rejects. source="model" decodes every image file (one that
-    cannot be read or decoded becomes a reject), classifies the decoded
-    ones in a single ``predict_proba`` call with a 2-class checkpoint
+    become rejects. source="model" decodes every image file into one
+    uint8 pixel array (one that cannot be read or decoded becomes a
+    reject), classifies the decoded ones in a single ``predict_proba``
+    call with a 2-class checkpoint
     (labels must include "complete") and records the per-image
     probability. Labels and paths are never altered.
     """
@@ -223,14 +221,16 @@ def tag_completion(
     complete_idx = labels.index("complete")
     net = network_from_checkpoint(checkpoint)
     descriptor = checkpoint.descriptor
-    load = make_loader(image_root, descriptor.colour_mode, descriptor.input_shape[1:])
+    size = descriptor.input_shape[1:]
+    load = make_loader(image_root, descriptor.colour_mode, size)
 
+    images = list(images)
+    pixels = np.empty((len(images), 3, *size), dtype=np.uint8)
     decoded = []
-    tensors = []
     rejects = []
     for img in images:
         try:
-            tensors.append(load(img.image_path))
+            pixels[len(decoded)] = load(img.image_path)
         except (OSError, FormatError) as exc:
             rejects.append((img.image_path, str(exc)))
             continue
@@ -239,7 +239,7 @@ def tag_completion(
     tagged = []
     probs = []
     if decoded:
-        complete_probs = predict_proba(net, np.stack(tensors))[:, complete_idx]
+        complete_probs = predict_proba(net, pixels[: len(decoded)])[:, complete_idx]
         for img, p in zip(decoded, complete_probs.tolist()):
             flag = "complete" if p >= 0.5 else "partial"
             tagged.append(replace(img, completion=flag))

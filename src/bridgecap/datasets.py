@@ -21,6 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._records import to_csv
 from .config import SECTIONS, check
 from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
@@ -451,12 +452,11 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
 # --- split-manifest CSV ------------------------------------------------------
 
 def write_split_csv(split: DatasetSplit) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["image_path", "class", "side"])
-    for side, items in (("train", split.train), ("test", split.test)):
-        writer.writerows((item.image_path, item.cls, side) for item in items)
-    return out.getvalue()
+    return to_csv(["image_path", "class", "side"], lambda: (
+        (item.image_path, item.cls, side)
+        for side, items in (("train", split.train), ("test", split.test))
+        for item in items
+    ))
 
 
 def read_split_csv(text: str) -> DatasetSplit:

@@ -5,11 +5,14 @@ maxval 255): it is dependency-free and byte-exact, which keeps the
 pipeline's image handling testable down to the bit. JPEG/PNG files are
 readable through an optional Pillow adapter behind the same interface.
 
-Tensors handed to the classifier are float32 arrays shaped (3, height,
-width) with values in [0, 1]. The colour mode, one of ``COLOUR_MODES``,
-is the single vocabulary shared by dataset specs, the CLI and model
-descriptors: ``rgb`` keeps the colour channels, ``grayscale`` feeds BT.601
-luminance copied into all three, so one network shape serves both.
+The pipeline holds a prepared image as its pixels: a C-contiguous
+uint8 array shaped (3, height, width), 1 byte per value where a float32
+tensor takes 4. Only the batch being forwarded is scaled to floats in
+[0, 1], by ``pixels_to_tensor``. The colour mode, one of
+``COLOUR_MODES``, is the single vocabulary shared by dataset specs, the
+CLI and model descriptors: ``rgb`` keeps the colour channels,
+``grayscale`` feeds BT.601 luminance copied into all three, so one
+network shape serves both.
 """
 
 from dataclasses import dataclass
@@ -215,8 +218,8 @@ def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
     return GrayImage(out[:, :, 0]) if gray else RgbImage(out)
 
 
-def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
-    """Produce a float32 (3, height, width) tensor scaled to [0, 1].
+def to_pixels(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
+    """The image as a new C-contiguous uint8 (3, height, width) array.
 
     ``rgb`` keeps the three colour channels (grayscale input is
     replicated); ``grayscale`` converts colour input to luminance and
@@ -227,21 +230,35 @@ def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray
     if colour_mode == "grayscale" and isinstance(img, RgbImage):
         img = to_grayscale(img)
     if isinstance(img, GrayImage):
-        chans = np.repeat(img.pixels[None, :, :], 3, axis=0)
-    else:
-        chans = np.moveaxis(img.pixels, 2, 0)
-    return chans.astype(np.float32) / np.float32(255.0)
+        return np.repeat(img.pixels[None, :, :], 3, axis=0)
+    return np.moveaxis(img.pixels, 2, 0).copy()
+
+
+def pixels_to_tensor(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """uint8 pixels scaled to ``dtype`` floats in [0, 1]: each value is
+    ``dtype(v) / dtype(255)``, computed in one new array."""
+    out = pixels.astype(dtype)
+    out /= out.dtype.type(255)
+    return out
+
+
+def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
+    """A float32 (3, height, width) tensor scaled to [0, 1]: the
+    ``to_pixels`` array through ``pixels_to_tensor``."""
+    return pixels_to_tensor(to_pixels(img, colour_mode))
 
 
 def make_loader(image_root, colour_mode: str, size):
-    """Per-image tensor pipeline for a network input of ``size`` =
-    (height, width): decode, resize, colour-convert, scale to [0, 1].
-    Paths are taken relative to ``image_root`` when one is given."""
+    """Per-image pipeline for a network input of ``size`` =
+    (height, width): decode, resize and colour-convert into the
+    ``to_pixels`` uint8 (3, height, width) array. A ``Network`` scales
+    uint8 input itself, chunk by chunk. Paths are taken relative to
+    ``image_root`` when one is given."""
     root = Path(image_root) if image_root else None
     height, width = size
 
     def load(path: str) -> np.ndarray:
         img = load_image(root / path if root else Path(path))
-        return to_tensor(resize_bilinear(img, width, height), colour_mode)
+        return to_pixels(resize_bilinear(img, width, height), colour_mode)
 
     return load

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError, DomainError
-from ..imaging import COLOUR_MODES
+from ..imaging import COLOUR_MODES, pixels_to_tensor
 from . import layers as L
 
 _LAYER_OPS = ("conv", "relu", "maxpool", "flatten", "fc", "softmax")
@@ -189,6 +189,12 @@ class Network:
     training and checkpoints; gradient-check tests build float64
     instances.
 
+    A uint8 input to any method is pixels (``imaging.to_pixels``): it is
+    scaled to [0, 1] in ``dtype`` by ``imaging.pixels_to_tensor`` on the
+    calling thread, so a caller can hold a whole image set as uint8 and
+    only the batch being forwarded exists as floats. Any other input is
+    cast to ``dtype``.
+
     ``forward`` and ``logits`` are inference: no layer keeps anything
     after them. Only ``loss_and_grads`` runs layers in training mode,
     and its backward pass consumes what they saved. It starts training
@@ -258,13 +264,15 @@ class Network:
     # -- computation --------------------------------------------------------
 
     def _check_input(self, x):
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x)
         if x.shape[1:] != self.descriptor.input_shape:
             raise DomainError(
                 f"input layer: tensor shape {x.shape[1:]} does not match "
                 f"declared input {self.descriptor.input_shape}"
             )
-        return x
+        if x.dtype == np.uint8:
+            return pixels_to_tensor(x, self.dtype)
+        return x.astype(self.dtype, copy=False)
 
     def _infer(self, x, layers):
         out = self._check_input(x)

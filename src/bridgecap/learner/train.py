@@ -102,11 +102,17 @@ def fit(
 ) -> Checkpoint:
     """Run SGD-with-momentum epochs until max_epochs or early stop.
 
+    A uint8 ``x_train`` or ``x_val`` is pixels and is kept as it is: the
+    network scales each batch it is handed (see ``Network``). Any other
+    ``x_train`` is cast to the network's dtype once.
+
     ``evaluate_fn(net, x_val, y_val) -> (acc, loss)`` computes the
     per-epoch validation numbers; injectable so stopping behaviour can
     be driven by a canned sequence in tests.
     """
-    x_train = np.asarray(x_train, dtype=net.dtype)
+    x_train = np.asarray(x_train)
+    if x_train.dtype != np.uint8:
+        x_train = x_train.astype(net.dtype, copy=False)
     y_train = np.asarray(y_train, dtype=np.int64)
     n = len(x_train)
     if n == 0:
@@ -166,7 +172,10 @@ def fit(
 
 def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
     """Train on a DatasetSplit: ``data_source(image_path)`` yields the
-    (c, h, w) tensor for one image. Split classes (1-based, possibly
+    (c, h, w) array for one image, uint8 pixels from
+    ``imaging.make_loader`` or floats. Each side is decoded straight
+    into one array of the first image's dtype, so a set of uint8 pixels
+    is held once, at 1 byte per value. Split classes (1-based, possibly
     sparse) are mapped onto the head's label positions in sorted order
     and must match its width."""
     classes = split.classes
@@ -178,8 +187,12 @@ def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
     index = {cls: i for i, cls in enumerate(classes)}
 
     def materialize(items):
-        xs = np.stack([data_source(item.image_path) for item in items]) if items else \
-            np.empty((0, *net.descriptor.input_shape), dtype=net.dtype)
+        xs = np.empty((0, *net.descriptor.input_shape), dtype=np.uint8)
+        for i, item in enumerate(items):
+            x = data_source(item.image_path)
+            if i == 0:
+                xs = np.empty((len(items), *np.shape(x)), dtype=np.asarray(x).dtype)
+            xs[i] = x
         ys = np.array([index[item.cls] for item in items], dtype=np.int64)
         return xs, ys
 

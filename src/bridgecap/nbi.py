@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from ._records import as_text, from_ndjson, to_ndjson
+from ._records import as_text, from_ndjson, to_csv, to_ndjson
 from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
@@ -331,21 +331,16 @@ _WRITER_COLUMNS = ("state", "structure", "design_load_code", "load_rating_tons")
 def write_delimited(records, separator: str = ",") -> str:
     """Serialize records in the package's standard delimited layout
     (see ``standard_profile``); re-parsing yields identical records."""
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=separator, lineterminator="\n")
-    # The writer quotes a field holding its line terminator but not a bare
-    # "\r", which the reader rejects unquoted: a row with one quotes all.
-    quoting = csv.writer(out, delimiter=separator, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(_WRITER_COLUMNS)
-    for rec in records:
-        row = [
+    records = list(records)
+    return to_csv(_WRITER_COLUMNS, lambda: (
+        [
             rec.state,
             rec.structure_raw,
             rec.raw_design_code if rec.raw_design_code is not None else "",
             "" if rec.load_rating_tons is None else repr(rec.load_rating_tons),
         ]
-        (quoting if "\r" in "".join(row) else writer).writerow(row)
-    return out.getvalue()
+        for rec in records
+    ), separator)
 
 
 def standard_profile(code_map: dict[str, int] | None = None) -> ParseProfile:

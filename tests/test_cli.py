@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -709,3 +710,76 @@ class TestDeterminism:
             "nbi-parse", "--input", str(small_corpus / "inventory.csv"),
         ) == 0
         assert (out / "records.ndjson").exists()
+
+
+class TestImageMemory:
+    """Decoded images are held once, as uint8 pixels. Between n and 2n
+    32-px images, the peak traced memory of ``tag_completion`` and of
+    ``evaluate`` grows by less than one float32 tensor per image. Held
+    as float32 tensors in a list plus their ``np.stack`` copy, the
+    images made it grow by two."""
+
+    N = 256
+    SIDE = 32
+    TENSOR_BYTES = 3 * SIDE * SIDE * 4
+
+    @pytest.fixture()
+    def images(self, tmp_path):
+        import numpy as np
+
+        from bridgecap.imaging import RgbImage, encode_pnm
+
+        rng = np.random.default_rng(12)
+        paths = []
+        for i in range(2 * self.N):
+            pixels = rng.integers(0, 256, (self.SIDE, self.SIDE, 3)).astype(np.uint8)
+            (tmp_path / f"i{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            paths.append(f"i{i}.pnm")
+        return paths
+
+    def checkpoint(self, labels):
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn
+
+        descriptor = micro_cnn(labels, input_shape=(3, self.SIDE, self.SIDE))
+        return make_checkpoint(Network(descriptor, seed=0))
+
+    def growth(self, peak_of):
+        """Peak traced bytes of ``peak_of(2N)`` minus those of
+        ``peak_of(N)``, after one call to settle lazy set-up."""
+        peaks = []
+        for n in (2, self.N, 2 * self.N):
+            tracemalloc.start()
+            try:
+                peak_of(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[2] - peaks[1]
+
+    def test_tag_completion(self, images, tmp_path):
+        from bridgecap.corpus import LabeledImage, tag_completion
+
+        ckpt = self.checkpoint(["complete", "partial"])
+
+        def tag(n):
+            labeled = [LabeledImage(path, "01", f"S{i}", design_load_class=1)
+                       for i, path in enumerate(images[:n])]
+            tagged, report = tag_completion(labeled, source="model", checkpoint=ckpt,
+                                            image_root=tmp_path)
+            assert report.tagged == n
+
+        assert self.growth(tag) < self.N * self.TENSOR_BYTES
+
+    def test_evaluate(self, images, tmp_path):
+        from bridgecap.learner import save_checkpoint
+
+        save_checkpoint(self.checkpoint(["1", "2"]), tmp_path / "model.ckpt")
+
+        def evaluate(n):
+            rows = "".join(f"{path},{1 + i % 2},test\n" for i, path in enumerate(images[:n]))
+            (tmp_path / "split.csv").write_text("image_path,class,side\n" + rows)
+            assert run("evaluate", "--checkpoint", str(tmp_path / "model.ckpt"),
+                       "--split", str(tmp_path / "split.csv"), "--image-root", str(tmp_path),
+                       "--out", str(tmp_path / f"eval{n}")) == 0
+
+        assert self.growth(evaluate) < self.N * self.TENSOR_BYTES

@@ -1,9 +1,25 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgecap import corpus, nbi, synth
 from bridgecap.errors import FormatError
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+# read_manifest strips the path, id and state, and skips a row with no
+# visible text: what it can read back unchanged.
+stripped = st.text().map(str.strip)
+manifest_entries = st.lists(st.builds(
+    corpus.ManifestEntry,
+    image_path=stripped.filter(bool),
+    bridge_local_id=stripped,
+    state=stripped,
+    structure_raw=st.text(),
+    completion=st.sampled_from((None, *corpus.COMPLETION_VALUES)),
+), max_size=6)
 
 
 def record(state, structure_raw, design=None, rating=None):
@@ -31,6 +47,17 @@ class TestManifest:
         ]
         text = corpus.write_manifest(entries)
         assert corpus.read_manifest(text) == entries
+
+    @PROPERTY
+    @given(manifest_entries)
+    @example([entry("a\rb.pnm", "01", "S\r1", completion="partial"), entry("c.pnm", "06", "7")])
+    def test_round_trip_any_text(self, entries):
+        assert corpus.read_manifest(corpus.write_manifest(entries)) == entries
+
+    def test_rows_without_a_bare_cr_keep_their_bytes(self):
+        entries = [entry("a\rb.pnm", "01", "S1"), entry("c,d.pnm", "06", "7", "complete")]
+        assert corpus.write_manifest(entries).split("\n")[1:] == [
+            '"a\rb.pnm","0","01","S1",""', '"c,d.pnm",0,06,7,complete', ""]
 
     def test_missing_required_column(self):
         with pytest.raises(FormatError, match="structure"):

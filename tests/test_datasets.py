@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgecap import datasets as ds
 from bridgecap.corpus import LabeledImage
@@ -288,6 +290,15 @@ class TestVariants:
         again = ds.read_split_csv(text)
         assert [i.image_path for i in again.train] == [i.image_path for i in result.split.train]
         assert [i.cls for i in again.test] == [i.cls for i in result.split.test]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.lists(st.builds(ds.DatasetItem, image_path=st.text(),
+                              cls=st.integers(-10**12, 10**12)), max_size=8),
+           st.integers(0, 8))
+    @example([ds.DatasetItem("a\rb.pnm", 1), ds.DatasetItem("c.pnm", 2)], 1)
+    def test_split_csv_round_trip_any_text(self, items, cut):
+        split = ds.DatasetSplit(train=tuple(items[:cut]), test=tuple(items[cut:]))
+        assert ds.read_split_csv(ds.write_split_csv(split)) == split
 
     def test_unreadable_split_row_is_format_error(self):
         with pytest.raises(FormatError, match="split-manifest line 2: new-line character"):

@@ -173,3 +173,79 @@ class TestToTensor:
             img = imaging.RgbImage(rng.integers(0, 256, (9, 4, 3)).astype(np.uint8))
             t = imaging.to_tensor(img, mode)
             assert t.min() >= 0.0 and t.max() <= 1.0
+
+    @PROPERTY
+    @given(height=st.integers(1, 24), width=st.integers(1, 24), gray=st.booleans(),
+           mode=st.sampled_from(imaging.COLOUR_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_scaled_pixels(self, height, width, gray, mode, seed):
+        # Decoded from P5 or P6 bytes, so the pixels are a read-only view.
+        img = imaging.decode_pnm(imaging.encode_pnm(random_image(seed, height, width, gray)))
+        pixels = imaging.to_pixels(img, mode)
+        assert pixels.dtype == np.uint8 and pixels.shape == (3, height, width)
+        assert pixels.flags.c_contiguous and pixels.flags.writeable
+        tensor = imaging.to_tensor(img, mode)
+        assert tensor.dtype == np.float32
+        assert tensor.tobytes() == imaging.pixels_to_tensor(pixels).tobytes()
+        # The scaling the classifier has always seen: float32(v) / float32(255).
+        assert tensor.tobytes() == (pixels.astype(np.float32) / np.float32(255.0)).tobytes()
+        if gray or mode == "grayscale":
+            expected = imaging.to_grayscale(img).pixels if not gray else img.pixels
+            assert (pixels == expected).all()
+        else:
+            assert (pixels == np.moveaxis(img.pixels, 2, 0)).all()
+
+    def test_pixels_to_tensor_in_float64(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(1, 1, 256)
+        out = imaging.pixels_to_tensor(pixels, np.float64)
+        assert out.dtype == np.float64
+        assert out.tobytes() == (np.arange(256, dtype=np.float64) / 255.0).tobytes()
+
+
+class TestLoader:
+    @pytest.mark.parametrize("mode", imaging.COLOUR_MODES)
+    @pytest.mark.parametrize("gray", [False, True], ids=["P6", "P5"])
+    @pytest.mark.parametrize("size", [(6, 5), (11, 14)], ids=["same", "resized"])
+    def test_returns_contiguous_uint8_pixels(self, tmp_path, mode, gray, size):
+        img = random_image(9, 6, 5, gray)
+        (tmp_path / "i.pnm").write_bytes(imaging.encode_pnm(img))
+        out = imaging.make_loader(tmp_path, mode, size)("i.pnm")
+        assert out.dtype == np.uint8 and out.shape == (3, *size)
+        assert out.flags.c_contiguous
+        height, width = size
+        expected = imaging.to_pixels(imaging.resize_bilinear(img, width, height), mode)
+        assert out.tobytes() == expected.tobytes()
+
+
+def mutate(data, ops):
+    """``data`` after each (kind, position, byte) edit in turn: cut
+    everything from the position on, xor the byte there with a non-zero
+    mask, or insert a byte before it."""
+    for kind, position, value in ops:
+        at = position % (len(data) + 1)
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ (value or 1)]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + bytes([value]) + data[at:]
+    return data
+
+
+class TestPnmFuzz:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(height=st.integers(1, 6), width=st.integers(1, 6), gray=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(("cut", "flip", "insert")),
+                                  st.integers(0, 2**16), st.integers(0, 255)),
+                        min_size=1, max_size=4))
+    @example(height=2, width=3, gray=False, seed=0, ops=[("insert", 2, ord("#"))])
+    @example(height=2, width=3, gray=True, seed=0, ops=[("flip", 0, 0x05)])  # P5 -> P0
+    @example(height=2, width=3, gray=True, seed=0, ops=[("cut", 3, 0)])  # header ends early
+    def test_edited_file_decodes_or_is_format_error(self, height, width, gray, seed, ops):
+        data = mutate(imaging.encode_pnm(random_image(seed, height, width, gray)), ops)
+        try:
+            img = imaging.decode_pnm(data)
+        except FormatError:
+            return
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.size <= len(data)

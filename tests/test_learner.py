@@ -19,7 +19,7 @@ from bridgecap.errors import (
     InvariantError,
     TrainingDivergedError,
 )
-from bridgecap.imaging import COLOUR_MODES
+from bridgecap.imaging import COLOUR_MODES, pixels_to_tensor
 from bridgecap.learner import (
     ArchitectureDescriptor,
     Checkpoint,
@@ -43,6 +43,7 @@ from bridgecap.learner import (
     train_head_on_features,
 )
 from bridgecap.learner import layers as L
+from bridgecap.learner import network as network_module
 from bridgecap.learner.checkpoint import MAGIC, VERSION
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -614,6 +615,83 @@ class TestSplit:
             monkeypatch.setattr(L, "_split", split)
             layer.forward(x, train=True)
             assert layer.backward(dout).tobytes() == expected
+
+
+class TestPixelInput:
+    """uint8 input is pixels: a network scales it in its own dtype, so it
+    gives the bytes the matching float tensors give."""
+
+    @staticmethod
+    def pixels(n, size=12, seed=0):
+        return np.random.default_rng(seed).integers(0, 256, (n, 3, size, size), dtype=np.uint8)
+
+    def test_forward_and_predict_proba_match_float_tensors(self):
+        net = Network(micro_cnn(["a", "b", "c"], input_shape=(3, 12, 12)), seed=5)
+        px = self.pixels(21)
+        tensors = pixels_to_tensor(px)
+        assert net.forward(px).tobytes() == net.forward(tensors).tobytes()
+        assert net.logits(px).tobytes() == net.logits(tensors).tobytes()
+        assert predict_proba(net, px).tobytes() == predict_proba(net, tensors).tobytes()
+        assert net.forward(px[:4]).dtype == np.float32
+
+    def test_float64_network_scales_in_float64(self):
+        net = Network(tiny_descriptor(1), seed=2, dtype=np.float64)
+        px = self.pixels(5, size=net.descriptor.input_shape[1])[:, : net.descriptor.input_shape[0]]
+        tensors = pixels_to_tensor(px, np.float64)
+        assert net.forward(px).tobytes() == net.forward(tensors).tobytes()
+
+    def test_fit_matches_float_tensors(self):
+        px, y = self.pixels(40, seed=1), np.arange(40) % 2
+        config = TrainConfig(max_epochs=2, batch_size=8, seed=3)
+        ckpts = []
+        for x in (px, pixels_to_tensor(px)):
+            net = Network(micro_cnn(["a", "b"], input_shape=(3, 12, 12)), seed=6)
+            ckpts.append(checkpoint_to_bytes(fit(net, x, y, x[:12], y[:12], config)))
+        assert ckpts[0] == ckpts[1]
+
+    def test_fit_keeps_pixels_and_scales_each_batch_on_the_calling_thread(self, monkeypatch):
+        caller = threading.get_ident()
+        scaled = []
+
+        def recorded(pixels, dtype):
+            scaled.append((threading.get_ident(), len(pixels)))
+            return pixels_to_tensor(pixels, dtype)
+
+        monkeypatch.setattr(network_module, "pixels_to_tensor", recorded)
+        px, y = self.pixels(20, seed=2), np.arange(20) % 2
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 12, 12)), seed=0)
+        with split_helpers(3):
+            fit(net, px, y, px[:9], y[:9], TrainConfig(max_epochs=1, batch_size=8))
+        # Three training batches, then two validation chunks.
+        assert scaled == [(caller, 8), (caller, 8), (caller, 4), (caller, 5), (caller, 4)]
+
+    def test_train_hands_fit_uint8_pixels(self, tmp_path, monkeypatch):
+        import importlib
+
+        from bridgecap.imaging import RgbImage, encode_pnm, make_loader
+
+        train_module = importlib.import_module("bridgecap.learner.train")
+        seen = []
+
+        def spy(net, x_train, y_train, x_val, y_val, config):
+            seen.extend([x_train, x_val])
+            return make_checkpoint(net)
+
+        monkeypatch.setattr(train_module, "fit", spy)
+        rng = np.random.default_rng(4)
+        items = []
+        for i in range(6):
+            pixels = rng.integers(0, 256, (10, 7, 3)).astype(np.uint8)
+            (tmp_path / f"{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            items.append(DatasetItem(image_path=f"{i}.pnm", cls=1 + i % 2))
+        split = DatasetSplit(train=tuple(items[:4]), test=tuple(items[4:]))
+        net = Network(micro_cnn(["1", "2"], input_shape=(3, 8, 8)), seed=0)
+        load = make_loader(tmp_path, "rgb", (8, 8))
+        train(net, split, TrainConfig(), load)
+        x_train, x_val = seen
+        assert x_train.dtype == x_val.dtype == np.uint8
+        assert x_train.shape == (4, 3, 8, 8) and x_val.shape == (2, 3, 8, 8)
+        assert x_train.tobytes() == np.stack([load(i.image_path) for i in items[:4]]).tobytes()
 
 
 class TestEarlyStopping:
