@@ -152,7 +152,8 @@ def cmd_nbi_parse(args, argv) -> int:
         profile = nbi.load_builtin_profile(args.profile)
     with open(source, "rb") as fh:
         records, stats = nbi.parse_nbi(fh, profile)
-    run.output("records.ndjson").write_text(nbi.records_to_ndjson(records))
+    with open(run.output("records.ndjson"), "w") as fh:
+        nbi.records_to_ndjson(records, fh)
     _dump_json({"stats": stats, "rating_histogram": nbi.rating_histogram(records)},
                run.output("nbi_stats.json"))
     run.finish()
@@ -165,17 +166,20 @@ def cmd_nbi_parse(args, argv) -> int:
 
 def cmd_corpus_match(args, argv) -> int:
     run = _Run(args, argv)
+    # The records are indexed first; the manifest then flows row by row
+    # from the open file through the join, so no manifest entry is held.
+    with open(run.input(args.records)) as fh:
+        records = nbi.records_from_ndjson(fh)
     with open(run.input(args.manifest)) as fh:
-        manifest = corpus.read_manifest(fh)
-    records = nbi.records_from_ndjson(Path(run.input(args.records)).read_text())
-    labeled, join_report = corpus.join_labels(manifest, records)
+        labeled, join_report = corpus.join_labels(corpus.iter_manifest(fh), records)
     if args.completion_model:
         ckpt = load_checkpoint(run.input(args.completion_model))
         labeled, tag_report = corpus.tag_completion(
             labeled, source="model", checkpoint=ckpt, image_root=args.image_root
         )
         _dump_json(tag_report, run.output("completion_tags.json"))
-    run.output("labeled.ndjson").write_text(corpus.labeled_to_ndjson(labeled))
+    with open(run.output("labeled.ndjson"), "w") as fh:
+        corpus.labeled_to_ndjson(labeled, fh)
     _dump_json(join_report, run.output("join_report.json"))
     _dump_json(corpus.corpus_stats(labeled), run.output("corpus_stats.json"))
     run.finish()
@@ -188,14 +192,16 @@ def cmd_corpus_match(args, argv) -> int:
 
 def cmd_dataset_build(args, argv) -> int:
     run = _Run(args, argv)
-    labeled = corpus.labeled_from_ndjson(Path(run.input(args.corpus)).read_text())
+    with open(run.input(args.corpus)) as fh:
+        labeled = corpus.labeled_from_ndjson(fh)
     if _is_file_ref(args.preset):
         spec_file = run.input(args.preset)
         spec = datasets.spec_from_config(Path(spec_file).stem, read_json(spec_file, "spec"))
     else:
         spec = datasets.load_preset(args.preset)
     result = datasets.build_variant(replace(spec, **_settings(args, "dataset")), labeled)
-    run.output("split.csv").write_text(datasets.write_split_csv(result.split))
+    with open(run.output("split.csv"), "w") as fh:
+        datasets.write_split_csv(result.split, fh)
     _dump_json(result.to_manifest_dict(), run.output("dataset_manifest.json"))
     run.finish(seeds={"dataset": result.spec.seed})
     counts = " ".join(f"{k}:{v}" for k, v in result.class_counts.items())
@@ -233,7 +239,7 @@ def cmd_train(args, argv) -> int:
             labels, input_shape=(3, args.size, args.size), colour_mode=colour
         )
         net = Network(descriptor, seed=config.seed)
-        loader = imaging.make_loader(args.image_root, colour, descriptor.input_shape[1:])
+        loader = imaging.make_loader(args.image_root, colour, descriptor.image_size())
         ckpt = train(net, split, config, loader)
     else:
         raise UsageError("train needs --split or --features")
@@ -252,6 +258,7 @@ def cmd_train(args, argv) -> int:
 def cmd_evaluate(args, argv) -> int:
     run = _Run(args, argv)
     ckpt = load_checkpoint(run.input(args.checkpoint))
+    size = ckpt.descriptor.image_size()
     net = network_from_checkpoint(ckpt)
     split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
     items = split.test if args.side == "test" else split.train
@@ -265,7 +272,6 @@ def cmd_evaluate(args, argv) -> int:
             f"{ckpt.descriptor.num_classes} wide"
         )
     index = {cls: i for i, cls in enumerate(classes)}
-    size = ckpt.descriptor.input_shape[1:]
     loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode, size)
     x = np.empty((len(items), 3, *size), dtype=np.uint8)
     for row, item in zip(x, items):

@@ -5,6 +5,11 @@ fields needed to look up capacity labels: state code plus raw structure
 number. Joining copies the matched record's design-load class and load
 rating onto each image verbatim; images whose record carries neither
 label are counted as matched but excluded from the labeled set.
+
+The join is one pass over the manifest: ``iter_manifest`` yields its
+entries row by row and ``join_labels`` consumes them as they come, so
+memory grows with the inventory records and the labeled images, not
+with the manifest text or its entries.
 """
 
 import csv
@@ -19,7 +24,7 @@ MANIFEST_COLUMNS = ("image_path", "bridge_local_id", "state", "structure", "comp
 COMPLETION_VALUES = ("complete", "partial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestEntry:
     image_path: str
     bridge_local_id: str
@@ -28,7 +33,7 @@ class ManifestEntry:
     completion: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledImage:
     image_path: str
     state: str
@@ -53,14 +58,19 @@ class JoinReport:
     duplicate_record_keys: int = 0
 
 
-def read_manifest(source) -> list[ManifestEntry]:
-    """Parse a manifest CSV. The completion column is optional; when
-    present it must hold 'complete', 'partial', or be blank. A FormatError
-    names the file line where the bad row ends."""
-    rows = _nonblank_rows(csv.reader(io.StringIO(as_text(source, "utf-8"))))
+def iter_manifest(source):
+    """Parse a manifest CSV, yielding one ManifestEntry per row. The
+    completion column is optional; when present it must hold 'complete',
+    'partial', or be blank. A FormatError names the file line where the
+    bad row ends. ``source`` is a str, bytes or a file; an open text file
+    is read row by row, so one row is held at a time, and it gives the
+    rows and line numbers of its whole text."""
+    if not isinstance(source, io.TextIOBase):
+        source = io.StringIO(as_text(source, "utf-8"))
+    rows = _nonblank_rows(csv.reader(source))
     first = next(rows, None)
     if first is None:
-        return []
+        return
     header = [c.strip() for c in first[1]]
     for col in MANIFEST_COLUMNS[:4]:
         if col not in header:
@@ -69,7 +79,6 @@ def read_manifest(source) -> list[ManifestEntry]:
     need = max(path_at, id_at, state_at, structure_at) + 1
     completion_at = header.index("completion") if "completion" in header else None
 
-    entries = []
     for lineno, row in rows:
         if len(row) < need:
             raise FormatError(f"manifest line {lineno}: too few fields")
@@ -83,10 +92,14 @@ def read_manifest(source) -> list[ManifestEntry]:
         path = row[path_at].strip()
         if not path:
             raise FormatError(f"manifest line {lineno}: empty image_path")
-        entries.append(ManifestEntry(
+        yield ManifestEntry(
             path, row[id_at].strip(), row[state_at].strip(), row[structure_at], completion
-        ))
-    return entries
+        )
+
+
+def read_manifest(source) -> list[ManifestEntry]:
+    """Every entry of ``iter_manifest(source)``, held in one list."""
+    return list(iter_manifest(source))
 
 
 def _nonblank_rows(reader):
@@ -101,9 +114,8 @@ def _nonblank_rows(reader):
 
 
 def write_manifest(entries) -> str:
-    entries = list(entries)
-    return to_csv(MANIFEST_COLUMNS, lambda: (
-        [e.image_path, e.bridge_local_id, e.state, e.structure_raw, e.completion or ""]
+    return to_csv(MANIFEST_COLUMNS, (
+        (e.image_path, e.bridge_local_id, e.state, e.structure_raw, e.completion or "")
         for e in entries
     ))
 
@@ -115,23 +127,33 @@ def join_labels(manifest, records) -> tuple[list[LabeledImage], JoinReport]:
     Duplicate record keys: first occurrence wins, the rest are only
     counted. Duplicate image paths in the manifest are an error. The
     join is deterministic: identical inputs give identical outputs.
+
+    Both arguments may be any iterables, walked once: ``manifest`` may be
+    ``iter_manifest`` over an open file. Held in memory are an index of
+    the records, the set of image paths seen and the labeled images, not
+    the manifest entries.
     """
-    seen_paths = set()
-    for entry in manifest:
-        if entry.image_path in seen_paths:
-            raise FormatError(f"duplicate image path in manifest: {entry.image_path!r}")
-        seen_paths.add(entry.image_path)
-
     index = {}
-    for rec in records:
+    n_records = 0
+    for n_records, rec in enumerate(records, 1):
         index.setdefault(rec.key, rec)
-    duplicates = len(records) - len(index)
+    duplicates = n_records - len(index)
 
+    seen_paths = set()
     labeled: list[LabeledImage] = []
     matched = unmatched = 0
     with_design = with_rating = 0
     complete = partial = 0
-    for entry in manifest:
+    entries = iter(manifest)
+    for entry in entries:
+        if entry.image_path in seen_paths:
+            # Parse the rest first: a malformed row anywhere in the
+            # manifest is reported before a duplicate path, as when the
+            # whole manifest is read before the join.
+            for _ in entries:
+                pass
+            raise FormatError(f"duplicate image path in manifest: {entry.image_path!r}")
+        seen_paths.add(entry.image_path)
         try:
             key = (entry.state, canonicalize(entry.structure_raw))
         except DegenerateKeyError:
@@ -191,7 +213,9 @@ def tag_completion(
     reject), classifies the decoded ones in a single ``predict_proba``
     call with a 2-class checkpoint
     (labels must include "complete") and records the per-image
-    probability. Labels and paths are never altered.
+    probability. A checkpoint whose input is not a (3, h, w) image
+    raises DomainError before any image is read. Labels and paths are
+    never altered.
     """
     if source == "manifest":
         tagged = []
@@ -219,10 +243,9 @@ def tag_completion(
             f"completion checkpoint must be 2-class with a 'complete' label, got {labels}"
         )
     complete_idx = labels.index("complete")
+    size = checkpoint.descriptor.image_size()
     net = network_from_checkpoint(checkpoint)
-    descriptor = checkpoint.descriptor
-    size = descriptor.input_shape[1:]
-    load = make_loader(image_root, descriptor.colour_mode, size)
+    load = make_loader(image_root, checkpoint.descriptor.colour_mode, size)
 
     images = list(images)
     pixels = np.empty((len(images), 3, *size), dtype=np.uint8)
@@ -271,9 +294,9 @@ def corpus_stats(images) -> dict:
 
 # --- serialization ---------------------------------------------------------
 
-def labeled_to_ndjson(images) -> str:
-    return to_ndjson(LabeledImage, images)
+def labeled_to_ndjson(images, out=None) -> str | None:
+    return to_ndjson(LabeledImage, images, out)
 
 
-def labeled_from_ndjson(text: str) -> list[LabeledImage]:
-    return from_ndjson(LabeledImage, text)
+def labeled_from_ndjson(source) -> list[LabeledImage]:
+    return from_ndjson(LabeledImage, source)

@@ -206,7 +206,7 @@ class DatasetSpec:
             raise ConfigError("min_class_size merges load-rating bins; design_load has none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetItem:
     image_path: str
     cls: int  # 1-based output class
@@ -451,12 +451,14 @@ def _derive_seeds(seed: int) -> tuple[int, int]:
 
 # --- split-manifest CSV ------------------------------------------------------
 
-def write_split_csv(split: DatasetSplit) -> str:
-    return to_csv(["image_path", "class", "side"], lambda: (
+def write_split_csv(split: DatasetSplit, out=None) -> str | None:
+    """The split as CSV: returned as one str, or written to ``out``, an
+    open text file, block by block."""
+    return to_csv(["image_path", "class", "side"], (
         (item.image_path, item.cls, side)
         for side, items in (("train", split.train), ("test", split.test))
         for item in items
-    ))
+    ), out=out)
 
 
 def read_split_csv(text: str) -> DatasetSplit:

@@ -39,6 +39,16 @@ class ArchitectureDescriptor:
     def num_classes(self) -> int:
         return len(self.class_labels)
 
+    def image_size(self) -> tuple[int, int]:
+        """(height, width) of the image input; DomainError for a network
+        whose input is not a (3, height, width) image, such as a head on
+        feature vectors, since no image can be loaded for it."""
+        if len(self.input_shape) != 3 or self.input_shape[0] != 3:
+            raise DomainError(
+                f"network input {self.input_shape} is not a (3, height, width) image"
+            )
+        return self.input_shape[1:]
+
     def param_shapes(self) -> list[tuple[int, ...]]:
         shapes = []
         for spec in self.layers:

@@ -59,7 +59,7 @@ def is_valid_state_code(code: str) -> bool:
     return len(code) == 2 and code.isdigit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NbiRecord:
     state: str
     structure_raw: str
@@ -331,14 +331,13 @@ _WRITER_COLUMNS = ("state", "structure", "design_load_code", "load_rating_tons")
 def write_delimited(records, separator: str = ",") -> str:
     """Serialize records in the package's standard delimited layout
     (see ``standard_profile``); re-parsing yields identical records."""
-    records = list(records)
-    return to_csv(_WRITER_COLUMNS, lambda: (
-        [
+    return to_csv(_WRITER_COLUMNS, (
+        (
             rec.state,
             rec.structure_raw,
             rec.raw_design_code if rec.raw_design_code is not None else "",
             "" if rec.load_rating_tons is None else repr(rec.load_rating_tons),
-        ]
+        )
         for rec in records
     ), separator)
 
@@ -359,12 +358,12 @@ def standard_profile(code_map: dict[str, int] | None = None) -> ParseProfile:
     )
 
 
-def records_to_ndjson(records) -> str:
-    return to_ndjson(NbiRecord, records)
+def records_to_ndjson(records, out=None) -> str | None:
+    return to_ndjson(NbiRecord, records, out)
 
 
-def records_from_ndjson(text: str) -> list[NbiRecord]:
-    return from_ndjson(NbiRecord, text)
+def records_from_ndjson(source) -> list[NbiRecord]:
+    return from_ndjson(NbiRecord, source)
 
 
 # --- profile config --------------------------------------------------------

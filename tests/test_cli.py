@@ -87,6 +87,36 @@ class TestExitCodes:
             "--image-root", str(tmp_path), "--out", str(tmp_path / "e"),
         ) == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
+    def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
+        from bridgecap.learner import Network, linear_head, make_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "head.ckpt"
+        save_checkpoint(make_checkpoint(Network(linear_head(4, ["complete", "partial"]))), ckpt)
+        split = tmp_path / "split.csv"
+        split.write_text("image_path,class,side\nnone.pnm,1,test\nnone.pnm,2,test\n")
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--split", str(split)],
+            "corpus-match": ["corpus-match", "--manifest", str(small_corpus / "manifest.csv"),
+                             "--records", str(small_corpus / "nbi" / "records.ndjson"),
+                             "--completion-model", str(ckpt)],
+        }[command]
+        # The image root does not exist: reading any image would fail
+        # with a different message.
+        assert run(*argv, "--image-root", str(tmp_path / "nowhere"),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "network input (4,) is not a (3, height, width) image" in capsys.readouterr().err
+
+    def test_records_error_is_reported_before_manifest_error(self, small_corpus, tmp_path,
+                                                             capsys):
+        records = tmp_path / "records.ndjson"
+        records.write_text("{\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("image_path,state\n")
+        assert run("corpus-match", "--manifest", str(manifest), "--records", str(records),
+                   "--out", str(tmp_path / "j")) == 2
+        assert "error: line 1: not valid JSON" in capsys.readouterr().err
+
     def test_unknown_preset_is_2(self, small_corpus, tmp_path):
         assert run(
             "dataset-build", "DL99",
@@ -783,3 +813,68 @@ class TestImageMemory:
                        "--out", str(tmp_path / f"eval{n}")) == 0
 
         assert self.growth(evaluate) < self.N * self.TENSOR_BYTES
+
+
+class TestRecordMemory:
+    """The record stages hold records, not files. ``corpus-match`` reads
+    the manifest row by row into the join and writes ``labeled.ndjson``
+    block by block; ``dataset-build`` reads the corpus in blocks and
+    writes ``split.csv`` block by block; the record classes have slots.
+    From N to 2N manifest rows (two images per bridge, every image
+    labeled), the peak traced memory of each stage through ``cli.main``
+    grows by less than ``BYTES_PER_ROW`` per added row. Holding every
+    manifest entry, every file's text and its lines, and records with an
+    instance dict, it grew by about 1130 and 780 bytes a row."""
+
+    N = 8000  # the ndjson files span more than one read block
+    BYTES_PER_ROW = 600
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        from bridgecap import corpus, nbi
+
+        def write(n):
+            d = tmp_path / str(n)
+            d.mkdir()
+            records = [nbi.NbiRecord("01", f"S{i}", f"S{i}", 1 + i % 6, 5.0 + i % 40)
+                       for i in range(n // 2)]
+            (d / "records.ndjson").write_text(nbi.records_to_ndjson(records))
+            (d / "manifest.csv").write_text(corpus.write_manifest(
+                corpus.ManifestEntry(f"images/bridge_{j // 2:06d}/img_{j:07d}.pnm",
+                                     str(j // 2), "01", f"S{j // 2}", "complete")
+                for j in range(n)
+            ))
+            return d
+
+        return {n: write(n) for n in (200, self.N, 2 * self.N)}
+
+    def growth(self, inputs, stage):
+        """Per added row, the peak traced bytes of ``stage(dir)`` at 2N
+        rows minus those at N, after one small run to settle lazy set-up."""
+        peaks = {}
+        for n, d in inputs.items():
+            tracemalloc.start()
+            try:
+                stage(d)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return (peaks[2 * self.N] - peaks[self.N]) / self.N
+
+    def test_corpus_match(self, inputs):
+        def match(d):
+            assert run("corpus-match", "--manifest", str(d / "manifest.csv"),
+                       "--records", str(d / "records.ndjson"), "--out", str(d / "m")) == 0
+
+        assert self.growth(inputs, match) < self.BYTES_PER_ROW
+
+    def test_dataset_build(self, inputs):
+        for d in inputs.values():
+            assert run("corpus-match", "--manifest", str(d / "manifest.csv"),
+                       "--records", str(d / "records.ndjson"), "--out", str(d / "m")) == 0
+
+        def build(d):
+            assert run("dataset-build", "LR9", "--corpus", str(d / "m" / "labeled.ndjson"),
+                       "--out", str(d / "b")) == 0
+
+        assert self.growth(inputs, build) < self.BYTES_PER_ROW

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bridgecap import corpus, nbi, synth
@@ -149,6 +149,138 @@ class TestJoin:
         assert (img.design_load_class, img.load_rating_tons) == (4, 27.0)
         assert img.completion == "partial"
         assert report.partial_count == 1 and report.complete_count == 0
+
+
+def two_pass_join(manifest, records):
+    """The join as it was before ``join_labels`` made one pass: every
+    path is checked for a duplicate before any entry is joined."""
+    seen = set()
+    for e in manifest:
+        if e.image_path in seen:
+            raise FormatError(f"duplicate image path in manifest: {e.image_path!r}")
+        seen.add(e.image_path)
+    index = {}
+    for rec in records:
+        index.setdefault(rec.key, rec)
+    labeled, matched = [], 0
+    for e in manifest:
+        try:
+            key = (e.state, nbi.canonicalize(e.structure_raw))
+        except nbi.DegenerateKeyError:
+            continue
+        rec = index.get(key) if nbi.is_valid_state_code(e.state) else None
+        if rec is None:
+            continue
+        matched += 1
+        if rec.design_load_class is not None or rec.load_rating_tons is not None:
+            labeled.append(corpus.LabeledImage(e.image_path, *key, rec.design_load_class,
+                                               rec.load_rating_tons, e.completion))
+    return labeled, corpus.JoinReport(
+        matched_images=matched,
+        unmatched_images=len(manifest) - matched,
+        images_with_design_load=sum(i.design_load_class is not None for i in labeled),
+        images_with_rating=sum(i.load_rating_tons is not None for i in labeled),
+        complete_count=sum(i.completion == "complete" for i in labeled),
+        partial_count=sum(i.completion == "partial" for i in labeled),
+        duplicate_record_keys=len(records) - len(index),
+    )
+
+
+def join_or_error(join, manifest, records):
+    try:
+        return join(manifest, records)
+    except FormatError as exc:
+        return str(exc)
+
+
+# Keys that match, degenerate keys (all zeros, blank) and bad state
+# codes; half of the manifests repeat one path.
+STATES = st.sampled_from(["01", "06", "1", "AB"])
+STRUCTURES = st.sampled_from(["S1", " 0s1", "S 2", "0000", ""])
+
+
+@st.composite
+def join_cases(draw):
+    records = draw(st.lists(st.builds(
+        record, state=STATES, structure_raw=st.sampled_from(["S1", "0S1", "S2"]),
+        design=st.none() | st.integers(1, 12), rating=st.none() | st.floats(0, 100),
+    ), max_size=6))
+    keys = st.tuples(STATES, STRUCTURES)
+    if records:
+        keys |= st.sampled_from([(r.state, " 0" + r.structure_raw) for r in records])
+    manifest = []
+    for path in draw(st.lists(st.text("abcdef", min_size=1, max_size=3), max_size=8,
+                              unique=True)):
+        state, structure = draw(keys)
+        completion = draw(st.sampled_from((None, *corpus.COMPLETION_VALUES)))
+        manifest.append(entry(path, state, structure, completion))
+    if manifest and draw(st.booleans()):
+        copy = draw(st.sampled_from(manifest))
+        manifest.insert(draw(st.integers(0, len(manifest))), entry(copy.image_path, "01", "S1"))
+    return manifest, records
+
+
+class TestOnePassJoin:
+    @PROPERTY
+    @given(case=join_cases())
+    def test_equals_the_two_pass_join(self, case):
+        manifest, records = case
+        expected = join_or_error(two_pass_join, manifest, records)
+        assert join_or_error(corpus.join_labels, manifest, records) == expected
+        # Iterators are walked once.
+        assert join_or_error(corpus.join_labels, iter(manifest), iter(records)) == expected
+
+    def test_malformed_row_after_a_duplicate_is_reported_first(self):
+        text = ("image_path,bridge_local_id,state,structure,completion\n"
+                "a,0,01,S1,\na,0,01,S1,\nb,0,01,S1,half\n")
+        with pytest.raises(FormatError, match="manifest line 4: bad completion"):
+            corpus.read_manifest(text)
+        with pytest.raises(FormatError, match="manifest line 4: bad completion"):
+            corpus.join_labels(corpus.iter_manifest(text), [])
+
+
+# Manifest text with quoted fields that hold line breaks, bare \r and
+# \r\n line ends and blank rows; half of the texts hold one malformed row.
+MANIFEST_ROW = st.tuples(
+    st.sampled_from(["a.pnm", " b.pnm ", '"q\nx.pnm"', '"q\r\ny.pnm"', '"q\rz.pnm"']),
+    st.sampled_from(["0", ""]),
+    st.sampled_from(["01", " 06"]),
+    st.sampled_from(["S1", '"S\n2"', "0"]),
+    st.sampled_from(["complete", " Partial", ""]),
+).map(",".join) | st.sampled_from(["", " ,"])
+BAD_MANIFEST_ROW = st.sampled_from(['a.pnm,0,01,"open', "a.pnm,0,01", "a.pnm,0,01,S1,half",
+                                    ",0,01,S1,", "a\rb,0,01,S1,"])
+
+
+@st.composite
+def manifest_texts(draw):
+    rows = draw(st.lists(MANIFEST_ROW, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(BAD_MANIFEST_ROW))
+    header = "image_path,bridge_local_id,state,structure,completion"
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                         max_size=len(rows) + 1))
+    return "".join(row + end for row, end in zip([header, *rows], ends))
+
+
+def manifest_or_error(read):
+    try:
+        return read()
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestManifestFromFile:
+    @settings(PROPERTY, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=manifest_texts())
+    def test_rows_equal_those_of_the_read_text(self, text, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            expected = manifest_or_error(lambda: corpus.read_manifest(fh.read()))
+        with open(path) as fh:
+            assert manifest_or_error(lambda: list(corpus.iter_manifest(fh))) == expected
 
 
 class TestTagCompletion:

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import struct
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 
 from bridgecap import cli
 from bridgecap import evaluation as ev
+from bridgecap import _records
 from bridgecap._records import from_ndjson, plain, to_ndjson
 from bridgecap.corpus import JoinReport, LabeledImage, TagReport
 from bridgecap.datasets import BinningScheme, bin_load_rating
-from bridgecap.errors import FormatError
+from bridgecap.errors import DomainError, FormatError
 from bridgecap.learner import Network, micro_cnn
 from bridgecap.learner.checkpoint import checkpoint_to_bytes, make_checkpoint
 from bridgecap.nbi import NbiFileStats, NbiRecord
@@ -159,12 +162,24 @@ class TestNdjson:
     @given(case=record_lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])))
     def test_lines_are_the_json_encoding(self, case):
         cls, records = case
-        expected = "".join(
-            json.dumps({f.name: getattr(r, f.name) for f in fields(cls)},
-                       sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records
-        )
+        try:
+            expected = "".join(
+                json.dumps({f.name: getattr(r, f.name) for f in fields(cls)},
+                           sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+                for r in records
+            )
+        except ValueError:  # JSON has no NaN or Infinity
+            with pytest.raises(DomainError, match="non-finite"):
+                to_ndjson(cls, records)
+            return
         assert to_ndjson(cls, records) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+                             ids=["nan", "inf", "-inf", "np_nan"])
+    def test_non_finite_float_is_domain_error(self, value):
+        record = LabeledImage("a", "01", "S", None, value)
+        with pytest.raises(DomainError, match="non-finite|not JSON compliant"):
+            to_ndjson(LabeledImage, [record])
 
     @PROPERTY
     @given(case=record_lists(FINITE))
@@ -191,6 +206,76 @@ class TestNdjson:
         line = '{"image_path":"a","state":"01","structure":"S1","load_rating_tons":%s}'
         with pytest.raises(FormatError, match="line 1: not valid JSON"):
             from_ndjson(LabeledImage, line % value)
+
+
+# Every separator str.splitlines breaks at, and pieces of ndjson lines:
+# whole records, blanks and fragments that raise FormatError.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+LINE_PIECES = st.sampled_from([
+    '{"image_path":"a","state":"01","structure":"S1"}',
+    '{"image_path":"b\\u2028","state":"06","structure":"S2","load_rating_tons":1.5}',
+    "", "  ", '{"image_path":"c"}', '{"image_path":', "[1]", "x",
+])
+BREAKS = st.sampled_from(LINE_BREAKS)
+NDJSON_TEXT = st.lists(st.tuples(LINE_PIECES, BREAKS), max_size=12).map(
+    lambda parts: "".join(piece + brk for piece, brk in parts)) | st.tuples(
+    st.lists(st.tuples(LINE_PIECES, BREAKS), max_size=12), LINE_PIECES).map(
+    lambda case: "".join(piece + brk for piece, brk in case[0]) + case[1])
+
+
+def _records_or_error(source):
+    try:
+        return from_ndjson(LabeledImage, source)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestBlockReader:
+    """An open file is read in blocks; its lines, records and FormatError
+    line numbers are those of ``str.splitlines`` over its whole text."""
+
+    @PROPERTY
+    @given(text=NDJSON_TEXT | st.text(st.sampled_from("ab\n\r" + "".join(LINE_BREAKS))),
+           size=st.integers(1, 9))
+    def test_lines_equal_splitlines(self, text, size):
+        numbered = []
+        for first, lines in _records._line_blocks(io.StringIO(text), size):
+            assert first == len(numbered) + 1
+            numbered.extend(lines)
+        assert numbered == text.splitlines()
+
+    @PROPERTY
+    @given(text=NDJSON_TEXT, size=st.integers(1, 40))
+    def test_records_and_errors_equal_those_of_the_text(self, text, size):
+        with mock.patch.object(_records, "_BLOCK", size):
+            assert _records_or_error(io.StringIO(text)) == _records_or_error(text)
+
+    def test_file_reads_like_its_text(self, tmp_path):
+        path = tmp_path / "labeled.ndjson"
+        good = '{"image_path":"a","state":"01","structure":"S1"}'
+        path.write_bytes((good + "\r\n\r\n" + good + "\r" + good + "\n{").encode())
+        for size in (1, 2, 49, 50, 51, 1 << 20):
+            with mock.patch.object(_records, "_BLOCK", size), open(path) as fh:
+                assert _records_or_error(fh) == _records_or_error(path.read_text())
+        assert "line 5: not valid JSON" in _records_or_error(path.read_text())
+
+    def test_file_writes_the_text_in_blocks(self):
+        records = [LabeledImage(f"p{i}", "01", f"S{i}", i, i / 3) for i in range(25)]
+        out = io.StringIO()
+        with mock.patch.object(_records, "_RECORDS_PER_BLOCK", 4):
+            assert to_ndjson(LabeledImage, records, out) is None
+        assert out.getvalue() == to_ndjson(LabeledImage, records)
+
+    def test_csv_blocks_write_the_text_of_one_block(self):
+        rows = [[f"p{i}", "a\rb" if i == 5 else "c,d", i] for i in range(11)]
+        whole = _records.to_csv(["path", "x", "n"], rows)
+        assert whole.count('"a\rb"') == 1 and whole.count('"p5"') == 1  # quoted row
+        assert whole.count("p4,") == 1  # rows without a \r keep their bytes
+        out = io.StringIO()
+        with mock.patch.object(_records, "_RECORDS_PER_BLOCK", 3):
+            assert _records.to_csv(["path", "x", "n"], iter(rows), out=out) is None
+        assert out.getvalue() == whole
 
 
 @st.composite
