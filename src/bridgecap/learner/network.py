@@ -184,39 +184,47 @@ def linear_head(n_features, class_labels) -> ArchitectureDescriptor:
 
 def network_from_checkpoint(ckpt, dtype=np.float32) -> "Network":
     """The network a checkpoint describes, carrying its weights."""
-    net = Network(ckpt.descriptor, seed=0, dtype=dtype)
-    net.set_weights(ckpt.weights)
-    return net
+    return Network(ckpt.descriptor, dtype=dtype, weights=ckpt.weights)
 
 
 class Network:
     """A stack of layers instantiated from a descriptor.
 
     Deterministic: weights come from one seeded generator consumed in
-    layer order. Its methods and every layer method run on the calling
-    thread; layers may hand per-image slices to helper threads, which
-    changes no output byte (see ``layers``). ``dtype`` is float32 for
-    training and checkpoints; gradient-check tests build float64
-    instances.
+    layer order, or are copied from ``weights`` (in ``parameters`` order),
+    which draws nothing. Its methods and every layer ``forward`` and
+    ``backward`` run on the calling thread; layers may hand per-image
+    slices to helper threads, which changes no output byte (see
+    ``layers``). ``dtype`` is float32 for training and checkpoints;
+    gradient-check tests build float64 instances.
 
     A uint8 input to any method is pixels (``imaging.to_pixels``): it is
     scaled to [0, 1] in ``dtype`` by ``imaging.pixels_to_tensor`` on the
     calling thread, so a caller can hold a whole image set as uint8 and
-    only the batch being forwarded exists as floats. Any other input is
-    cast to ``dtype``.
+    only the batch being forwarded, or the group ``predict_proba`` holds,
+    exists as floats. Any other input is cast to ``dtype``.
 
     ``forward`` and ``logits`` are inference: no layer keeps anything
     after them. Only ``loss_and_grads`` runs layers in training mode,
     and its backward pass consumes what they saved. It starts training
     mode at the lowest layer with parameters and stops the backward pass
     there, since no caller reads a gradient below it.
+
+    ``train.predict_proba`` infers through ``_trunk_features`` and
+    ``_head`` instead of ``forward``. The trunk, the leading conv, relu
+    and maxpool layers and the flatten after them, runs over a group of
+    chunks through ``layers.begin_trunk``, whose slices call only the
+    layers' private kernels. The head, every layer after the trunk, runs
+    its ``forward`` over each chunk. Each chunk's probabilities are the
+    bytes ``forward`` gives for it.
     """
 
-    def __init__(self, descriptor: ArchitectureDescriptor, seed: int = 0, dtype=np.float32):
+    def __init__(self, descriptor: ArchitectureDescriptor, seed: int = 0, dtype=np.float32,
+                 weights=None):
         descriptor = normalize_descriptor(descriptor)
         self.descriptor = descriptor
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if weights is None else None
         self.layers = []
         for spec in descriptor.layers:
             op = spec["op"]
@@ -240,6 +248,18 @@ class Network:
         self._first_param = next(
             (i for i, layer in enumerate(self.layers) if layer.params), len(self.layers) - 1
         )
+        # The trunk: the leading conv, relu and maxpool layers and the
+        # flatten after them, or nothing if no flatten follows them.
+        ops = [spec["op"] for spec in descriptor.layers]
+        lead = next(i for i, op in enumerate(ops) if op not in ("conv", "relu", "maxpool"))
+        self._trunk_end = lead + 1 if ops[lead] == "flatten" else 0
+        # Past the trunk every layer is flat, and only an fc changes the
+        # width, so the trunk's width is the next fc's input width or
+        # else the head's.
+        fc = next((s for s in descriptor.layers[self._trunk_end :] if s["op"] == "fc"), None)
+        self._trunk_width = fc["n_in"] if fc else descriptor.num_classes
+        if weights is not None:
+            self.set_weights(weights)
 
     # perfbench/tests/check_bench.py expects the benchmark tracer to
     # find the constructor under this name as well.
@@ -293,6 +313,36 @@ class Network:
     def forward(self, x) -> np.ndarray:
         """Class probability rows (each sums to 1)."""
         return self._infer(x, self.layers)
+
+    def _trunk_features(self, groups):
+        """Yield the trunk's output for each group of chunks in turn.
+        Each chunk is checked and scaled on its own and a group's chunks
+        are stacked. While the caller works on one group's output, the
+        helper threads already run the next group's trunk."""
+        pending = None
+        for group in groups:
+            x = [self._check_input(chunk) for chunk in group]
+            x = x[0] if len(x) == 1 else np.concatenate(x)
+            if not self._trunk_end:
+                yield x
+                continue
+            out = np.empty((len(x), self._trunk_width), dtype=self.dtype)
+            finish = L.begin_trunk(self.layers[: self._trunk_end], x, out)
+            try:
+                if pending is not None:
+                    yield pending
+            finally:
+                finish()
+            pending = out
+        if pending is not None:
+            yield pending
+
+    def _head(self, features):
+        """The layers after the trunk over ``features``, as ``forward``
+        runs them."""
+        for layer in self.layers[self._trunk_end :]:
+            features = layer.forward(features)
+        return features
 
     def logits(self, x) -> np.ndarray:
         return self._infer(x, self.layers[:-1])

@@ -83,6 +83,28 @@ class TestMergeSmallClasses:
         assert merged.edges == (0.0, 10.0)
 
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 120)), min_size=1, max_size=9),
+           st.integers(1, 150))
+    def test_invariants(self, steps_and_counts, threshold):
+        edges = [0.0]
+        for step, _ in steps_and_counts[1:]:
+            edges.append(edges[-1] + step)
+        counts = [count for _, count in steps_and_counts]
+        scheme = ds.BinningScheme(name="lr", edges=tuple(edges))
+        merged = ds.merge_small_classes(counts, scheme, threshold)
+        # The new edges are a subsequence of the old ones that keeps the first.
+        assert merged.edges[0] == scheme.edges[0]
+        position = iter(scheme.edges)
+        assert all(edge in position for edge in merged.edges)
+        # Each old bin falls into the new bin whose interval holds its lower edge.
+        new_counts = [0] * merged.bin_count
+        for edge, count in zip(scheme.edges, counts):
+            new_counts[ds.bin_load_rating(edge, merged) - 1] += count
+        assert sum(new_counts) == sum(counts)
+        assert merged.bin_count == 1 or min(new_counts) >= threshold
+
+
 class TestClassMap:
     def test_drop(self):
         spec = ds.load_preset("DL1").label_source
@@ -181,6 +203,19 @@ class TestSplit:
     def test_plain_random_mode(self):
         split = ds.split_dataset(make_items({1: 10, 2: 10}), seed=3, stratified=False)
         assert len(split.train) == 16 and len(split.test) == 4
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.dictionaries(st.integers(1, 6), st.integers(2, 25), min_size=1, max_size=5),
+           st.sampled_from([0.5, 0.7, 0.8, 0.9]), st.integers(0, 2**32 - 1), st.booleans())
+    def test_partition_invariants(self, counts, fraction, seed, stratified):
+        items = make_items(counts)
+        split = ds.split_dataset(items, split_fraction=fraction, seed=seed, stratified=stratified)
+        train = [i.image_path for i in split.train]
+        test = [i.image_path for i in split.test]
+        assert set(train).isdisjoint(test)
+        assert sorted(train + test) == sorted(i.image_path for i in items)
+        assert ds.split_dataset(items, split_fraction=fraction, seed=seed,
+                                stratified=stratified) == split
 
     def test_bridge_level_keeps_bridges_whole(self):
         items = []

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import struct
 import threading
@@ -382,15 +383,17 @@ class TestTrainingOnlyCaches:
 class TestPredictProba:
     @staticmethod
     def count_forward_rows(net):
-        """Record the row count of every ``net.forward`` call."""
+        """Record the row count of every forward call of the network's
+        first ``FullyConnected`` layer, where the head starts."""
         rows = []
-        forward = net.forward
+        fc = next(layer for layer in net.layers if isinstance(layer, L.FullyConnected))
+        forward = fc.forward
 
         def counted(x):
             rows.append(len(x))
             return forward(x)
 
-        net.forward = counted
+        fc.forward = counted
         return rows
 
     @pytest.mark.parametrize("batch_size", [None, 3, 16])
@@ -406,6 +409,40 @@ class TestPredictProba:
             assert sum(rows) == n and len(rows) == math.ceil(n / limit)
             assert max(rows) - min(rows) <= 1
             assert min(rows) >= 2 or n == 1, (n, rows)
+
+    @PROPERTY
+    @given(width=st.integers(2, 9), n=st.integers(1, 70),
+           batch_size=st.sampled_from([None, 3, 16]), helpers=st.sampled_from(HELPER_COUNTS),
+           pixels=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_forward_chunk_by_chunk(self, width, n, batch_size, helpers, pixels,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        net = Network(micro_cnn([str(i) for i in range(width)], input_shape=(3, 8, 8)),
+                      seed=seed % 1000)
+        x = (rng.integers(0, 256, (n, 3, 8, 8), dtype=np.uint8) if pixels
+             else rng.random((n, 3, 8, 8), dtype=np.float32))
+        chunks = np.array_split(x, math.ceil(n / (batch_size or 8)))
+        expected = np.concatenate([net.forward(chunk) for chunk in chunks])
+        with split_helpers(helpers):
+            probs = predict_proba(net, x, *(() if batch_size is None else (batch_size,)))
+        assert probs.dtype == expected.dtype and probs.tobytes() == expected.tobytes()
+
+    def test_zero_rows_keep_the_dtype_and_check_the_shape(self):
+        for dtype in (np.float32, np.float64):
+            net = Network(micro_cnn(["a", "b"], input_shape=(3, 8, 8)), seed=0, dtype=dtype)
+            probs = predict_proba(net, np.zeros((0, 3, 8, 8), dtype=np.uint8))
+            assert probs.shape == (0, 2) and probs.dtype == dtype
+            probs = net.forward(np.zeros((0, 3, 8, 8), dtype=np.uint8))
+            assert probs.shape == (0, 2) and probs.dtype == dtype
+            for n in (0, 2):
+                with pytest.raises(DomainError, match="input layer"):
+                    predict_proba(net, np.zeros((n, 3, 9, 9), dtype=np.float32))
+
+    def test_feature_head_has_no_trunk(self):
+        net = Network(linear_head(5, ["a", "b", "c"]), seed=1)
+        x = np.random.default_rng(3).random((41, 5), dtype=np.float32)
+        expected = np.concatenate([net.forward(c) for c in np.array_split(x, 6)])
+        assert predict_proba(net, x).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [2, 17, 33, 120])
     def test_chunks_agree_with_one_whole_batch_forward(self, n):
@@ -522,15 +559,15 @@ class TestSplit:
         for name, value in list(vars(Network).items()):
             if callable(value) and not isinstance(value, (type, staticmethod)):
                 monkeypatch.setattr(Network, name, recorded(value))
-        split = L._split
+        begin = L._begin
 
-        def recorded_split(fn, n):
+        def recorded_begin(fn, n):
             def run(part):
                 slice_threads.add(threading.get_ident())
                 fn(part)
-            split(run, n)
+            return begin(run, n)
 
-        monkeypatch.setattr(L, "_split", recorded_split)
+        monkeypatch.setattr(L, "_begin", recorded_begin)
         net = Network(micro_cnn(["a", "b"], input_shape=(3, 16, 16)), seed=0)
         x = np.random.default_rng(1).random((37, 3, 16, 16), dtype=np.float32)
         with split_helpers(3):
@@ -538,9 +575,13 @@ class TestSplit:
                 net.loss_and_grads(x, np.arange(37) % 2)
             net.set_weights(net.get_weights())
             net.logits(x)
-            predict_proba(net, x, batch_size=37)
+            assert len(slice_threads) > 1  # the helpers did take slices
+            slice_threads.clear()
+            for _ in range(3):
+                predict_proba(net, x, batch_size=37)
+                predict_proba(net, x, batch_size=5)
         assert method_threads == {caller}
-        assert len(slice_threads) > 1  # the helpers did take slices
+        assert len(slice_threads) > 1  # and slices of the inference trunk
 
     def test_error_reaches_caller_after_every_started_slice(self):
         caller = threading.get_ident()
@@ -567,6 +608,27 @@ class TestSplit:
             with pytest.raises(RuntimeError) as info:
                 L._split(fn, 3 * L._SLICE)
             assert info.value is boom and finished
+
+    def test_trunk_slice_exception_reaches_caller_and_pool_survives(self, monkeypatch):
+        caller = threading.get_ident()
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 8, 8)), seed=0)
+        x = np.random.default_rng(2).random((70, 3, 8, 8), dtype=np.float32)
+        expected = predict_proba(net, x).tobytes()
+        boom = RuntimeError("slice failed")
+        infer = L.MaxPool._infer_slice
+
+        def failing(self, h, out=None):
+            if threading.get_ident() != caller:
+                raise boom
+            return infer(self, h, out)
+
+        with split_helpers(3):
+            monkeypatch.setattr(L.MaxPool, "_infer_slice", failing)
+            with pytest.raises(RuntimeError) as info:
+                predict_proba(net, x)
+            assert info.value is boom
+            monkeypatch.setattr(L.MaxPool, "_infer_slice", infer)
+            assert predict_proba(net, x).tobytes() == expected
 
     @pytest.mark.parametrize("make_layer,shape", [
         (lambda: L.Conv(3, 3, 2, 3, 1, 1, np.random.default_rng(0), np.float32),
@@ -816,6 +878,31 @@ class TestCheckpoint:
         out1 = net.forward(x)
         out2 = network_from_checkpoint(loaded).forward(x)
         assert np.array_equal(out1, out2)
+
+    def test_seeded_init_bytes_are_pinned(self):
+        digests = []
+        for dtype in (np.float32, np.float64):
+            desc = micro_cnn(["a", "b", "c"], input_shape=(3, 16, 16))
+            net = Network(desc, seed=11, dtype=dtype)
+            raw = b"".join(p.tobytes() for p in net.parameters())
+            digests.append(hashlib.sha256(raw).hexdigest())
+        assert digests == [
+            "076b4046fa28a1ec291c20fe8a96f989684e7c5d4eb3d0d93cba6158c3e35f1b",
+            "62bd321a732182eb36a81c2f9bca8abde64ffa56283f21e3822931d185f4b48e",
+        ]
+
+    def test_from_checkpoint_draws_no_initial_weights(self, monkeypatch):
+        net = Network(tiny_descriptor(4), seed=3)
+        ckpt = make_checkpoint(net)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew initial weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = network_from_checkpoint(ckpt, dtype=np.float64)
+        assert [p.dtype for p in loaded.parameters()] == [np.dtype(np.float64)] * len(ckpt.weights)
+        for got, saved in zip(loaded.parameters(), ckpt.weights):
+            assert got.tobytes() == saved.astype(np.float64).tobytes()
 
     def test_serialization_deterministic(self):
         net = Network(tiny_descriptor(4), seed=1)
