@@ -275,7 +275,7 @@ def cmd_evaluate(args, argv) -> int:
     loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode, size)
     x = np.empty((len(items), 3, *size), dtype=np.uint8)
     for row, item in zip(x, items):
-        row[...] = loader(item.image_path)
+        loader(item.image_path, out=row)
     truths = np.array([index[item.cls] for item in items])
     preds = predict(net, x)
 

@@ -208,14 +208,16 @@ def tag_completion(
     """Ensure every image carries a completion flag.
 
     source="manifest" passes existing flags through; images without one
-    become rejects. source="model" decodes every image file into one
-    uint8 pixel array (one that cannot be read or decoded becomes a
-    reject), classifies the decoded ones in a single ``predict_proba``
-    call with a 2-class checkpoint
-    (labels must include "complete") and records the per-image
-    probability. A checkpoint whose input is not a (3, h, w) image
-    raises DomainError before any image is read. Labels and paths are
-    never altered.
+    become rejects. source="model" allocates one uint8 (n, 3, h, w)
+    array for the n images and has the loader write each image file
+    straight into the next free row, so the pixels are held once and not
+    copied again. An image that cannot be read or decoded becomes a
+    reject, whose reason does not repeat the path, and leaves its row to
+    the next image. The decoded rows are classified in a single
+    ``predict_proba`` call with a 2-class checkpoint (labels must
+    include "complete"), and the per-image probability is recorded. A
+    checkpoint whose input is not a (3, h, w) image raises DomainError
+    before any image is read. Labels and paths are never altered.
     """
     if source == "manifest":
         tagged = []
@@ -253,9 +255,10 @@ def tag_completion(
     rejects = []
     for img in images:
         try:
-            pixels[len(decoded)] = load(img.image_path)
+            load(img.image_path, out=pixels[len(decoded)])
         except (OSError, FormatError) as exc:
-            rejects.append((img.image_path, str(exc)))
+            # A decode error names the file, and so does the reject.
+            rejects.append((img.image_path, str(exc.__cause__ or exc)))
             continue
         decoded.append(img)
 

@@ -13,9 +13,17 @@ tensor takes 4. Only the batch being forwarded is scaled to floats in
 CLI and model descriptors: ``rgb`` keeps the colour channels,
 ``grayscale`` feeds BT.601 luminance copied into all three, so one
 network shape serves both.
+
+Memory along the loader's path, per image: ``load_image`` reads the
+file into one bytes object and ``decode_pnm`` views its payload without
+copying it. ``resize_bilinear`` gathers the four corner samples it
+needs, works in float64 buffers of the output's size and returns a view
+of a new channel-first uint8 array. ``to_pixels`` writes that once into
+its ``out`` row, which callers take from their preallocated batch.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +103,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def decode_pnm(data: bytes) -> RgbImage | GrayImage:
     """Decode binary PNM bytes (P5 grayscale or P6 colour, maxval 255).
 
+    The pixels are a read-only view of ``data``'s payload, not a copy.
     Raises FormatError (citing the byte offset or the expected vs actual
     payload length) on bad magic, unsupported maxval, or truncation.
     """
@@ -124,12 +133,11 @@ def decode_pnm(data: bytes) -> RgbImage | GrayImage:
     pos += 1
 
     expected = width * height * channels
-    payload = data[pos:]
-    if len(payload) != expected:
+    if len(data) - pos != expected:
         raise FormatError(
-            f"payload length mismatch: expected {expected} bytes, got {len(payload)}"
+            f"payload length mismatch: expected {expected} bytes, got {len(data) - pos}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8, offset=pos)
     if channels == 1:
         return GrayImage(arr.reshape(height, width))
     return RgbImage(arr.reshape(height, width, 3))
@@ -148,15 +156,17 @@ def encode_pnm(img: RgbImage | GrayImage) -> bytes:
 
 
 def load_image(path) -> RgbImage | GrayImage:
-    """Read an image file. PNM is decoded natively; anything else goes
-    through Pillow when it is installed."""
+    """Read an image file. PNM is decoded natively from one read of the
+    file; anything else goes through Pillow when it is installed. A file
+    that cannot be decoded raises FormatError naming ``path``."""
     path = str(path)
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        fh.seek(0)
         data = fh.read()
-    if head in (b"P5", b"P6"):
-        return decode_pnm(data)
+    if data[:2] in (b"P5", b"P6"):
+        try:
+            return decode_pnm(data)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     try:
         from PIL import Image
     except ImportError:
@@ -177,61 +187,111 @@ def to_grayscale(img: RgbImage) -> GrayImage:
     return GrayImage(y.astype(np.uint8))
 
 
+@lru_cache(maxsize=32)
 def _axis_coords(n_in: int, n_out: int):
-    """Half-pixel source coordinates with edge clamping."""
+    """Half-pixel source coordinates with edge clamping: the lower and
+    upper sample index and the upper sample's weight per output position.
+    Memoised, so the three (n_out,) arrays are read-only."""
     x = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     x = np.clip(x, 0.0, n_in - 1)
     i0 = np.floor(x).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, x - i0
+    coords = i0, i1, x - i0
+    for a in coords:
+        a.flags.writeable = False
+    return coords
+
+
+@lru_cache(maxsize=32)
+def _column_index(n_in: int, n_out: int, channels: int):
+    """``_axis_coords`` for the columns of an image row flattened to
+    ``n_in * channels`` interleaved values: the lower and upper sample
+    indices as (channels, n_out) arrays, one row per channel, plus the
+    (n_out,) weights. Memoised and read-only."""
+    i0, i1, w = _axis_coords(n_in, n_out)
+    lanes = np.arange(channels)[:, None]
+    index = i0 * channels + lanes, i1 * channels + lanes
+    for a in index:
+        a.flags.writeable = False
+    return (*index, w)
 
 
 def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
     """Bilinear resize (not aspect-preserving). Resizing to the source
-    dimensions returns ``img`` itself; uniform images stay uniform."""
+    dimensions returns ``img`` itself; uniform images stay uniform.
+
+    The result's pixels are a view of a new C-contiguous uint8
+    (channels, out_h, out_w) array, so ``to_pixels`` copies them out in
+    one block. Only the four corner samples of each output value are
+    read from the source and converted to float64; the lerps run in
+    place in four buffers of the output's size, each row holding one
+    run of ``out_w`` values per channel, against the (out_w,) weight row.
+    """
     if out_w < 1 or out_h < 1:
         raise DomainError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
     if (out_w, out_h) == (img.width, img.height):
         return img
     gray = isinstance(img, GrayImage)
-    px = img.pixels[:, :, None] if gray else img.pixels
+    channels = 1 if gray else 3
+    rows = img.pixels.reshape(img.height, img.width * channels)
 
-    x0, x1, wx = _axis_coords(img.width, out_w)
+    x0, x1, wx = _column_index(img.width, out_w, channels)
     y0, y1, wy = _axis_coords(img.height, out_h)
-    wx = wx[None, :, None]
-    wy = wy[:, None, None]
 
-    # Gather the four corner samples while still uint8 (rows, then
-    # columns) and convert only them: a downscale reads a small share of
-    # the source pixels.
-    top_rows, bot_rows = px.take(y0, axis=0), px.take(y1, axis=0)
+    # Gather the source rows, then from each the (channels, out_w)
+    # samples: (out_h, channels, out_w), still uint8 until the cast.
+    top_rows, bot_rows = rows.take(y0, axis=0), rows.take(y1, axis=0)
     a, b = (top_rows.take(x, axis=1).astype(np.float64) for x in (x0, x1))
     c, d = (bot_rows.take(x, axis=1).astype(np.float64) for x in (x0, x1))
 
     # Lerp form a + w*(b - a) is exact when a == b, which keeps an axis
-    # resized to its own length and uniform images bit-stable.
-    top = a + wx * (b - a)
-    bot = c + wx * (d - c)
-    out = top + wy * (bot - top)
+    # resized to its own length and uniform images bit-stable. Each step
+    # is a float64 operation of that expression on the same operands
+    # (IEEE + and * commute), so the bytes do not depend on the layout.
+    b -= a
+    b *= wx
+    b += a  # top
+    d -= c
+    d *= wx
+    d += c  # bottom
+    d -= b
+    d *= wy[:, None, None]
+    d += b
+    d += 0.5
+    np.floor(d, out=d)
+    np.clip(d, 0, 255, out=d)
 
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return GrayImage(out[:, :, 0]) if gray else RgbImage(out)
+    planar = np.empty((channels, out_h, out_w), dtype=np.uint8)
+    np.copyto(planar.transpose(1, 0, 2), d, casting="unsafe")
+    return GrayImage(planar[0]) if gray else RgbImage(planar.transpose(1, 2, 0))
 
 
-def to_pixels(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
-    """The image as a new C-contiguous uint8 (3, height, width) array.
+def to_pixels(
+    img: RgbImage | GrayImage, colour_mode: str = "rgb", out: np.ndarray | None = None
+) -> np.ndarray:
+    """The image as a C-contiguous uint8 (3, height, width) array:
+    written into ``out`` when one is given, else into a new array, and
+    returned.
 
     ``rgb`` keeps the three colour channels (grayscale input is
     replicated); ``grayscale`` converts colour input to luminance and
-    copies it into all three channels.
+    copies it into all three channels. Beside that conversion, the
+    pixels are copied once, from the image into the result.
     """
     if colour_mode not in COLOUR_MODES:
         raise DomainError(f"unknown colour mode {colour_mode!r}")
     if colour_mode == "grayscale" and isinstance(img, RgbImage):
         img = to_grayscale(img)
+    shape = (3, img.height, img.width)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint8)
+    elif out.shape != shape or out.dtype != np.uint8:
+        raise DomainError(f"out must be a uint8 {shape} array, got {out.dtype} {out.shape}")
     if isinstance(img, GrayImage):
-        return np.repeat(img.pixels[None, :, :], 3, axis=0)
-    return np.moveaxis(img.pixels, 2, 0).copy()
+        out[...] = img.pixels
+    else:
+        out[...] = img.pixels.transpose(2, 0, 1)
+    return out
 
 
 def pixels_to_tensor(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
@@ -250,15 +310,20 @@ def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray
 
 def make_loader(image_root, colour_mode: str, size):
     """Per-image pipeline for a network input of ``size`` =
-    (height, width): decode, resize and colour-convert into the
-    ``to_pixels`` uint8 (3, height, width) array. A ``Network`` scales
-    uint8 input itself, chunk by chunk. Paths are taken relative to
-    ``image_root`` when one is given."""
+    (height, width). ``load(path, out=None)`` decodes, resizes and
+    colour-converts one image into the ``to_pixels`` uint8
+    (3, height, width) array: into ``out`` when one is given, typically
+    a row of the caller's batch, else into a new array, which it
+    returns. A call holds the file's bytes, the resize's float64 buffers
+    and its uint8 result only until it returns; the result reaches
+    ``out`` in one copy. A ``Network`` scales uint8 input itself, chunk
+    by chunk. Paths are taken relative to ``image_root`` when one is
+    given."""
     root = Path(image_root) if image_root else None
     height, width = size
 
-    def load(path: str) -> np.ndarray:
+    def load(path: str, out=None) -> np.ndarray:
         img = load_image(root / path if root else Path(path))
-        return to_pixels(resize_bilinear(img, width, height), colour_mode)
+        return to_pixels(resize_bilinear(img, width, height), colour_mode, out)
 
     return load

@@ -188,13 +188,13 @@ def fit(
 
 
 def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
-    """Train on a DatasetSplit: ``data_source(image_path)`` yields the
-    (c, h, w) array for one image, uint8 pixels from
-    ``imaging.make_loader`` or floats. Each side is decoded straight
-    into one array of the first image's dtype, so a set of uint8 pixels
-    is held once, at 1 byte per value. Split classes (1-based, possibly
-    sparse) are mapped onto the head's label positions in sorted order
-    and must match its width."""
+    """Train on a DatasetSplit. ``data_source(image_path, out=row)``
+    writes one image's uint8 pixels into ``row``, a (c, h, w) row of the
+    side's batch, as the ``imaging.make_loader`` loader does. Each side is
+    one uint8 array allocated up front, so its pixels are held once, at
+    1 byte per value, and each image is written once, into its row. Split
+    classes (1-based, possibly sparse) are mapped onto the head's label
+    positions in sorted order and must match its width."""
     classes = split.classes
     if len(classes) != net.descriptor.num_classes:
         raise DomainError(
@@ -204,12 +204,9 @@ def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
     index = {cls: i for i, cls in enumerate(classes)}
 
     def materialize(items):
-        xs = np.empty((0, *net.descriptor.input_shape), dtype=np.uint8)
-        for i, item in enumerate(items):
-            x = data_source(item.image_path)
-            if i == 0:
-                xs = np.empty((len(items), *np.shape(x)), dtype=np.asarray(x).dtype)
-            xs[i] = x
+        xs = np.empty((len(items), *net.descriptor.input_shape), dtype=np.uint8)
+        for row, item in zip(xs, items):
+            data_source(item.image_path, out=row)
         ys = np.array([index[item.cls] for item in items], dtype=np.int64)
         return xs, ys
 

@@ -62,8 +62,12 @@ def class_rating_tons(cls: int) -> float:
 
 
 def render_scene(cls: int, size: int, noise: int, jitter: int, rng) -> np.ndarray:
-    """Full (size, size, 3) uint8 scene for 0-based class ``cls``."""
-    img = _BACKGROUND[None, None, :] + rng.integers(-noise, noise + 1, size=(size, size, 3))
+    """Full (size, size, 3) uint8 scene for 0-based class ``cls``. The
+    scene is built in place in the int64 background noise that ``rng``
+    draws; beside the stripe noise, only the final uint8 array is
+    allocated."""
+    img = rng.integers(-noise, noise + 1, size=(size, size, 3))
+    img += _BACKGROUND
     n_stripes = cls + 1
     thickness = max(2, size // 16)
     for i in range(n_stripes):
@@ -71,10 +75,11 @@ def render_scene(cls: int, size: int, noise: int, jitter: int, rng) -> np.ndarra
         if jitter:
             center += int(rng.integers(-jitter, jitter + 1))
         top = min(max(center - thickness // 2, 0), size - thickness)
-        img[top : top + thickness, :, :] = _STRIPE[None, None, :] + rng.integers(
-            -noise // 2, noise // 2 + 1, size=(thickness, size, 3)
-        )
-    return np.clip(img, 0, 255).astype(np.uint8)
+        band = img[top : top + thickness]
+        band[...] = rng.integers(-noise // 2, noise // 2 + 1, size=(thickness, size, 3))
+        band += _STRIPE
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8)
 
 
 def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> RgbImage:

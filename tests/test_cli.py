@@ -266,6 +266,44 @@ class TestExitCodes:
         assert run("--help") == 0
         assert "bridgecap" in capsys.readouterr().out
 
+    def test_module_entry_point_help_is_0(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bridgecap
+
+        src = str(Path(bridgecap.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "bridgecap", "--help"],
+                              capture_output=True, text=True, cwd=src, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "bridgecap" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_truncated_image_is_2_and_named(self, small_corpus, tmp_path, capsys, command):
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn, save_checkpoint
+
+        images = sorted(p.name for p in (small_corpus / "images").glob("*.pnm"))[:4]
+        bad = small_corpus / "images" / images[2]
+        bad.write_bytes(bad.read_bytes()[:-3])
+        split = tmp_path / "split.csv"
+        split.write_text("image_path,class,side\n" + "".join(
+            f"images/{name},{1 + i % 2},{side}\n"
+            for i, name in enumerate(images) for side in ("train", "test")
+        ))
+        if command == "evaluate":
+            ckpt = tmp_path / "model.ckpt"
+            net = Network(micro_cnn(["1", "2"], input_shape=(3, 8, 8)), seed=0)
+            save_checkpoint(make_checkpoint(net), ckpt)
+            argv = ["evaluate", "--checkpoint", str(ckpt)]
+        else:
+            argv = ["train", "--size", "8", "--max-epochs", "1"]
+        capsys.readouterr()
+        assert run(*argv, "--split", str(split), "--image-root", str(small_corpus),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "payload length mismatch" in err
+
     @pytest.mark.parametrize("value", ['"abc"', "true", "NaN", "Infinity", "1e400"])
     def test_labeled_rating_not_a_finite_number_is_2(self, small_corpus, tmp_path, value):
         lines = (small_corpus / "joined" / "labeled.ndjson").read_text().splitlines()

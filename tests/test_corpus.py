@@ -387,6 +387,7 @@ class TestTagCompletion:
         assert [img.image_path for img in tagged] == kept
         assert [path for path, _ in report.rejects] == ["m3.pnm"]
         assert "payload length mismatch" in report.rejects[0][1]
+        assert "m3.pnm" not in report.rejects[0][1]  # the reject names it once
 
         load = make_loader(tmp_path, "rgb", (12, 12))
         expected = predict_proba(network_from_checkpoint(ckpt),

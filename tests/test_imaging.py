@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +216,72 @@ class TestLoader:
         height, width = size
         expected = imaging.to_pixels(imaging.resize_bilinear(img, width, height), mode)
         assert out.tobytes() == expected.tobytes()
+
+
+class TestLoaderIntoRow:
+    @PROPERTY
+    @given(height=st.integers(1, 80), width=st.integers(1, 80),
+           out_h=st.integers(1, 80), out_w=st.integers(1, 80), gray=st.booleans(),
+           mode=st.sampled_from(imaging.COLOUR_MODES), seed=st.integers(0, 2**32 - 1))
+    @example(height=64, width=64, out_h=16, out_w=16, gray=False, mode="rgb", seed=1)
+    @example(height=9, width=7, out_h=9, out_w=7, gray=True, mode="grayscale", seed=2)
+    def test_row_holds_the_oracle_bytes_and_nothing_else_moves(
+            self, tmp_path_factory, height, width, out_h, out_w, gray, mode, seed):
+        img = random_image(seed, height, width, gray)
+        root = tmp_path_factory.mktemp("loader")
+        (root / "i.pnm").write_bytes(imaging.encode_pnm(img))
+        batch = np.full((5, 3, out_h, out_w), 0xA5, dtype=np.uint8)
+        row = batch[2]
+        returned = imaging.make_loader(root, mode, (out_h, out_w))("i.pnm", out=row)
+        assert returned is row
+        resized = float_first_resize(img, out_w, out_h)
+        resized = imaging.GrayImage(resized) if gray else imaging.RgbImage(resized)
+        assert row.tobytes() == imaging.to_pixels(resized, mode).tobytes()
+        for other in (0, 1, 3, 4):
+            assert (batch[other] == 0xA5).all()
+
+
+class TestAxisCoords:
+    def test_memoised_arrays_are_read_only_and_equal_across_calls(self):
+        first = imaging._axis_coords(256, 64)
+        again = imaging._axis_coords(256, 64)
+        for a, b in zip(first, again):
+            assert not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_column_index_addresses_interleaved_values(self):
+        i0, i1, w = imaging._axis_coords(10, 4)
+        c0, c1, cw = imaging._column_index(10, 4, 3)
+        assert c0.shape == c1.shape == (3, 4)
+        assert (c0 == i0 * 3 + np.arange(3)[:, None]).all()
+        assert (c1 == i1 * 3 + np.arange(3)[:, None]).all()
+        assert cw is w and not c0.flags.writeable and not c1.flags.writeable
+
+
+class TestToPixelsOut:
+    @pytest.mark.parametrize("mode", imaging.COLOUR_MODES)
+    @pytest.mark.parametrize("gray", [False, True], ids=["rgb", "gray"])
+    def test_returns_out_holding_the_pixels(self, mode, gray):
+        img = random_image(21, 6, 4, gray)
+        out = np.zeros((3, 6, 4), dtype=np.uint8)
+        assert imaging.to_pixels(img, mode, out=out) is out
+        assert out.tobytes() == imaging.to_pixels(img, mode).tobytes()
+
+    @pytest.mark.parametrize("out", [np.zeros((3, 4, 6), np.uint8), np.zeros((3, 6, 4)),
+                                     np.zeros((1, 6, 4), np.uint8)])
+    def test_out_of_another_shape_or_dtype_is_rejected(self, out):
+        with pytest.raises(DomainError, match="out must be"):
+            imaging.to_pixels(random_image(2, 6, 4, False), "rgb", out=out)
+
+
+class TestLoadImage:
+    def test_decode_error_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.pnm"
+        path.write_bytes(imaging.encode_pnm(random_image(1, 3, 2, False))[:-1])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload length"):
+            imaging.load_image(path)
 
 
 def mutate(data, ops):

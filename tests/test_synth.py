@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgecap import corpus, datasets, imaging, nbi, synth
 from bridgecap.errors import DomainError
@@ -75,6 +77,37 @@ class TestGenCorpus:
             synth.SynthSpec(classes=1)
         with pytest.raises(DomainError):
             synth.SynthSpec(partial_fraction=1.5)
+
+
+def allocating_render_scene(cls, size, noise, jitter, rng):
+    """The ``render_scene`` that allocated a new int64 array for the
+    background sum, each stripe band and the clip, kept as its oracle."""
+    img = synth._BACKGROUND[None, None, :] + rng.integers(-noise, noise + 1, size=(size, size, 3))
+    n_stripes = cls + 1
+    thickness = max(2, size // 16)
+    for i in range(n_stripes):
+        center = (i + 1) * size // (n_stripes + 1)
+        if jitter:
+            center += int(rng.integers(-jitter, jitter + 1))
+        top = min(max(center - thickness // 2, 0), size - thickness)
+        img[top : top + thickness, :, :] = synth._STRIPE[None, None, :] + rng.integers(
+            -noise // 2, noise // 2 + 1, size=(thickness, size, 3)
+        )
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+class TestRenderScene:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(cls=st.integers(0, 11), size=st.integers(8, 64), noise=st.integers(0, 300),
+           jitter=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_allocating_oracle_bytes(self, cls, size, noise, jitter, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scene = synth.render_scene(cls, size, noise, jitter, rng)
+        expected = allocating_render_scene(cls, size, noise, jitter, oracle_rng)
+        assert scene.dtype == np.uint8 and scene.shape == (size, size, 3)
+        assert scene.tobytes() == expected.tobytes()
+        # The same draws in the same order, so the next image is unchanged too.
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestLabeledCorpus:
