@@ -35,7 +35,6 @@ from .learner import (
     predict,
     save_checkpoint,
     train,
-    train_head_on_features,
 )
 
 
@@ -213,36 +212,29 @@ def cmd_train(args, argv) -> int:
     run = _Run(args, argv)
     config = TrainConfig(**_settings(args, "train"))
 
-    if args.features:
-        ckpt = train_head_on_features(Path(run.input(args.features)).read_text(), config=config)
-    elif args.split:
-        split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
-        classes = split.classes
-        labels = [str(c) for c in classes]
-        colour = args.colour or "rgb"
-        if args.dataset_manifest:
-            manifest = read_json(run.input(args.dataset_manifest), "dataset manifest")
-            try:
-                all_labels = manifest["class_labels"]
-                colour = manifest["colour"]
-                labels = [all_labels[c - 1] for c in classes]
-            except (KeyError, TypeError, IndexError) as exc:
-                raise FormatError(
-                    f"dataset manifest {args.dataset_manifest} needs a 'colour' and "
-                    f"'class_labels' covering classes {classes}: {type(exc).__name__} {exc}"
-                ) from exc
-            if args.colour is not None and args.colour != colour:
-                raise UsageError(
-                    f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"
-                )
-        descriptor = micro_cnn(
-            labels, input_shape=(3, args.size, args.size), colour_mode=colour
-        )
-        net = Network(descriptor, seed=config.seed)
-        loader = imaging.make_loader(args.image_root, colour, descriptor.image_size())
-        ckpt = train(net, split, config, loader)
-    else:
-        raise UsageError("train needs --split or --features")
+    split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
+    classes = split.classes
+    labels = [str(c) for c in classes]
+    colour = args.colour or "rgb"
+    if args.dataset_manifest:
+        manifest = read_json(run.input(args.dataset_manifest), "dataset manifest")
+        try:
+            all_labels = manifest["class_labels"]
+            colour = manifest["colour"]
+            labels = [all_labels[c - 1] for c in classes]
+        except (KeyError, TypeError, IndexError) as exc:
+            raise FormatError(
+                f"dataset manifest {args.dataset_manifest} needs a 'colour' and "
+                f"'class_labels' covering classes {classes}: {type(exc).__name__} {exc}"
+            ) from exc
+        if args.colour is not None and args.colour != colour:
+            raise UsageError(
+                f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"
+            )
+    descriptor = micro_cnn(labels, input_shape=(3, args.size, args.size), colour_mode=colour)
+    net = Network(descriptor, seed=config.seed)
+    loader = imaging.make_loader(args.image_root, colour, descriptor.image_size())
+    ckpt = train(net, split, config, loader)
 
     save_checkpoint(ckpt, run.output("model.ckpt"))
     _dump_json(ckpt.history, run.output("history.json"))
@@ -405,10 +397,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_dataset_build)
 
     p = sub.add_parser("train", help="train a classifier")
-    p.add_argument("--split", default=None, help="split.csv")
+    p.add_argument("--split", required=True, help="split.csv")
     p.add_argument("--image-root", default=None)
     p.add_argument("--dataset-manifest", default=None)
-    p.add_argument("--features", default=None, help="train a linear head on a feature CSV")
     p.add_argument("--colour", choices=imaging.COLOUR_MODES, default=None,
                    help="default: the dataset manifest's colour, else rgb")
     p.add_argument("--size", type=int, default=64)

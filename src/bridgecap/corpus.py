@@ -97,11 +97,6 @@ def iter_manifest(source):
         )
 
 
-def read_manifest(source) -> list[ManifestEntry]:
-    """Every entry of ``iter_manifest(source)``, held in one list."""
-    return list(iter_manifest(source))
-
-
 def _nonblank_rows(reader):
     """(file line where the row ends, row) for each row with a non-blank
     cell; the reader's csv.Error becomes FormatError naming its line."""
@@ -257,8 +252,10 @@ def tag_completion(
         try:
             load(img.image_path, out=pixels[len(decoded)])
         except (OSError, FormatError) as exc:
-            # A decode error names the file, and so does the reject.
-            rejects.append((img.image_path, str(exc.__cause__ or exc)))
+            # The reject names the file, so its reason is the bare error:
+            # an OSError's strerror, or the cause a decode error wraps.
+            reason = getattr(exc, "strerror", None) or exc.__cause__ or exc
+            rejects.append((img.image_path, str(reason)))
             continue
         decoded.append(img)
 

@@ -147,10 +147,6 @@ class ClassMapSpec:
             labels.append("+".join(DESIGN_CLASS_NAMES[c][0] for c in sorted(g)))
         return tuple(labels)
 
-    @property
-    def output_count(self) -> int:
-        return len(self.passthrough) + len(self.merge_groups)
-
 
 def map_design_load(paper_class: int, spec: ClassMapSpec) -> int | None:
     """Translate an inventory class to the variant's 1-based output class;
@@ -492,10 +488,6 @@ def _load_preset_table() -> dict:
 
     raw = files("bridgecap.data").joinpath("presets.json").read_text()
     return json.loads(raw)
-
-
-def preset_names() -> list[str]:
-    return sorted(_load_preset_table())
 
 
 _SPEC_SHAPE = {

@@ -22,6 +22,7 @@ of a new channel-first uint8 array. ``to_pixels`` writes that once into
 its ``out`` row, which callers take from their preallocated batch.
 """
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -79,25 +80,18 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
+_HEADER_SKIP = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*")
+_HEADER_TOKEN = re.compile(rb"[^ \t\r\n\x0b\x0c]+")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Return the next whitespace-delimited header token and the offset
     just past it, skipping ``#`` comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in b" \t\r\n\x0b\x0c":
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    pos = _HEADER_SKIP.match(data, pos).end()
+    token = _HEADER_TOKEN.match(data, pos)
+    if token is None:
         raise FormatError(f"unexpected end of header at offset {pos}")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in b" \t\r\n\x0b\x0c":
-        pos += 1
-    return data[start:pos], pos
+    return token.group(), token.end()
 
 
 def decode_pnm(data: bytes) -> RgbImage | GrayImage:
@@ -300,12 +294,6 @@ def pixels_to_tensor(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
     out = pixels.astype(dtype)
     out /= out.dtype.type(255)
     return out
-
-
-def to_tensor(img: RgbImage | GrayImage, colour_mode: str = "rgb") -> np.ndarray:
-    """A float32 (3, height, width) tensor scaled to [0, 1]: the
-    ``to_pixels`` array through ``pixels_to_tensor``."""
-    return pixels_to_tensor(to_pixels(img, colour_mode))
 
 
 def make_loader(image_root, colour_mode: str, size):

@@ -1,7 +1,6 @@
 from .network import (
     ArchitectureDescriptor,
     Network,
-    linear_head,
     micro_cnn,
     network_from_checkpoint,
     normalize_descriptor,
@@ -12,7 +11,6 @@ from .checkpoint import (
     checkpoint_to_bytes,
     load_checkpoint,
     make_checkpoint,
-    reinit_head,
     save_checkpoint,
 )
 from .train import (
@@ -22,9 +20,7 @@ from .train import (
     fit,
     predict,
     predict_proba,
-    read_features_csv,
     train,
-    train_head_on_features,
 )
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "checkpoint_to_bytes",
     "evaluate",
     "fit",
-    "linear_head",
     "load_checkpoint",
     "make_checkpoint",
     "micro_cnn",
@@ -45,9 +40,6 @@ __all__ = [
     "normalize_descriptor",
     "predict",
     "predict_proba",
-    "read_features_csv",
-    "reinit_head",
     "save_checkpoint",
     "train",
-    "train_head_on_features",
 ]

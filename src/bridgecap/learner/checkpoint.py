@@ -1,4 +1,4 @@
-"""Checkpoint serialization and head surgery.
+"""Checkpoint serialization.
 
 Byte layout (all integers little-endian):
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .._records import plain
 from ..errors import DomainError, FormatError
-from .network import ArchitectureDescriptor, Network, normalize_descriptor
+from .network import ArchitectureDescriptor, Network
 
 MAGIC = b"BCAP"
 VERSION = 1
@@ -147,47 +147,3 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         return checkpoint_from_bytes(fh.read())
-
-
-def reinit_head(ckpt: Checkpoint, new_class_count: int, seed: int,
-                class_labels=None) -> Checkpoint:
-    """Replace the final fully-connected layer with a freshly initialized
-    head of the requested width; every other layer's bytes are copied
-    unchanged. Training history does not carry over."""
-    if new_class_count < 2:
-        raise DomainError(f"head needs at least 2 classes, got {new_class_count}")
-    labels = tuple(str(c) for c in (class_labels or range(1, new_class_count + 1)))
-    if len(labels) != new_class_count:
-        raise DomainError(f"{len(labels)} labels for {new_class_count} classes")
-
-    specs = [dict(s) for s in ckpt.descriptor.layers]
-    fc_indices = [i for i, s in enumerate(specs) if s["op"] == "fc"]
-    if not fc_indices:
-        raise DomainError("descriptor has no fully-connected layer to reinitialize")
-    last_fc = fc_indices[-1]
-    specs[last_fc]["n_out"] = new_class_count
-
-    descriptor = normalize_descriptor(
-        ArchitectureDescriptor(
-            input_shape=ckpt.descriptor.input_shape,
-            layers=tuple(specs),
-            class_labels=labels,
-            colour_mode=ckpt.descriptor.colour_mode,
-        )
-    )
-
-    # Parameter index of the last fc's weight: two arrays per param layer.
-    param_layer = sum(1 for s in specs[:last_fc] if s["op"] in ("conv", "fc"))
-    w_idx = 2 * param_layer
-
-    n_in = specs[last_fc]["n_in"]
-    rng = np.random.default_rng(seed)
-    a = np.sqrt(6.0 / (n_in + new_class_count))
-    new_w = rng.uniform(-a, a, size=(n_in, new_class_count)).astype("<f4")
-    new_b = np.zeros(new_class_count, dtype="<f4")
-
-    weights = list(ckpt.weights)
-    weights[w_idx] = new_w
-    weights[w_idx + 1] = new_b
-    return Checkpoint(descriptor=descriptor,
-                      weights=_validate_weights(descriptor, weights), history={})

@@ -41,8 +41,9 @@ class ArchitectureDescriptor:
 
     def image_size(self) -> tuple[int, int]:
         """(height, width) of the image input; DomainError for a network
-        whose input is not a (3, height, width) image, such as a head on
-        feature vectors, since no image can be loaded for it."""
+        whose input is not a (3, height, width) image, such as a
+        checkpoint whose input is a flat vector, since no image can be
+        loaded for it."""
         if len(self.input_shape) != 3 or self.input_shape[0] != 3:
             raise DomainError(
                 f"network input {self.input_shape} is not a (3, height, width) image"
@@ -164,20 +165,6 @@ def micro_cnn(class_labels, input_shape=(3, 64, 64), colour_mode="rgb") -> Archi
             ),
             class_labels=tuple(str(c) for c in class_labels),
             colour_mode=colour_mode,
-        )
-    )
-
-
-def linear_head(n_features, class_labels) -> ArchitectureDescriptor:
-    """Single linear layer + softmax over fixed feature vectors."""
-    return normalize_descriptor(
-        ArchitectureDescriptor(
-            input_shape=(int(n_features),),
-            layers=(
-                {"op": "fc", "n_out": len(tuple(class_labels))},
-                {"op": "softmax"},
-            ),
-            class_labels=tuple(str(c) for c in class_labels),
         )
     )
 

@@ -7,17 +7,14 @@ reaches ``patience`` training halts. The returned checkpoint always
 holds the weights of the epoch with the highest validation accuracy.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._records import as_text
 from ..errors import ConfigError, DomainError, TrainingDivergedError
 from .checkpoint import Checkpoint, make_checkpoint
-from .network import Network, linear_head
+from .network import Network
 
 
 @dataclass(frozen=True)
@@ -213,87 +210,3 @@ def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
     x_train, y_train = materialize(split.train)
     x_val, y_val = materialize(split.test)
     return fit(net, x_train, y_train, x_val, y_val, config)
-
-
-# --- feature files -----------------------------------------------------------
-
-def read_features_csv(source) -> tuple[list[str], np.ndarray, list[str]]:
-    """Parse ``id,v1..vN,label`` rows into (ids, float matrix, labels).
-    A ragged row fails with its id; a non-numeric first data row is
-    treated as a header and skipped."""
-    rows = [r for r in csv.reader(io.StringIO(as_text(source, "utf-8"))) if r]
-    if not rows:
-        raise ConfigError("feature file is empty")
-
-    def numeric(row):
-        try:
-            [float(v) for v in row[1:-1]]
-            return True
-        except ValueError:
-            return False
-
-    if rows and not numeric(rows[0]):
-        rows = rows[1:]
-    if not rows:
-        raise ConfigError("feature file holds no data rows")
-
-    width = len(rows[0])
-    if width < 3:
-        raise ConfigError("feature rows need an id, at least one value, and a label")
-    ids, vectors, labels = [], [], []
-    for row in rows:
-        if len(row) != width:
-            raise ConfigError(
-                f"feature row {row[0]!r} has {len(row) - 2} values, expected {width - 2}"
-            )
-        ids.append(row[0])
-        try:
-            vectors.append([float(v) for v in row[1:-1]])
-        except ValueError as exc:
-            raise ConfigError(f"feature row {row[0]!r}: {exc}") from exc
-        labels.append(row[-1])
-    return ids, np.array(vectors, dtype=np.float32), labels
-
-
-def train_head_on_features(
-    features,
-    labels=None,
-    config: TrainConfig = TrainConfig(),
-    split_fraction: float = 0.8,
-) -> Checkpoint:
-    """Fit a linear+softmax head on fixed feature vectors, the stand-in
-    for transfer learning from an external pretrained backbone.
-
-    ``features`` is either a matrix (with ``labels`` alongside) or
-    feature-file CSV text. Holds out a seeded stratified share for
-    validation under the same early-stopping contract as image training.
-    """
-    if labels is None:
-        _, x, labels = read_features_csv(features)
-    else:
-        x = np.asarray(features, dtype=np.float32)
-        if x.ndim != 2:
-            raise DomainError(f"feature matrix must be 2-D, got shape {x.shape}")
-        labels = list(labels)
-    if len(labels) != len(x):
-        raise DomainError(f"{len(labels)} labels for {len(x)} feature rows")
-
-    class_names = sorted(set(str(v) for v in labels))
-    index = {name: i for i, name in enumerate(class_names)}
-    y = np.array([index[str(v)] for v in labels], dtype=np.int64)
-
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = [], []
-    for cls in range(len(class_names)):
-        members = np.flatnonzero(y == cls)
-        if len(members) < 2:
-            raise DomainError(f"class {class_names[cls]!r} has {len(members)} row(s); need >= 2")
-        perm = rng.permutation(len(members))
-        cut = math.floor(split_fraction * len(members))
-        train_idx.extend(members[perm[:cut]])
-        val_idx.extend(members[perm[cut:]])
-    train_idx = np.array(sorted(train_idx))
-    val_idx = np.array(sorted(val_idx))
-
-    net = Network(linear_head(x.shape[1], class_names), seed=config.seed)
-    return fit(net, x[train_idx], y[train_idx], x[val_idx], y[val_idx], config)

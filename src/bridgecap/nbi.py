@@ -329,8 +329,8 @@ _WRITER_COLUMNS = ("state", "structure", "design_load_code", "load_rating_tons")
 
 
 def write_delimited(records, separator: str = ",") -> str:
-    """Serialize records in the package's standard delimited layout
-    (see ``standard_profile``); re-parsing yields identical records."""
+    """Serialize records in the package's standard delimited layout;
+    re-parsing with the built-in ``"standard"`` profile yields identical records."""
     return to_csv(_WRITER_COLUMNS, (
         (
             rec.state,
@@ -340,22 +340,6 @@ def write_delimited(records, separator: str = ",") -> str:
         )
         for rec in records
     ), separator)
-
-
-def standard_profile(code_map: dict[str, int] | None = None) -> ParseProfile:
-    """Profile matching ``write_delimited`` output. By default the code
-    column already holds the class number ("1".."12")."""
-    if code_map is None:
-        code_map = {str(c): c for c in range(1, 13)}
-    return ParseProfile(
-        file_format=DelimitedFormat(separator=",", has_header=True),
-        state_column="state",
-        structure_column="structure",
-        design_load_column="design_load_code",
-        rating_column="load_rating_tons",
-        design_code_map=code_map,
-        name="standard",
-    )
 
 
 def records_to_ndjson(records, out=None) -> str | None:

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LabeledImage, ManifestEntry, write_manifest
-from .datasets import BinningScheme
 from .errors import DomainError
 from .imaging import RgbImage, encode_pnm
-from .nbi import DESIGN_CLASS_NAMES, NbiRecord, canonicalize, write_delimited
+from .nbi import NbiRecord, canonicalize, write_delimited
 
 _BACKGROUND = np.array([150, 180, 210], dtype=np.int64)  # hazy sky
 _STRIPE = np.array([62, 60, 70], dtype=np.int64)  # deck asphalt
@@ -48,12 +47,6 @@ class SynthSpec:
             raise DomainError(f"partial_fraction must be in [0, 1], got {self.partial_fraction}")
         if min(self.seed, self.noise, self.jitter) < 0:
             raise DomainError("seed, noise and jitter must be non-negative")
-
-
-def rating_scheme(classes: int) -> BinningScheme:
-    """The binning scheme under which the synthetic ratings reproduce the
-    visual classes: 15-ton-wide bins, last one open-ended."""
-    return BinningScheme(name=f"synth-{classes}", edges=tuple(15.0 * i for i in range(classes)))
 
 
 def class_rating_tons(cls: int) -> float:
@@ -172,44 +165,3 @@ def gen_corpus(spec: SynthSpec, out_dir) -> GeneratedCorpus:
         image_paths=tuple(rel_paths),
         labeled=tuple(labeled),
     )
-
-
-def gen_labeled_corpus(design_counts: dict[int, int], seed: int = 0) -> list[LabeledImage]:
-    """In-memory corpus with exact per-class design-load counts (keys are
-    inventory classes 1..12); ratings carry each class's nominal tonnage
-    where one exists. No image files are written; use it to exercise
-    dataset recipes at full published scale."""
-    labeled = []
-    for cls, count in sorted(design_counts.items()):
-        if cls not in DESIGN_CLASS_NAMES:
-            raise DomainError(f"design-load class {cls} outside 1..12")
-        _, tons = DESIGN_CLASS_NAMES[cls]
-        for idx in range(int(count)):
-            bridge = idx // 4
-            labeled.append(
-                LabeledImage(
-                    image_path=f"mem/dl{cls:02d}_{idx:05d}.pnm",
-                    state=_STATES[cls % len(_STATES)],
-                    structure=f"DL{cls}B{bridge:05d}",
-                    design_load_class=cls,
-                    load_rating_tons=tons,
-                    completion="complete",
-                )
-            )
-    return labeled
-
-
-def gen_confusions(count: int, k: int, seed: int = 0) -> list[np.ndarray]:
-    """Seeded random confusion-count matrices (K x K, non-negative,
-    positive total), diagonally weighted like a plausible classifier."""
-    if count < 1 or k < 2:
-        raise DomainError("need count >= 1 and k >= 2")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        counts = rng.poisson(2.0, size=(k, k)).astype(np.int64)
-        counts[np.diag_indices(k)] += rng.poisson(6.0, size=k).astype(np.int64)
-        if counts.sum() == 0:
-            counts[0, 0] = 1
-        out.append(counts)
-    return out

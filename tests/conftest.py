@@ -15,8 +15,8 @@ def nbi_fixture_path() -> Path:
 def nbi_fixture_records(nbi_fixture_path):
     from bridgecap import nbi
 
-    records, stats = nbi.parse_nbi(nbi_fixture_path.read_bytes(), nbi.standard_profile())
-    return records, stats
+    profile = nbi.load_builtin_profile("standard")
+    return nbi.parse_nbi(nbi_fixture_path.read_bytes(), profile)
 
 
 _HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()

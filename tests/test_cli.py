@@ -18,6 +18,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def missing_image_split(tmp_path):
+    """``train`` arguments for a split whose images do not exist: the run
+    resolves its config section, then exits 2 before the first epoch, so
+    no learning rate can diverge."""
+    split = tmp_path / "missing_images.csv"
+    split.write_text("image_path,class,side\ngone_a.pnm,1,train\ngone_b.pnm,2,test\n")
+    return ["--split", str(split), "--image-root", str(tmp_path)]
+
+
 @pytest.fixture()
 def small_corpus(tmp_path):
     """synth-gen + nbi-parse + corpus-match chained through the CLI."""
@@ -89,7 +98,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
-        from bridgecap.learner import Network, linear_head, make_checkpoint, save_checkpoint
+        from bridgecap.learner import Network, make_checkpoint, save_checkpoint
+        from helpers import linear_head
 
         ckpt = tmp_path / "head.ckpt"
         save_checkpoint(make_checkpoint(Network(linear_head(4, ["complete", "partial"]))), ckpt)
@@ -204,10 +214,8 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)  # synth-gen without --out writes to the working directory
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        features = tmp_path / "features.csv"
-        features.write_text("".join(f"r{i},{i % 2},{i},{'ab'[i % 2]}\n" for i in range(8)))
         argv = {
-            "train": ["train", "--features", str(features), "--out", str(tmp_path / "o")],
+            "train": ["train", *missing_image_split(tmp_path), "--out", str(tmp_path / "o")],
             "dataset": ["dataset-build", "LR5", "--out", str(tmp_path / "o"),
                         "--corpus", str(small_corpus / "joined" / "labeled.ndjson")],
             "paths": ["synth-gen", "--classes", "2", "--per-class", "3", "--size", "8"],
@@ -260,6 +268,12 @@ class TestExitCodes:
 
     def test_train_without_split_or_features_is_1(self, tmp_path):
         assert run("train", "--out", str(tmp_path / "m")) == 1
+        assert not (tmp_path / "m").exists()
+
+    def test_train_features_flag_is_1(self, tmp_path, capsys):
+        argv = ["train", *missing_image_split(tmp_path), "--out", str(tmp_path / "m")]
+        assert run(*argv, "--features", "x") == 1
+        assert "unrecognized arguments: --features x" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_help_is_0(self, capsys):
@@ -415,17 +429,14 @@ def read_document(small_corpus, tmp_path):
     labeled = str(small_corpus / "joined" / "labeled.ndjson")
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps(DOCUMENTS["confusion"]))
-    # One row per class: train rejects it after resolving the train
-    # section and before the first epoch, so no learning rate can diverge.
-    features = tmp_path / "one_row_per_class.csv"
-    features.write_text("r0,0.5,a\nr1,1.5,b\n")
+    split = missing_image_split(tmp_path)
 
     def read(kind, doc):
         path = tmp_path / f"{kind}.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         runs = {
             "config": [["--config", str(path), "dataset-build", "LR5", "--corpus", labeled],
-                       ["--config", str(path), "train", "--features", str(features)]],
+                       ["--config", str(path), "train", *split]],
             "spec": [["dataset-build", str(path), "--corpus", labeled]],
             "profile": [["nbi-parse", "--input", str(small_corpus / "inventory.csv"),
                          "--profile", str(path)]],
@@ -529,11 +540,9 @@ class TestDocumentShapes:
         ["synth-gen", "--jitter", "-1"],
     ], ids=["dataset_build_seed", "train_seed", "synth_seed", "synth_noise", "synth_jitter"])
     def test_negative_seed_or_amplitude_flag_is_2(self, small_corpus, tmp_path, argv):
-        features = tmp_path / "features.csv"
-        features.write_text("".join(f"r{i},{i % 2},{i},{'ab'[i % 2]}\n" for i in range(8)))
         inputs = {
             "dataset-build": ["--corpus", str(small_corpus / "joined" / "labeled.ndjson")],
-            "train": ["--features", str(features), "--max-epochs", "1"],
+            "train": [*missing_image_split(tmp_path), "--max-epochs", "1"],
             "synth-gen": ["--classes", "2", "--per-class", "2", "--size", "8"],
         }[argv[0]]
         assert run(*argv, *inputs, "--out", str(tmp_path / "out")) == 2

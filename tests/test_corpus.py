@@ -4,13 +4,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bridgecap import corpus, nbi, synth
+from bridgecap import corpus, nbi
 from bridgecap.errors import FormatError
+from helpers import gen_labeled_corpus
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
-# read_manifest strips the path, id and state, and skips a row with no
-# visible text: what it can read back unchanged.
+
+def read_manifest(source):
+    return list(corpus.iter_manifest(source))
+
+
+# The manifest reader strips the path, id and state, and skips a row with
+# no visible text: what it can read back unchanged.
 stripped = st.text().map(str.strip)
 manifest_entries = st.lists(st.builds(
     corpus.ManifestEntry,
@@ -46,13 +52,13 @@ class TestManifest:
             entry("b.pnm", "06", "77", completion=None),
         ]
         text = corpus.write_manifest(entries)
-        assert corpus.read_manifest(text) == entries
+        assert read_manifest(text) == entries
 
     @PROPERTY
     @given(manifest_entries)
     @example([entry("a\rb.pnm", "01", "S\r1", completion="partial"), entry("c.pnm", "06", "7")])
     def test_round_trip_any_text(self, entries):
-        assert corpus.read_manifest(corpus.write_manifest(entries)) == entries
+        assert read_manifest(corpus.write_manifest(entries)) == entries
 
     def test_rows_without_a_bare_cr_keep_their_bytes(self):
         entries = [entry("a\rb.pnm", "01", "S1"), entry("c,d.pnm", "06", "7", "complete")]
@@ -61,28 +67,28 @@ class TestManifest:
 
     def test_missing_required_column(self):
         with pytest.raises(FormatError, match="structure"):
-            corpus.read_manifest("image_path,bridge_local_id,state\na,b,c\n")
+            read_manifest("image_path,bridge_local_id,state\na,b,c\n")
 
     def test_bad_completion_value(self):
         text = "image_path,bridge_local_id,state,structure,completion\na,0,01,S1,half\n"
         with pytest.raises(FormatError, match="completion"):
-            corpus.read_manifest(text)
+            read_manifest(text)
 
     @pytest.mark.parametrize("source", [str, str.encode], ids=["str", "bytes"])
     def test_unreadable_row_is_format_error(self, source):
         text = "image_path,bridge_local_id,state,structure\na.pnm,0,01,S\r1\n"
         with pytest.raises(FormatError, match="manifest line 2: new-line character"):
-            corpus.read_manifest(source(text))
+            read_manifest(source(text))
 
     def test_error_names_the_file_line(self):
         text = "image_path,bridge_local_id,state,structure,completion\n\n\na,0,01,S1,half\n"
         with pytest.raises(FormatError, match="manifest line 4: bad completion"):
-            corpus.read_manifest(text)
+            read_manifest(text)
 
     def test_header_beyond_row_is_format_error(self):
         text = "completion,image_path,bridge_local_id,state,structure\ncomplete,a.pnm,0,01\n"
         with pytest.raises(FormatError, match="manifest line 2: too few fields"):
-            corpus.read_manifest(text)
+            read_manifest(text)
 
 
 class TestJoin:
@@ -127,7 +133,7 @@ class TestJoin:
         assert report.unmatched_images == 1
 
     def test_conservation_and_determinism(self):
-        gen = synth.gen_labeled_corpus({1: 7, 2: 5})
+        gen = gen_labeled_corpus({1: 7, 2: 5})
         manifest = [
             entry(img.image_path, img.state, img.structure) for img in gen
         ]
@@ -234,7 +240,7 @@ class TestOnePassJoin:
         text = ("image_path,bridge_local_id,state,structure,completion\n"
                 "a,0,01,S1,\na,0,01,S1,\nb,0,01,S1,half\n")
         with pytest.raises(FormatError, match="manifest line 4: bad completion"):
-            corpus.read_manifest(text)
+            read_manifest(text)
         with pytest.raises(FormatError, match="manifest line 4: bad completion"):
             corpus.join_labels(corpus.iter_manifest(text), [])
 
@@ -278,7 +284,7 @@ class TestManifestFromFile:
         path = tmp_path / "manifest.csv"
         path.write_bytes(text.encode())
         with open(path) as fh:
-            expected = manifest_or_error(lambda: corpus.read_manifest(fh.read()))
+            expected = manifest_or_error(lambda: read_manifest(fh.read()))
         with open(path) as fh:
             assert manifest_or_error(lambda: list(corpus.iter_manifest(fh))) == expected
 
@@ -329,6 +335,23 @@ class TestTagCompletion:
         assert tagged[0].design_load_class == 1  # labels untouched
         assert report.rejects[0][0] == "gone.pnm"
         assert len(report.probabilities) == 1
+
+    def test_unreadable_file_reason_does_not_repeat_the_path(self, tmp_path):
+        import errno
+        import os
+
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn
+
+        net = Network(micro_cnn(["complete", "partial"], input_shape=(3, 16, 16)), seed=0)
+        images = [corpus.LabeledImage(image_path="gone.pnm", state="01", structure="S1",
+                                      design_load_class=1)]
+        _, report = corpus.tag_completion(
+            images, source="model", checkpoint=make_checkpoint(net), image_root=tmp_path
+        )
+        [(path, reason)] = report.rejects
+        assert path == "gone.pnm"
+        assert "gone.pnm" not in reason
+        assert reason == os.strerror(errno.ENOENT)
 
     def test_grayscale_model_tags_every_image(self, tmp_path):
         import numpy as np
@@ -428,7 +451,7 @@ class TestCorpusStats:
         assert stats["rating_labeled"] == {"total": 2, "complete": 0, "partial": 1}
 
     def test_ndjson_round_trip(self):
-        images = synth.gen_labeled_corpus({1: 3, 5: 2})
+        images = gen_labeled_corpus({1: 3, 5: 2})
         text = corpus.labeled_to_ndjson(images)
         assert corpus.labeled_from_ndjson(text) == list(images)
 
@@ -450,7 +473,7 @@ class TestCorpusStats:
         ("load_rating_tons", "1e400", "1e400 overflows a double"),
     ])
     def test_ndjson_value_of_wrong_type_is_format_error(self, field, value, reason):
-        good = corpus.labeled_to_ndjson(synth.gen_labeled_corpus({1: 1}))
+        good = corpus.labeled_to_ndjson(gen_labeled_corpus({1: 1}))
         # The original value moves to a key no field has, which is ignored.
         bad = good.replace(f'"{field}":', f'"{field}":{value},"_":', 1)
         with pytest.raises(FormatError, match=f"line 2: .*{re.escape(reason)}"):
@@ -467,6 +490,6 @@ class TestCorpusStats:
         ("[" * 100_000, "nested too deeply to parse"),
     ], ids=["truncated", "missing_field", "not_an_object", "deeply_nested"])
     def test_malformed_ndjson_line_is_format_error(self, bad, reason):
-        good = corpus.labeled_to_ndjson(synth.gen_labeled_corpus({1: 1}))
+        good = corpus.labeled_to_ndjson(gen_labeled_corpus({1: 1}))
         with pytest.raises(FormatError, match=f"line 3: {reason}"):
             corpus.labeled_from_ndjson(good + "\n" + bad + "\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bridgecap import datasets as ds
 from bridgecap.corpus import LabeledImage
 from bridgecap.errors import ConfigError, DomainError, FormatError
-from bridgecap.synth import gen_labeled_corpus
+from helpers import gen_labeled_corpus, output_count, preset_names
 
 # Published per-class design-load counts the synthetic corpus reproduces.
 COLUMN_A = {1: 928, 2: 4674, 3: 1913, 4: 460, 5: 3991, 6: 491,
@@ -129,7 +129,7 @@ class TestClassMap:
             outputs = sorted(
                 {ds.map_design_load(c, spec) for c in range(1, 13)} - {None}
             )
-            assert outputs == list(range(1, spec.output_count + 1))
+            assert outputs == list(range(1, output_count(spec) + 1))
 
     def test_partition_enforced(self):
         with pytest.raises(ConfigError):
@@ -340,6 +340,6 @@ class TestVariants:
             ds.read_split_csv("image_path,class,side\na\rb.pnm,1,train\n")
 
     def test_all_presets_instantiate(self):
-        for name in ds.preset_names():
+        for name in preset_names():
             spec = ds.load_preset(name)
             assert spec.name == name

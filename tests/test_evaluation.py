@@ -5,7 +5,7 @@ import pytest
 
 from bridgecap import evaluation as ev
 from bridgecap.errors import DomainError
-from bridgecap.synth import gen_confusions
+from helpers import gen_confusions
 
 
 # --- independent oracle: per-sample counting with exact rationals ------------

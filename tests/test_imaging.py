@@ -152,28 +152,33 @@ class TestResizeOracle:
         assert out.tobytes() == expected.tobytes()
 
 
+def to_tensor(img, mode):
+    """The float32 tensor a network sees for ``img``: its pixels, scaled."""
+    return imaging.pixels_to_tensor(imaging.to_pixels(img, mode))
+
+
 class TestToTensor:
     def test_range_and_scale(self):
         img = rgb([[[255, 0, 128]]])
-        t = imaging.to_tensor(img, "rgb")
+        t = to_tensor(img, "rgb")
         assert t.shape == (3, 1, 1)
         assert t.max() <= 1.0 and t.min() >= 0.0
         assert t[0, 0, 0] == pytest.approx(1.0)
 
     def test_grayscale_composes_luminance(self):
-        t = imaging.to_tensor(rgb([[[255, 0, 0]]]), "grayscale")
+        t = to_tensor(rgb([[[255, 0, 0]]]), "grayscale")
         assert t.shape == (3, 1, 1)
         assert np.allclose(t, 76 / 255)
 
     def test_all_black(self):
-        t = imaging.to_tensor(rgb([[[0, 0, 0]]]), "rgb")
+        t = to_tensor(rgb([[[0, 0, 0]]]), "rgb")
         assert (t == 0).all()
 
     def test_tensor_range_random_images(self):
         rng = np.random.default_rng(5)
         for mode in imaging.COLOUR_MODES:
             img = imaging.RgbImage(rng.integers(0, 256, (9, 4, 3)).astype(np.uint8))
-            t = imaging.to_tensor(img, mode)
+            t = to_tensor(img, mode)
             assert t.min() >= 0.0 and t.max() <= 1.0
 
     @PROPERTY
@@ -185,7 +190,7 @@ class TestToTensor:
         pixels = imaging.to_pixels(img, mode)
         assert pixels.dtype == np.uint8 and pixels.shape == (3, height, width)
         assert pixels.flags.c_contiguous and pixels.flags.writeable
-        tensor = imaging.to_tensor(img, mode)
+        tensor = to_tensor(img, mode)
         assert tensor.dtype == np.float32
         assert tensor.tobytes() == imaging.pixels_to_tensor(pixels).tobytes()
         # The scaling the classifier has always seen: float32(v) / float32(255).
@@ -317,3 +322,49 @@ class TestPnmFuzz:
             return
         assert img.pixels.dtype == np.uint8
         assert img.pixels.size <= len(data)
+
+
+def looped_next_token(data, pos):
+    """The byte-at-a-time header tokenizer ``_next_token`` replaced, kept
+    as its oracle."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c in b" \t\r\n\x0b\x0c":
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos : pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise FormatError(f"unexpected end of header at offset {pos}")
+    start = pos
+    while pos < n and data[pos : pos + 1] not in b" \t\r\n\x0b\x0c":
+        pos += 1
+    return data[start:pos], pos
+
+
+def token_or_error(next_token, data, pos):
+    try:
+        return next_token(data, pos)
+    except FormatError as exc:
+        return str(exc)
+
+
+# Mostly the bytes a header is made of, so comments, runs of whitespace
+# and early ends are common.
+HEADER_BYTES = st.binary(max_size=40) | st.lists(
+    st.sampled_from(list(b" \t\r\n\x0b\x0c#P5 255\x00\xff")), max_size=40).map(bytes)
+
+
+class TestHeaderTokens:
+    @settings(PROPERTY, max_examples=1000)
+    @given(data=HEADER_BYTES, start=st.integers(0, 40))
+    @example(data=b"# no newline", start=0)
+    @example(data=b"  #c\n#d\n12#x 3", start=0)
+    @example(data=b"\x0b\x0c", start=1)
+    def test_equals_the_byte_loop(self, data, start):
+        start = min(start, len(data))
+        assert (token_or_error(imaging._next_token, data, start)
+                == token_or_error(looped_next_token, data, start))

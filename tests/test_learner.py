@@ -30,22 +30,19 @@ from bridgecap.learner import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     fit,
-    linear_head,
     load_checkpoint,
     make_checkpoint,
     micro_cnn,
     network_from_checkpoint,
     normalize_descriptor,
     predict_proba,
-    read_features_csv,
-    reinit_head,
     save_checkpoint,
     train,
-    train_head_on_features,
 )
 from bridgecap.learner import layers as L
 from bridgecap.learner import network as network_module
 from bridgecap.learner.checkpoint import MAGIC, VERSION
+from helpers import linear_head
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 HELPER_COUNTS = (0, 1, 3)
@@ -985,45 +982,23 @@ class TestCheckpoint:
                 (1, 4, 4), ({"op": "maxpool", "k": 2, "stride": 0}, {"op": "softmax"}), ("a",)))
 
 
-class TestReinitHead:
-    def test_earlier_layers_bit_identical(self):
-        net = Network(micro_cnn(list("abcdefgh"), input_shape=(3, 16, 16)), seed=3)
-        ckpt = make_checkpoint(net, {"val_acc": [0.3]})
-        smaller = reinit_head(ckpt, 3, seed=11)
-        assert smaller.descriptor.num_classes == 3
-        # every parameter array except the final fc pair is byte-identical
-        for old, new in zip(ckpt.weights[:-2], smaller.weights[:-2]):
-            assert old.tobytes() == new.tobytes()
-        assert smaller.weights[-2].shape == (128, 3)
-        assert (smaller.weights[-1] == 0).all()
-        assert smaller.history == {}
-
-    def test_reinit_deterministic(self):
-        net = Network(linear_head(5, ["a", "b", "c"]), seed=0)
-        ckpt = make_checkpoint(net)
-        a = reinit_head(ckpt, 3, seed=5)
-        b = reinit_head(ckpt, 3, seed=5)
-        assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
-
-    def test_forward_after_reinit(self):
-        net = Network(micro_cnn(["a", "b", "c", "d"], input_shape=(3, 8, 8)), seed=0)
-        ckpt = reinit_head(make_checkpoint(net), 3, seed=1)
-        probs = network_from_checkpoint(ckpt).forward(np.zeros((2, 3, 8, 8)))
-        assert probs.shape == (2, 3)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_too_few_classes(self):
-        net = Network(linear_head(4, ["a", "b"]), seed=0)
-        with pytest.raises(DomainError):
-            reinit_head(make_checkpoint(net), 1, seed=0)
-
-
 class TestFeatureHead:
+    """``fit`` on a linear head over flat feature vectors, with every
+    second row held out for validation."""
+
+    @staticmethod
+    def fit_head(x, labels, config):
+        names = sorted(set(labels))
+        y = np.array([names.index(v) for v in labels])
+        val = np.arange(len(x)) % 2 == 1
+        net = Network(linear_head(x.shape[1], names), seed=config.seed)
+        return fit(net, x[~val], y[~val], x[val], y[val], config)
+
     def test_linearly_separable_reaches_full_train_accuracy(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 4)).astype(np.float32)
         labels = np.where(x[:, 0] + 0.5 * x[:, 1] > 0, "hi", "lo")
-        ckpt = train_head_on_features(
+        ckpt = self.fit_head(
             x, labels, TrainConfig(max_epochs=60, learning_rate=0.5, patience=10, seed=1)
         )
         assert max(ckpt.history["train_acc"]) == 1.0
@@ -1032,22 +1007,5 @@ class TestFeatureHead:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(300, 6)).astype(np.float32)
         labels = rng.permutation(np.array(["a", "b", "c"] * 100))
-        ckpt = train_head_on_features(x, labels, TrainConfig(max_epochs=10, seed=2))
+        ckpt = self.fit_head(x, labels, TrainConfig(max_epochs=10, seed=2))
         assert abs(max(ckpt.history["val_acc"]) - 1 / 3) <= 0.1
-
-    def test_same_seed_identical_weights(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(40, 3)).astype(np.float32)
-        labels = ["a", "b"] * 20
-        a = train_head_on_features(x, labels, TrainConfig(max_epochs=4, seed=7))
-        b = train_head_on_features(x, labels, TrainConfig(max_epochs=4, seed=7))
-        assert checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
-
-    def test_csv_parsing_and_ragged_row_named(self):
-        text = "id,v1,v2,label\nr1,0.5,1.5,a\nr2,0.25,2.5,b\n"
-        ids, x, labels = read_features_csv(text)
-        assert ids == ["r1", "r2"]
-        assert x.shape == (2, 2)
-        assert labels == ["a", "b"]
-        with pytest.raises(ConfigError, match="r2"):
-            read_features_csv("r1,1.0,2.0,a\nr2,1.0,b\n")

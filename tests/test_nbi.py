@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bridgecap import nbi
 from bridgecap.errors import ConfigError, DegenerateKeyError, FormatError
 
+STANDARD = nbi.load_builtin_profile("standard")
+
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
 # Hand-built expectations for the 20-row fixture: 17 parsed, 3 rejected.
@@ -106,7 +108,7 @@ class TestProperties:
     @PROPERTY
     @given(records=st.lists(nbi_records(), max_size=5))
     def test_write_then_parse_round_trips(self, records):
-        again, stats = nbi.parse_nbi(nbi.write_delimited(records), nbi.standard_profile())
+        again, stats = nbi.parse_nbi(nbi.write_delimited(records), STANDARD)
         assert again == records
         assert stats.reject_count == 0
 
@@ -149,7 +151,7 @@ class TestParseFixture:
     def test_round_trip(self, nbi_fixture_records):
         records, _ = nbi_fixture_records
         text = nbi.write_delimited(records)
-        again, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        again, stats = nbi.parse_nbi(text, STANDARD)
         assert stats.reject_count == 0
         assert again == records
 
@@ -161,20 +163,20 @@ class TestParseFixture:
 class TestParseEdges:
     def test_empty_file_with_header(self):
         records, stats = nbi.parse_nbi(
-            "state,structure,design_load_code,load_rating_tons\n", nbi.standard_profile()
+            "state,structure,design_load_code,load_rating_tons\n", STANDARD
         )
         assert records == []
         assert stats.total_rows == 0
 
     def test_blank_design_load_is_absent(self):
         text = "state,structure,design_load_code,load_rating_tons\n01,S1,,\n"
-        records, _ = nbi.parse_nbi(text, nbi.standard_profile())
+        records, _ = nbi.parse_nbi(text, STANDARD)
         assert records[0].design_load_class is None
         assert records[0].load_rating_tons is None
 
     def test_missing_header_column_is_format_error(self):
         with pytest.raises(FormatError, match="design_load_code"):
-            nbi.parse_nbi("state,structure,rating\n", nbi.standard_profile())
+            nbi.parse_nbi("state,structure,rating\n", STANDARD)
 
     def test_rating_divisor(self):
         profile = nbi.load_builtin_profile("fixed_width_demo")
@@ -194,7 +196,7 @@ class TestParseEdges:
     def test_unreadable_row_is_rejected_and_parsing_resumes(self):
         # A bare carriage return inside an unquoted field is a csv.Error.
         text = "state,structure,design_load_code,load_rating_tons\n01,1\r2,3,4\n02,S5,3,12.5\n"
-        records, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        records, stats = nbi.parse_nbi(text, STANDARD)
         assert [r.structure for r in records] == ["S5"]
         assert stats.total_rows == 2
         assert stats.rejects[0][0] == 2 and "unreadable row" in stats.rejects[0][1]
@@ -202,12 +204,12 @@ class TestParseEdges:
 
     def test_reject_names_the_file_line(self):
         text = 'state,structure,design_load_code,load_rating_tons\n01,"S\n1",3,4\nX1,S2,3,4\n'
-        _, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        _, stats = nbi.parse_nbi(text, STANDARD)
         assert stats.rejects == ((4, "bad state code 'X1'"),)
 
     def test_structure_too_long_rejected(self):
         text = "state,structure,design_load_code,load_rating_tons\n01,ABCDEFGH12345678,1,1\n"
-        _, stats = nbi.parse_nbi(text, nbi.standard_profile())
+        _, stats = nbi.parse_nbi(text, STANDARD)
         assert stats.reject_count == 1
 
     def test_parse_totals_property(self):
@@ -219,7 +221,7 @@ class TestParseEdges:
                 state = rng.choice(["01", "06", "XX", "1"])
                 structure = rng.choice([f"S{i}", "0000", f"  0{i} "])
                 lines.append(f"{state},{structure},{rng.choice(['1','9',''])},{rng.choice(['5.0','','x'])}")
-            records, stats = nbi.parse_nbi("\n".join(lines) + "\n", nbi.standard_profile())
+            records, stats = nbi.parse_nbi("\n".join(lines) + "\n", STANDARD)
             assert stats.parsed_rows + stats.reject_count == stats.total_rows == n
             assert stats.parsed_rows == len(records)
 

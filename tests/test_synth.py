@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from bridgecap import corpus, datasets, imaging, nbi, synth
 from bridgecap.errors import DomainError
-from bridgecap.learner import TrainConfig, train_head_on_features
+from bridgecap.learner import Network, TrainConfig, fit
+from helpers import gen_confusions, gen_labeled_corpus, linear_head, rating_scheme
 
 
 def read_tree_bytes(root):
@@ -21,9 +22,9 @@ class TestGenCorpus:
         spec = synth.SynthSpec(classes=3, images_per_class=10, seed=0)
         result = synth.gen_corpus(spec, tmp_path / "c")
         assert len(result.image_paths) == 30
-        assert len(corpus.read_manifest(result.manifest_path.read_text())) == 30
+        assert len(list(corpus.iter_manifest(result.manifest_path.read_text()))) == 30
         records, stats = nbi.parse_nbi(
-            result.inventory_path.read_bytes(), nbi.standard_profile()
+            result.inventory_path.read_bytes(), nbi.load_builtin_profile("standard")
         )
         assert stats.reject_count == 0
         # one inventory row per bridge, 10 images / 3 per bridge = 4 bridges per class
@@ -43,8 +44,9 @@ class TestGenCorpus:
     def test_join_matches_everything(self, tmp_path):
         spec = synth.SynthSpec(classes=3, images_per_class=9, seed=4)
         result = synth.gen_corpus(spec, tmp_path / "c")
-        manifest = corpus.read_manifest(result.manifest_path.read_text())
-        records, _ = nbi.parse_nbi(result.inventory_path.read_bytes(), nbi.standard_profile())
+        manifest = list(corpus.iter_manifest(result.manifest_path.read_text()))
+        profile = nbi.load_builtin_profile("standard")
+        records, _ = nbi.parse_nbi(result.inventory_path.read_bytes(), profile)
         labeled, report = corpus.join_labels(manifest, records)
         assert report.unmatched_images == 0
         assert report.matched_images == 27
@@ -68,7 +70,7 @@ class TestGenCorpus:
                 assert decoded.width == decoded.height == 64
 
     def test_ratings_rebuild_visual_classes(self):
-        scheme = synth.rating_scheme(4)
+        scheme = rating_scheme(4)
         for cls in range(4):
             assert datasets.bin_load_rating(synth.class_rating_tons(cls), scheme) == cls + 1
 
@@ -112,14 +114,14 @@ class TestRenderScene:
 
 class TestLabeledCorpus:
     def test_exact_counts(self):
-        labeled = synth.gen_labeled_corpus({1: 10, 5: 3})
+        labeled = gen_labeled_corpus({1: 10, 5: 3})
         by_class = {}
         for img in labeled:
             by_class[img.design_load_class] = by_class.get(img.design_load_class, 0) + 1
         assert by_class == {1: 10, 5: 3}
 
     def test_nominal_tonnage_where_defined(self):
-        labeled = synth.gen_labeled_corpus({1: 1, 7: 1})
+        labeled = gen_labeled_corpus({1: 1, 7: 1})
         by_class = {img.design_load_class: img for img in labeled}
         assert by_class[1].load_rating_tons == 10.0
         assert by_class[7].load_rating_tons is None  # pedestrian has no tonnage
@@ -127,14 +129,14 @@ class TestLabeledCorpus:
 
 class TestGenConfusions:
     def test_shape_and_positivity(self):
-        for counts in synth.gen_confusions(20, 5, seed=3):
+        for counts in gen_confusions(20, 5, seed=3):
             assert counts.shape == (5, 5)
             assert counts.min() >= 0
             assert counts.sum() > 0
 
     def test_seeded_determinism(self):
-        a = synth.gen_confusions(10, 3, seed=8)
-        b = synth.gen_confusions(10, 3, seed=8)
+        a = gen_confusions(10, 3, seed=8)
+        b = gen_confusions(10, 3, seed=8)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -146,11 +148,12 @@ class TestSeparability:
         for cls in range(spec.classes):
             for _ in range(spec.images_per_class):
                 img = synth.render_image(cls, spec, rng, partial=False)
-                feats.append(imaging.to_tensor(img, "rgb").ravel())
-                labels.append(str(cls))
+                feats.append(imaging.pixels_to_tensor(imaging.to_pixels(img, "rgb")).ravel())
+                labels.append(cls)
+        x, y = np.stack(feats), np.array(labels)
+        val = np.arange(len(x)) % 5 == 4  # 8 of each class's 40 images
         # raw pixels are 12k-dimensional, so the head needs a small step
-        ckpt = train_head_on_features(
-            np.stack(feats), labels,
-            TrainConfig(max_epochs=15, learning_rate=0.001, seed=2),
-        )
+        config = TrainConfig(max_epochs=15, learning_rate=0.001, seed=2)
+        net = Network(linear_head(x.shape[1], ["0", "1", "2"]), seed=config.seed)
+        ckpt = fit(net, x[~val], y[~val], x[val], y[val], config)
         assert max(ckpt.history["val_acc"]) > 0.8
