@@ -75,7 +75,7 @@ def as_text(source, encoding: str) -> str:
     return data.decode(encoding) if isinstance(data, bytes) else data
 
 
-def to_csv(header, rows, delimiter: str = ",", out=None) -> str | None:
+def to_csv(header, rows, out=None) -> str | None:
     """CSV text, each row ending in ``\\n``, that ``csv.reader`` reads
     back as ``header`` followed by ``rows``: returned as one str, or, when
     ``out`` is an open text file, written to it and None returned.
@@ -90,15 +90,14 @@ def to_csv(header, rows, delimiter: str = ",", out=None) -> str | None:
     of 0.17 s (2-vCPU Xeon), as the cyclic collector walked them."""
     if out is None:
         out = io.StringIO()
-        to_csv(header, rows, delimiter, out)
+        to_csv(header, rows, out)
         return out.getvalue()
     for block in chain([[header]], _blocks(rows)):
         text = io.StringIO()
-        writer = csv.writer(text, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(text, lineterminator="\n")
         writer.writerows(block)
         if "\r" in text.getvalue():
-            quoting = csv.writer(text, delimiter=delimiter, lineterminator="\n",
-                                 quoting=csv.QUOTE_ALL)
+            quoting = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
             text.seek(0)
             text.truncate()
             for row in block:

@@ -173,9 +173,7 @@ def cmd_corpus_match(args, argv) -> int:
         labeled, join_report = corpus.join_labels(corpus.iter_manifest(fh), records)
     if args.completion_model:
         ckpt = load_checkpoint(run.input(args.completion_model))
-        labeled, tag_report = corpus.tag_completion(
-            labeled, source="model", checkpoint=ckpt, image_root=args.image_root
-        )
+        labeled, tag_report = corpus.tag_completion(labeled, ckpt, image_root=args.image_root)
         _dump_json(tag_report, run.output("completion_tags.json"))
     with open(run.output("labeled.ndjson"), "w") as fh:
         corpus.labeled_to_ndjson(labeled, fh)

@@ -10,6 +10,10 @@ The join is one pass over the manifest: ``iter_manifest`` yields its
 entries row by row and ``join_labels`` consumes them as they come, so
 memory grows with the inventory records and the labeled images, not
 with the manifest text or its entries.
+
+An image's completion flag comes from the manifest's optional
+completion column, or, when ``corpus-match`` is given a completion
+model, from ``tag_completion``, which classifies the image itself.
 """
 
 import csv
@@ -191,44 +195,23 @@ def join_labels(manifest, records) -> tuple[list[LabeledImage], JoinReport]:
 class TagReport:
     tagged: int
     rejects: tuple[tuple[str, str], ...] = ()  # (image_path, reason)
-    probabilities: tuple[tuple[str, float], ...] = ()  # model source only
+    probabilities: tuple[tuple[str, float], ...] = ()
 
 
-def tag_completion(
-    images,
-    source: str = "manifest",
-    checkpoint=None,
-    image_root=None,
-) -> tuple[list[LabeledImage], TagReport]:
-    """Ensure every image carries a completion flag.
+def tag_completion(images, checkpoint, image_root=None) -> tuple[list[LabeledImage], TagReport]:
+    """Flag every image complete or partial with a completion model.
 
-    source="manifest" passes existing flags through; images without one
-    become rejects. source="model" allocates one uint8 (n, 3, h, w)
-    array for the n images and has the loader write each image file
-    straight into the next free row, so the pixels are held once and not
-    copied again. An image that cannot be read or decoded becomes a
-    reject, whose reason does not repeat the path, and leaves its row to
-    the next image. The decoded rows are classified in a single
-    ``predict_proba`` call with a 2-class checkpoint (labels must
-    include "complete"), and the per-image probability is recorded. A
-    checkpoint whose input is not a (3, h, w) image raises DomainError
-    before any image is read. Labels and paths are never altered.
+    One uint8 (n, 3, h, w) array is allocated for the n images and the
+    loader writes each image file straight into the next free row, so
+    the pixels are held once and not copied again. An image that cannot
+    be read or decoded becomes a reject, whose reason does not repeat the
+    path, and leaves its row to the next image. The decoded rows are
+    classified in a single ``predict_proba`` call with a 2-class
+    checkpoint (labels must include "complete"), and the per-image
+    probability is recorded. A checkpoint whose input is not a (3, h, w)
+    image raises DomainError before any image is read. Labels and paths
+    are never altered.
     """
-    if source == "manifest":
-        tagged = []
-        rejects = []
-        for img in images:
-            if img.completion in COMPLETION_VALUES:
-                tagged.append(img)
-            else:
-                rejects.append((img.image_path, "no completion flag in manifest"))
-        return tagged, TagReport(tagged=len(tagged), rejects=tuple(rejects))
-
-    if source != "model":
-        raise ConfigError(f"unknown completion source {source!r}")
-    if checkpoint is None:
-        raise ConfigError("source='model' requires a checkpoint")
-
     import numpy as np
 
     from .imaging import make_loader

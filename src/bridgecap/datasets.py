@@ -377,18 +377,14 @@ def _filter_completion(corpus, completion_filter: str):
     return [img for img in corpus if img.completion == want]
 
 
-def build_variant(spec, corpus, seed: int | None = None) -> VariantResult:
-    """Apply a DatasetSpec (or a named preset) to a labeled corpus.
+def build_variant(spec: DatasetSpec, corpus) -> VariantResult:
+    """Apply a DatasetSpec to a labeled corpus; a named preset is
+    ``load_preset(name)``, and another seed ``replace(spec, seed=s)``.
 
     Labeling, optional small-class merging, capping, and splitting run in
     that order; sub-seeds for the down-sample and the split derive from
     the spec seed so one stage can be varied without perturbing others.
     """
-    if isinstance(spec, str):
-        spec = load_preset(spec)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-
     pool = _filter_completion(corpus, spec.completion_filter)
     source = spec.label_source
 

@@ -152,7 +152,8 @@ def encode_pnm(img: RgbImage | GrayImage) -> bytes:
 def load_image(path) -> RgbImage | GrayImage:
     """Read an image file. PNM is decoded natively from one read of the
     file; anything else goes through Pillow when it is installed. A file
-    that cannot be decoded raises FormatError naming ``path``."""
+    that cannot be decoded raises FormatError naming ``path``, whose
+    ``__cause__`` is the reason without the path."""
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -164,9 +165,8 @@ def load_image(path) -> RgbImage | GrayImage:
     try:
         from PIL import Image
     except ImportError:
-        raise FormatError(
-            f"{path}: not a binary PNM file and Pillow is not installed"
-        ) from None
+        reason = FormatError("not a binary PNM file and Pillow is not installed")
+        raise FormatError(f"{path}: {reason}") from reason
     with Image.open(path) as im:
         if im.mode == "L":
             return GrayImage(np.asarray(im, dtype=np.uint8))

@@ -6,7 +6,7 @@ prepared with. Validation propagates shapes through the stack once, so
 a bad wiring fails at construction and names the offending layer.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -14,7 +14,22 @@ from ..errors import ConfigError, DomainError
 from ..imaging import COLOUR_MODES, pixels_to_tensor
 from . import layers as L
 
-_LAYER_OPS = ("conv", "relu", "maxpool", "flatten", "fc", "softmax")
+# Op -> the keys its layer spec may hold.
+_LAYER_KEYS = {
+    "conv": {"op", "kh", "kw", "out_ch", "stride", "pad", "in_ch"},
+    "relu": {"op"},
+    "maxpool": {"op", "k", "stride"},
+    "flatten": {"op"},
+    "fc": {"op", "n_out", "n_in"},
+    "softmax": {"op"},
+}
+_LAYER_OPS = tuple(_LAYER_KEYS)
+
+
+def _reject_unknown(keys, allowed, where):
+    unknown = keys - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(map(str, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +41,7 @@ class ArchitectureDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureDescriptor":
+        _reject_unknown(d.keys(), {f.name for f in fields(cls)}, "descriptor")
         return normalize_descriptor(
             cls(
                 input_shape=tuple(d["input_shape"]),
@@ -74,7 +90,8 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
     """Fill derived fields (conv in_ch, fc n_in) and verify the stack:
     shapes must compose, the final layer must be softmax over a head as
     wide as the class-label list, and the colour mode must be one of
-    ``imaging.COLOUR_MODES``."""
+    ``imaging.COLOUR_MODES``. A layer spec holding a key its op does not
+    read raises ConfigError."""
     if desc.colour_mode not in COLOUR_MODES:
         raise ConfigError(f"unknown colour mode {desc.colour_mode!r} (have {COLOUR_MODES})")
     shape = tuple(int(s) for s in desc.input_shape)
@@ -85,11 +102,14 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
         spec = dict(raw)
         op = spec.get("op")
         where = f"layer {idx} ({op})"
+        if op not in _LAYER_OPS:
+            raise ConfigError(f"{where}: unknown op (have {_LAYER_OPS})")
+        _reject_unknown(spec.keys(), _LAYER_KEYS[op], where)
         try:
             if op == "conv":
                 if len(shape) != 3:
                     raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
-                spec.setdefault("kh", spec.pop("kernel", 3))
+                spec.setdefault("kh", 3)
                 spec.setdefault("kw", spec["kh"])
                 spec.setdefault("stride", 1)
                 spec.setdefault("pad", 0)
@@ -119,15 +139,13 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 if len(shape) != 1:
                     raise ConfigError(f"{where}: needs flat input, has {shape}")
                 spec["n_in"] = shape[0]
-                spec["n_out"] = int(spec.get("n_out", spec.pop("out", 0)))
+                spec["n_out"] = int(spec.get("n_out", 0))
                 if spec["n_out"] < 1:
                     raise ConfigError(f"{where}: missing output width")
                 shape = (spec["n_out"],)
             elif op == "softmax":
                 if len(shape) != 1:
                     raise ConfigError(f"{where}: needs flat input, has {shape}")
-            else:
-                raise ConfigError(f"{where}: unknown op (have {_LAYER_OPS})")
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -169,9 +187,9 @@ def micro_cnn(class_labels, input_shape=(3, 64, 64), colour_mode="rgb") -> Archi
     )
 
 
-def network_from_checkpoint(ckpt, dtype=np.float32) -> "Network":
-    """The network a checkpoint describes, carrying its weights."""
-    return Network(ckpt.descriptor, dtype=dtype, weights=ckpt.weights)
+def network_from_checkpoint(ckpt) -> "Network":
+    """The float32 network a checkpoint describes, carrying its weights."""
+    return Network(ckpt.descriptor, weights=ckpt.weights)
 
 
 class Network:

@@ -91,14 +91,14 @@ def predict_proba(net: Network, x, batch_size: int = 8) -> np.ndarray:
     return np.concatenate(probs)
 
 
-def predict(net: Network, x, batch_size: int = 8) -> np.ndarray:
-    return predict_proba(net, x, batch_size).argmax(axis=1)
+def predict(net: Network, x) -> np.ndarray:
+    return predict_proba(net, x).argmax(axis=1)
 
 
-def evaluate(net: Network, x, y, batch_size: int = 8) -> tuple[float, float]:
+def evaluate(net: Network, x, y) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a held-out set."""
     y = np.asarray(y, dtype=np.int64)
-    probs = predict_proba(net, x, batch_size)
+    probs = predict_proba(net, x)
     acc = float(np.mean(probs.argmax(axis=1) == y, dtype=np.float64))
     eps = np.finfo(np.float64).tiny
     loss = float(-np.mean(np.log(probs[np.arange(len(y)), y].astype(np.float64) + eps)))

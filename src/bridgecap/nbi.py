@@ -305,17 +305,18 @@ def parse_nbi(source, profile: ParseProfile) -> tuple[list[NbiRecord], NbiFileSt
     return records, stats
 
 
-def rating_histogram(records, bin_width: float = 5.0) -> dict[str, int]:
-    """Sparse histogram of load ratings in ``bin_width``-ton bins,
-    keyed "lo-hi"; rows without a rating are skipped."""
+def rating_histogram(records) -> dict[str, int]:
+    """Sparse histogram of load ratings in 5-ton bins, keyed "lo-hi";
+    rows without a rating are skipped."""
+    width = 5.0
     counts: dict[float, int] = {}
     for rec in records:
         if rec.load_rating_tons is None:
             continue
-        lo = bin_width * int(rec.load_rating_tons // bin_width)
+        lo = width * int(rec.load_rating_tons // width)
         counts[lo] = counts.get(lo, 0) + 1
     return {
-        f"{_fmt_tons(lo)}-{_fmt_tons(lo + bin_width)}": counts[lo] for lo in sorted(counts)
+        f"{_fmt_tons(lo)}-{_fmt_tons(lo + width)}": counts[lo] for lo in sorted(counts)
     }
 
 
@@ -328,7 +329,7 @@ def _fmt_tons(x: float) -> str:
 _WRITER_COLUMNS = ("state", "structure", "design_load_code", "load_rating_tons")
 
 
-def write_delimited(records, separator: str = ",") -> str:
+def write_delimited(records) -> str:
     """Serialize records in the package's standard delimited layout;
     re-parsing with the built-in ``"standard"`` profile yields identical records."""
     return to_csv(_WRITER_COLUMNS, (
@@ -339,7 +340,7 @@ def write_delimited(records, separator: str = ",") -> str:
             "" if rec.load_rating_tons is None else repr(rec.load_rating_tons),
         )
         for rec in records
-    ), separator)
+    ))
 
 
 def records_to_ndjson(records, out=None) -> str | None:

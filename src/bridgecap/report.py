@@ -2,11 +2,11 @@
 
 Charts are assembled from literal SVG elements with fixed number
 formatting, so identical inputs always produce identical bytes; no
-plotting library gets a chance to embed ids or timestamps.
+plotting library gets a chance to embed ids or timestamps. Tables are
+written by ``_records.to_csv``, so ``csv.reader`` reads every row back.
 """
 
-import csv
-import io
+from ._records import to_csv
 
 _W, _H = 640, 360
 _MARGIN_L, _MARGIN_B, _MARGIN_T = 60, 48, 40
@@ -58,37 +58,38 @@ def _bars(parts, pairs, y_max: float, colors):
         )
 
 
-def bar_chart_svg(pairs, title: str, y_max: float = 1.0) -> str:
-    """Vertical bars for (label, value) pairs; values shown to 4 places."""
+def bar_chart_svg(pairs, title: str) -> str:
+    """Vertical bars for (label, value) pairs on a 0-1 scale; values shown
+    to 4 places."""
     parts = _svg_header(title)
-    _bars(parts, list(pairs), y_max, colors=("#4878a8", "#6aa84f", "#e69138", "#a64d79"))
+    _bars(parts, list(pairs), 1.0, colors=("#4878a8", "#6aa84f", "#e69138", "#a64d79"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def metrics_chart_svg(metrics_dict: dict, title: str = "Classification metrics") -> str:
+def metrics_chart_svg(metrics_dict: dict) -> str:
     pairs = [
         ("accuracy", metrics_dict["accuracy"]),
         ("precision", metrics_dict["macro_precision"]),
         ("recall", metrics_dict["macro_recall"]),
         ("F1", metrics_dict["macro_f1"]),
     ]
-    return bar_chart_svg(pairs, title)
+    return bar_chart_svg(pairs, "Classification metrics")
 
 
-def distribution_chart_svg(dist_dict: dict, title: str = "Signed prediction-distance distribution") -> str:
+def distribution_chart_svg(dist_dict: dict) -> str:
     """Histogram over signed class distance; negative bars sit left of
     zero, mirroring a predicted-lower-than-actual reading."""
     mass = {int(k): float(v) for k, v in dist_dict["mass"].items()}
     pairs = [(f"{d:+d}" if d else "0", mass[d]) for d in sorted(mass)]
     y_max = max(0.0001, max(mass.values()))
-    parts = _svg_header(title)
+    parts = _svg_header("Signed prediction-distance distribution")
     _bars(parts, pairs, y_max, colors=("#4878a8",))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def binarization_chart_svg(reports: list[dict], title: str = "Binary conversion by threshold level") -> str:
+def binarization_chart_svg(reports: list[dict]) -> str:
     """Grouped bars: accuracy/precision/recall/F1 for each threshold."""
     pairs = []
     for rep in reports:
@@ -101,60 +102,37 @@ def binarization_chart_svg(reports: list[dict], title: str = "Binary conversion 
                 (f"L{lv} F1", rep["f1"]),
             ]
         )
-    return bar_chart_svg(pairs, title)
+    return bar_chart_svg(pairs, "Binary conversion by threshold level")
 
 
 # --- CSV tables --------------------------------------------------------------
 
 def metrics_to_csv(metrics_dict: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["metric", "class", "value"])
-    writer.writerow(["accuracy", "", _fmt(metrics_dict["accuracy"])])
-    writer.writerow(["macro_precision", "", _fmt(metrics_dict["macro_precision"])])
-    writer.writerow(["macro_recall", "", _fmt(metrics_dict["macro_recall"])])
-    writer.writerow(["macro_f1", "", _fmt(metrics_dict["macro_f1"])])
+    rows = [[key, "", _fmt(metrics_dict[key])]
+            for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1")]
     for entry in metrics_dict["per_class"]:
-        writer.writerow(["precision", entry["label"], _fmt(entry["precision"])])
-        writer.writerow(["recall", entry["label"], _fmt(entry["recall"])])
-        writer.writerow(["f1", entry["label"], _fmt(entry["f1"])])
-    return out.getvalue()
+        rows.extend([metric, entry["label"], _fmt(entry[metric])]
+                    for metric in ("precision", "recall", "f1"))
+    return to_csv(["metric", "class", "value"], rows)
 
 
 def distribution_to_csv(dist_dict: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["signed_distance", "mass"])
-    for d in sorted(int(k) for k in dist_dict["mass"]):
-        writer.writerow([d, _fmt(dist_dict["mass"][str(d)])])
-    return out.getvalue()
+    return to_csv(["signed_distance", "mass"], (
+        [d, _fmt(dist_dict["mass"][str(d)])] for d in sorted(int(k) for k in dist_dict["mass"])
+    ))
 
 
 def binarization_to_csv(reports: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["level", "threshold_tons", "boundary", "tp", "fn", "fp", "tn",
-         "accuracy", "precision", "recall", "f1"]
-    )
+    rows = []
     for rep in reports:
         counts = rep["matrix"]["counts"]
-        writer.writerow(
-            [
-                rep["level"],
-                rep["threshold_tons"],
-                rep["boundary"],
-                counts[0][0],
-                counts[0][1],
-                counts[1][0],
-                counts[1][1],
-                _fmt(rep["accuracy"]),
-                _fmt(rep["precision"]),
-                _fmt(rep["recall"]),
-                _fmt(rep["f1"]),
-            ]
-        )
-    return out.getvalue()
+        rows.append([
+            rep["level"], rep["threshold_tons"], rep["boundary"],
+            counts[0][0], counts[0][1], counts[1][0], counts[1][1],
+            _fmt(rep["accuracy"]), _fmt(rep["precision"]), _fmt(rep["recall"]), _fmt(rep["f1"]),
+        ])
+    return to_csv(["level", "threshold_tons", "boundary", "tp", "fn", "fp", "tn",
+                   "accuracy", "precision", "recall", "f1"], rows)
 
 
 def _fmt(value) -> str:

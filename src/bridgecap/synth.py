@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabeledImage, ManifestEntry, write_manifest
+from .corpus import ManifestEntry, write_manifest
 from .errors import DomainError
 from .imaging import RgbImage, encode_pnm
 from .nbi import NbiRecord, canonicalize, write_delimited
@@ -89,16 +89,17 @@ def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> RgbImage:
 
 @dataclass(frozen=True)
 class GeneratedCorpus:
-    out_dir: Path
     manifest_path: Path
     inventory_path: Path
-    image_paths: tuple[str, ...]  # relative to out_dir
-    labeled: tuple[LabeledImage, ...]
+    image_paths: tuple[str, ...]  # relative to the output directory
 
 
 def gen_corpus(spec: SynthSpec, out_dir) -> GeneratedCorpus:
     """Write images, a manifest CSV, and an inventory file into
-    ``out_dir``. Byte-identical for identical specs."""
+    ``out_dir``; return the paths written. The manifest carries each
+    image's completion flag and the inventory its bridge's labels, so
+    ``corpus-match`` recovers every image's labels from the files.
+    Byte-identical for identical specs."""
     out_dir = Path(out_dir)
     image_dir = out_dir / "images"
     try:
@@ -111,7 +112,6 @@ def gen_corpus(spec: SynthSpec, out_dir) -> GeneratedCorpus:
 
     entries: list[ManifestEntry] = []
     records: list[NbiRecord] = []
-    labeled: list[LabeledImage] = []
     rel_paths: list[str] = []
     for cls in range(spec.classes):
         for idx in range(spec.images_per_class):
@@ -143,25 +143,13 @@ def gen_corpus(spec: SynthSpec, out_dir) -> GeneratedCorpus:
                         raw_design_code=str(cls + 1),
                     )
                 )
-            labeled.append(
-                LabeledImage(
-                    image_path=rel,
-                    state=state,
-                    structure=canonicalize(structure_raw),
-                    design_load_class=cls + 1,
-                    load_rating_tons=class_rating_tons(cls),
-                    completion="partial" if partial else "complete",
-                )
-            )
 
     manifest_path = out_dir / "manifest.csv"
     manifest_path.write_text(write_manifest(entries))
     inventory_path = out_dir / "inventory.csv"
     inventory_path.write_text(write_delimited(records))
     return GeneratedCorpus(
-        out_dir=out_dir,
         manifest_path=manifest_path,
         inventory_path=inventory_path,
         image_paths=tuple(rel_paths),
-        labeled=tuple(labeled),
     )

@@ -1,9 +1,11 @@
-"""Every public function in the package has a caller inside it.
+"""Every public function in the package has a caller inside it, and every
+defaulted parameter of one is passed by a call inside it.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
 under ``src/bridgecap`` names it. Import lines and ``__all__`` strings do
-not count: a function only tests reach belongs in ``tests/``.
+not count: a function only tests reach belongs in ``tests/``. Likewise a
+parameter value only tests pass belongs in the tests, or is a constant.
 """
 
 import ast
@@ -18,20 +20,46 @@ PACKAGE = Path(bridgecap.__file__).parent
 # calls.
 ALLOWED = {"learner.network.Network.logits"}
 
+ALLOWED_UNPASSED = {
+    # The console entry point reads sys.argv when given no argv.
+    "cli.main(argv)",
+    # The early-stopping tests drive fit with canned validation numbers.
+    "learner.train.fit(evaluate_fn)",
+    # The chunk-boundary property tests drive other chunk sizes.
+    "learner.train.predict_proba(batch_size)",
+    # The finite-difference gradient checks build float64 networks.
+    "learner.network.Network.__init__(dtype)",
+}
+
+
+def _trees(root: Path) -> dict:
+    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
+
+
+def _module(root: Path, path: Path) -> str:
+    return ".".join(path.relative_to(root).with_suffix("").parts)
+
 
 def _public_defs(tree):
-    """(qualified name, bare name) of each public function and method."""
+    """(qualified name, the name a call uses, def node, count of leading
+    parameters a call does not pass) of each module-level function and
+    each method of a top-level class. A constructor is called by its
+    class's name, and a method other than a staticmethod is passed its
+    instance or class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node, 0
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.name
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, 0 if static else 1
 
 
 def uncalled(root: Path) -> list[str]:
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
+    trees = _trees(root)
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -41,16 +69,62 @@ def uncalled(root: Path) -> list[str]:
                 named.add(node.attr)
     found = []
     for path, tree in trees.items():
-        module = ".".join(path.relative_to(root).with_suffix("").parts)
-        for qualified, name in _public_defs(tree):
+        for qualified, name, _, _ in _public_defs(tree):
             if not name.startswith("_") and name not in named:
-                found.append(f"{module}.{qualified}")
+                found.append(f"{_module(root, path)}.{qualified}")
+    return found
+
+
+def _passes(call: ast.Call, position, param: str) -> bool:
+    """Whether ``call`` passes ``param``, the parameter at ``position``
+    (None when keyword-only), or may pass it through ``*`` or ``**``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, param) for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed(root: Path) -> list[str]:
+    """``module.Qualified(param)`` for each defaulted parameter of a
+    public function or method that no call under ``root`` passes. A call
+    is matched to a definition by the name it calls, as ``uncalled``
+    matches names."""
+    trees = _trees(root)
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in trees.items():
+        for qualified, name, node, skip in _public_defs(tree):
+            if name.startswith("_"):
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            first_default = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first_default]
+            defaulted += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for position, param in defaulted:
+                if not any(_passes(call, position, param) for call in calls.get(name, ())):
+                    found.append(f"{_module(root, path)}.{qualified}({param})")
     return found
 
 
 def test_every_public_function_has_a_caller():
     # Equality, not a subset: a name that gains a caller leaves the list.
     assert sorted(uncalled(PACKAGE)) == sorted(ALLOWED)
+
+
+def test_every_defaulted_parameter_is_passed():
+    found = set(unpassed(PACKAGE))
+    assert not found - ALLOWED_UNPASSED, (
+        f"no call in the package passes {sorted(found - ALLOWED_UNPASSED)}")
+    # A parameter that gains a passer leaves the list.
+    assert sorted(ALLOWED_UNPASSED - found) == []
 
 
 def test_every_learner_export_resolves():
@@ -68,3 +142,20 @@ def test_imports_and_all_strings_are_not_calls(tmp_path):
     (tmp_path / "b.py").write_text("from a import unused, used\n\n__all__ = ['unused']\n\n"
                                    "used()\nK().m\n")
     assert uncalled(tmp_path) == ["a.unused"]
+
+
+def test_a_parameter_is_passed_by_keyword_position_or_star(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+        "def g(a=1, b=2):\n    pass\n\n\n"
+        "class K:\n"
+        "    def __init__(self, a=1, b=2):\n        pass\n\n"
+        "    def m(self, a=1, b=2):\n        pass\n\n"
+        "    @staticmethod\n"
+        "    def s(a=1, b=2):\n        pass\n\n"
+        "    def _private(self, a=1):\n        pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "f(0, 1, e=5)\ng(*args)\nK(0)\nK().m(b=0)\nK.s(0)\n"
+    )
+    assert unpassed(tmp_path) == ["a.f(c)", "a.f(d)", "a.K.__init__(b)", "a.K.m(a)", "a.K.s(b)"]

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import re
+import struct
 import tracemalloc
 
 import pytest
@@ -95,6 +96,32 @@ class TestExitCodes:
             "evaluate", "--checkpoint", str(ckpt), "--split", str(split),
             "--image-root", str(tmp_path), "--out", str(tmp_path / "e"),
         ) == 2
+
+    @pytest.mark.parametrize("forge", [
+        lambda meta: meta["layers"][0].update(stide=2),
+        lambda meta: meta.update(bogus=1),
+    ], ids=["layer_key", "descriptor_key"])
+    def test_unknown_checkpoint_key_is_2(self, tmp_path, capsys, forge):
+        # Without the key the run exits 0, so the key alone makes it fail.
+        import numpy as np
+
+        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
+
+        data = checkpoint_to_bytes(make_checkpoint(
+            Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))))
+        (meta_len,) = struct.unpack_from("<Q", data, 8)
+        meta = json.loads(data[16 : 16 + meta_len])
+        forge(meta)
+        raw = json.dumps(meta).encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
+        (tmp_path / "x.pnm").write_bytes(encode_pnm(RgbImage(np.zeros((4, 4, 3), np.uint8))))
+        split = tmp_path / "split.csv"
+        split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\n")
+        assert run("evaluate", "--checkpoint", str(ckpt), "--split", str(split),
+                   "--image-root", str(tmp_path), "--out", str(tmp_path / "e")) == 2
+        assert "unknown field(s) ['" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
@@ -841,8 +868,7 @@ class TestImageMemory:
         def tag(n):
             labeled = [LabeledImage(path, "01", f"S{i}", design_load_class=1)
                        for i, path in enumerate(images[:n])]
-            tagged, report = tag_completion(labeled, source="model", checkpoint=ckpt,
-                                            image_root=tmp_path)
+            tagged, report = tag_completion(labeled, ckpt, image_root=tmp_path)
             assert report.tagged == n
 
         assert self.growth(tag) < self.N * self.TENSOR_BYTES

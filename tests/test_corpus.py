@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -290,26 +291,6 @@ class TestManifestFromFile:
 
 
 class TestTagCompletion:
-    def test_manifest_flags_pass_through(self):
-        images = [
-            corpus.LabeledImage(image_path="a", state="01", structure="S1",
-                                design_load_class=1, completion="complete"),
-            corpus.LabeledImage(image_path="b", state="01", structure="S2",
-                                design_load_class=1, completion="partial"),
-        ]
-        tagged, report = corpus.tag_completion(images, source="manifest")
-        assert tagged == images
-        assert report.rejects == ()
-
-    def test_missing_flags_become_rejects(self):
-        images = [
-            corpus.LabeledImage(image_path="a", state="01", structure="S1",
-                                design_load_class=1),
-        ]
-        tagged, report = corpus.tag_completion(images, source="manifest")
-        assert tagged == []
-        assert report.rejects[0][0] == "a"
-
     def test_model_source_missing_file_isolated(self, tmp_path):
         import numpy as np
 
@@ -328,7 +309,7 @@ class TestTagCompletion:
                                 design_load_class=1),
         ]
         tagged, report = corpus.tag_completion(
-            images, source="model", checkpoint=ckpt, image_root=tmp_path
+            images, ckpt, image_root=tmp_path
         )
         assert [img.image_path for img in tagged] == ["ok.pnm"]
         assert tagged[0].completion in ("complete", "partial")
@@ -346,12 +327,24 @@ class TestTagCompletion:
         images = [corpus.LabeledImage(image_path="gone.pnm", state="01", structure="S1",
                                       design_load_class=1)]
         _, report = corpus.tag_completion(
-            images, source="model", checkpoint=make_checkpoint(net), image_root=tmp_path
+            images, make_checkpoint(net), image_root=tmp_path
         )
         [(path, reason)] = report.rejects
         assert path == "gone.pnm"
         assert "gone.pnm" not in reason
         assert reason == os.strerror(errno.ENOENT)
+
+    def test_non_pnm_reason_without_pillow_does_not_repeat_the_path(self, tmp_path,
+                                                                     monkeypatch):
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn
+
+        monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
+        (tmp_path / "x.gif").write_bytes(b"GIF89a" + bytes(11))
+        net = Network(micro_cnn(["complete", "partial"], input_shape=(3, 16, 16)), seed=0)
+        images = [corpus.LabeledImage(image_path="x.gif", state="01", structure="S1",
+                                      design_load_class=1)]
+        _, report = corpus.tag_completion(images, make_checkpoint(net), image_root=tmp_path)
+        assert report.rejects == (("x.gif", "not a binary PNM file and Pillow is not installed"),)
 
     def test_grayscale_model_tags_every_image(self, tmp_path):
         import numpy as np
@@ -370,7 +363,7 @@ class TestTagCompletion:
             images.append(corpus.LabeledImage(image_path=f"c{i}.pnm", state="01",
                                               structure=f"S{i}", design_load_class=2))
         tagged, report = corpus.tag_completion(
-            images, source="model", checkpoint=ckpt, image_root=tmp_path
+            images, ckpt, image_root=tmp_path
         )
         assert [img.image_path for img in tagged] == [img.image_path for img in images]
         assert report.tagged == 4 and report.rejects == ()
@@ -404,7 +397,7 @@ class TestTagCompletion:
             images.append(corpus.LabeledImage(image_path=f"m{i}.pnm", state="01",
                                               structure=f"S{i}", design_load_class=1))
         tagged, report = corpus.tag_completion(
-            images, source="model", checkpoint=ckpt, image_root=tmp_path
+            images, ckpt, image_root=tmp_path
         )
         kept = [f"m{i}.pnm" for i in range(7) if i != 3]
         assert [img.image_path for img in tagged] == kept

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ LR7 = ds.BinningScheme(name="LR7", edges=(0, 20, 40))
 @pytest.fixture(scope="module")
 def column_a_corpus():
     return gen_labeled_corpus(COLUMN_A)
+
+
+def variant(name, corpus, seed):
+    """Preset ``name`` with ``seed`` applied to ``corpus``, as ``dataset-build
+    name --seed seed`` builds it."""
+    return ds.build_variant(replace(ds.load_preset(name), seed=seed), corpus)
 
 
 def make_items(counts, prefix="img"):
@@ -238,21 +245,21 @@ class TestSplit:
 
 class TestVariants:
     def test_dl2_published_counts(self, column_a_corpus):
-        result = ds.build_variant("DL2", column_a_corpus, seed=11)
+        result = variant("DL2", column_a_corpus, 11)
         assert result.class_counts == {1: 928, 2: 1000, 3: 1000, 4: 460,
                                        5: 1000, 6: 491, 7: 585, 8: 310}
         assert result.total == 5774
 
     def test_dl3_merged_class(self, column_a_corpus):
-        result = ds.build_variant("DL3", column_a_corpus, seed=11)
+        result = variant("DL3", column_a_corpus, 11)
         assert result.class_counts[9] == 188  # 3 + 56 + 22 + 107
         assert result.total == 13540
 
     def test_dl4_total(self, column_a_corpus):
-        assert ds.build_variant("DL4", column_a_corpus, seed=11).total == 5962
+        assert variant("DL4", column_a_corpus, 11).total == 5962
 
     def test_dl5_merged_groups(self, column_a_corpus):
-        result = ds.build_variant("DL5", column_a_corpus, seed=11)
+        result = variant("DL5", column_a_corpus, 11)
         assert result.class_counts[5] == 5067  # 3991 + 491 + 585
         assert result.class_counts[6] == 332  # 310 + 22
         assert result.class_counts[7] == 166  # 3 + 56 + 107
@@ -268,7 +275,7 @@ class TestVariants:
                         load_rating_tons=tons,
                     )
                 )
-        result = ds.build_variant("LR6", corpus, seed=1)
+        result = variant("LR6", corpus, 1)
         assert result.class_counts == {1: 25, 2: 25, 3: 25}
 
     def test_min_class_size_merges_scheme(self):
@@ -286,7 +293,7 @@ class TestVariants:
             label_source=ds.BinningScheme(name="fine", edges=(0, 5, 10)),
             min_class_size=10,
         )
-        result = ds.build_variant(spec, corpus, seed=0)
+        result = ds.build_variant(spec, corpus)
         assert result.class_labels == ("0-10 tons", ">10 tons")
         assert result.class_counts == {1: 53, 2: 60}
 
@@ -302,25 +309,25 @@ class TestVariants:
     def test_completion_filter(self, column_a_corpus):
         # column-A corpus is all complete, so partial-only variants starve
         with pytest.raises(DomainError):
-            ds.build_variant("DL16", column_a_corpus, seed=0)
+            variant("DL16", column_a_corpus, 0)
 
     def test_missing_labels_error(self):
         corpus = [LabeledImage(image_path="x", state="01", structure="S1",
                                load_rating_tons=12.0)]
         with pytest.raises(DomainError, match="design-load"):
-            ds.build_variant("DL1", corpus, seed=0)
+            variant("DL1", corpus, 0)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             ds.load_preset("DL99")
 
     def test_variant_determinism(self, column_a_corpus):
-        a = ds.build_variant("DL6", column_a_corpus, seed=21)
-        b = ds.build_variant("DL6", column_a_corpus, seed=21)
+        a = variant("DL6", column_a_corpus, 21)
+        b = variant("DL6", column_a_corpus, 21)
         assert ds.write_split_csv(a.split) == ds.write_split_csv(b.split)
 
     def test_split_csv_round_trip(self, column_a_corpus):
-        result = ds.build_variant("DL2", column_a_corpus, seed=3)
+        result = variant("DL2", column_a_corpus, 3)
         text = ds.write_split_csv(result.split)
         again = ds.read_split_csv(text)
         assert [i.image_path for i in again.train] == [i.image_path for i in result.split.train]

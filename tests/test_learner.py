@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bridgecap._records import plain
 from bridgecap.datasets import DatasetItem, DatasetSplit
 from bridgecap.errors import (
     ConfigError,
@@ -896,7 +897,7 @@ class TestCheckpoint:
             raise AssertionError("drew initial weights")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        loaded = network_from_checkpoint(ckpt, dtype=np.float64)
+        loaded = Network(ckpt.descriptor, dtype=np.float64, weights=ckpt.weights)
         assert [p.dtype for p in loaded.parameters()] == [np.dtype(np.float64)] * len(ckpt.weights)
         for got, saved in zip(loaded.parameters(), ckpt.weights):
             assert got.tobytes() == saved.astype(np.float64).tobytes()
@@ -980,6 +981,29 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="stride"):
             normalize_descriptor(ArchitectureDescriptor(
                 (1, 4, 4), ({"op": "maxpool", "k": 2, "stride": 0}, {"op": "softmax"}), ("a",)))
+
+    @pytest.mark.parametrize("spec", [
+        {"op": "conv", "out_ch": 4, "stide": 2},
+        {"op": "conv", "kernel": 3, "out_ch": 4},
+        {"op": "maxpool", "k": 2, "pad": 1},
+        {"op": "relu", "inplace": True},
+        {"op": "flatten", "dims": 2},
+        {"op": "fc", "out": 2},
+        {"op": "softmax", "axis": 1},
+    ], ids=["conv_typo", "conv_kernel_alias", "maxpool", "relu", "flatten", "fc_out_alias",
+            "softmax"])
+    def test_unknown_layer_key_is_config_error(self, spec):
+        unknown = (spec.keys() - {"op", "out_ch", "k"}).pop()
+        with pytest.raises(ConfigError, match=rf"layer 0 \({spec['op']}\): unknown field\(s\) "
+                                              rf"\['{unknown}'\]"):
+            normalize_descriptor(ArchitectureDescriptor(
+                (1, 4, 4), (spec, {"op": "flatten"}, {"op": "softmax"}), ("a",) * 16))
+
+    def test_unknown_descriptor_key_is_config_error(self):
+        meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
+        assert ArchitectureDescriptor.from_dict(meta) == micro_cnn(["a", "b"], (3, 4, 4))
+        with pytest.raises(ConfigError, match=r"descriptor: unknown field\(s\) \['bogus'\]"):
+            ArchitectureDescriptor.from_dict({**meta, "bogus": 1})
 
 
 class TestFeatureHead:

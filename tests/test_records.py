@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from bridgecap import cli
 from bridgecap import evaluation as ev
-from bridgecap import _records
+from bridgecap import _records, report
 from bridgecap._records import from_ndjson, plain, to_ndjson
 from bridgecap.corpus import JoinReport, LabeledImage, TagReport
 from bridgecap.datasets import BinningScheme, bin_load_rating
@@ -276,6 +277,31 @@ class TestBlockReader:
         with mock.patch.object(_records, "_RECORDS_PER_BLOCK", 3):
             assert _records.to_csv(["path", "x", "n"], iter(rows), out=out) is None
         assert out.getvalue() == whole
+
+    def test_report_tables_read_back(self):
+        metrics = {"accuracy": 0.5, "macro_precision": 0.25, "macro_recall": None,
+                   "macro_f1": 1.0, "per_class": [
+                       {"label": "a\rb", "precision": 0.5, "recall": 0.5, "f1": 0.5},
+                       {"label": "c,d", "precision": 1.0, "recall": 0.0, "f1": None}]}
+        text = report.metrics_to_csv(metrics)
+        # A row holding a \r is quoted whole; every other row keeps the
+        # bytes csv.writer gives it.
+        assert text == ('metric,class,value\naccuracy,,0.500000\nmacro_precision,,0.250000\n'
+                        'macro_recall,,\nmacro_f1,,1.000000\n'
+                        '"precision","a\rb","0.500000"\n"recall","a\rb","0.500000"\n'
+                        '"f1","a\rb","0.500000"\n'
+                        'precision,"c,d",1.000000\nrecall,"c,d",0.000000\nf1,"c,d",\n')
+        assert [row[1] for row in csv.reader(io.StringIO(text, newline=""))][5:] == (
+            ["a\rb"] * 3 + ["c,d"] * 3)
+
+        cm = ev.confusion([0, 1, 1, 2], [0, 1, 2, 2], k=3, labels=("x", "y", "z"))
+        dist = plain(ev.error_distribution(cm))
+        rows = list(csv.reader(io.StringIO(report.distribution_to_csv(dist), newline="")))
+        assert rows == [["signed_distance", "mass"],
+                        *([str(d), f"{dist['mass'][str(d)]:.6f}"] for d in (-2, -1, 0, 1, 2))]
+        reports = plain([ev.binarize(cm, ev.BinarizationLevel(1, 10.0, 1))])
+        rows = list(csv.reader(io.StringIO(report.binarization_to_csv(reports), newline="")))
+        assert rows[1][:7] == ["1", "10.0", "1", "1", "0", "0", "3"]
 
 
 @st.composite

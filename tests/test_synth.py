@@ -55,16 +55,16 @@ class TestGenCorpus:
     def test_partial_fraction_flags(self, tmp_path):
         spec = synth.SynthSpec(classes=2, images_per_class=10, seed=1, partial_fraction=0.3)
         result = synth.gen_corpus(spec, tmp_path / "c")
-        flags = [img.completion for img in result.labeled]
+        flags = [e.completion for e in corpus.iter_manifest(result.manifest_path.read_text())]
         assert flags.count("partial") == 6  # floor(0.3 * 10) per class
 
     def test_partial_images_are_quarter_crops(self, tmp_path):
         spec = synth.SynthSpec(classes=2, images_per_class=4, seed=2,
                                partial_fraction=0.5, image_size=64)
         result = synth.gen_corpus(spec, tmp_path / "c")
-        for img in result.labeled:
-            decoded = imaging.decode_pnm((tmp_path / "c" / img.image_path).read_bytes())
-            if img.completion == "partial":
+        for entry in corpus.iter_manifest(result.manifest_path.read_text()):
+            decoded = imaging.decode_pnm((tmp_path / "c" / entry.image_path).read_bytes())
+            if entry.completion == "partial":
                 assert decoded.width == decoded.height == 32
             else:
                 assert decoded.width == decoded.height == 64
