@@ -19,6 +19,15 @@ The ndjson codec contract:
   that overflow a double are rejected. A line that breaks any of this
   raises FormatError naming its 1-based line, so a record it returns
   holds only values ``to_ndjson`` writes back unchanged.
+
+The CSV contract, for ``to_csv`` and ``iter_csv``:
+
+- A line ends only at ``\n``; a ``\r\n`` ends at its ``\n``, and a bare
+  ``\r`` must be quoted, which ``to_csv`` does. So a file opened with
+  ``newline="\n"`` gives exactly the rows and line numbers of its text.
+- A row whose cells are all blank is skipped.
+- A row the csv module cannot read raises ``FormatError(f"{what} line
+  {n}: {reason}")``, ``n`` being the line where the row ends.
 """
 
 import csv
@@ -73,6 +82,34 @@ def as_text(source, encoding: str) -> str:
     a readable file object yielding either."""
     data = source if isinstance(source, (str, bytes)) else source.read()
     return data.decode(encoding) if isinstance(data, bytes) else data
+
+
+# The csv module's advice on a row error, which assumes a file opened
+# with universal newlines: the contract above reads with ``\n`` alone.
+_OPEN_HINT = " - do you need to open the file in universal-newline mode?"
+
+
+def iter_csv(source, what: str, rejects=None, delimiter=","):
+    """(line where the row ends, row) for each row of ``source`` with a
+    non-blank cell, its cells split at ``delimiter``. ``source`` is a str,
+    bytes (UTF-8) or an open text file, which is read row by row. When
+    ``rejects`` is a list, an unreadable row is appended to it as ``(line,
+    "unreadable row: <reason>")`` and reading resumes at the next line, in
+    place of the FormatError naming ``what``."""
+    if isinstance(source, (str, bytes)):
+        source = io.StringIO(as_text(source, "utf-8"))
+    reader = csv.reader(source, delimiter=delimiter)
+    while True:
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    yield reader.line_num, row
+            return
+        except csv.Error as exc:
+            reason = str(exc).removesuffix(_OPEN_HINT)
+            if rejects is None:
+                raise FormatError(f"{what} line {reader.line_num}: {reason}") from exc
+            rejects.append((reader.line_num, f"unreadable row: {reason}"))
 
 
 def to_csv(header, rows, out=None) -> str | None:

@@ -169,7 +169,7 @@ def cmd_corpus_match(args, argv) -> int:
     # from the open file through the join, so no manifest entry is held.
     with open(run.input(args.records)) as fh:
         records = nbi.records_from_ndjson(fh)
-    with open(run.input(args.manifest)) as fh:
+    with open(run.input(args.manifest), encoding="utf-8", newline="\n") as fh:
         labeled, join_report = corpus.join_labels(corpus.iter_manifest(fh), records)
     if args.completion_model:
         ckpt = load_checkpoint(run.input(args.completion_model))
@@ -197,7 +197,7 @@ def cmd_dataset_build(args, argv) -> int:
     else:
         spec = datasets.load_preset(args.preset)
     result = datasets.build_variant(replace(spec, **_settings(args, "dataset")), labeled)
-    with open(run.output("split.csv"), "w") as fh:
+    with open(run.output("split.csv"), "w", encoding="utf-8", newline="\n") as fh:
         datasets.write_split_csv(result.split, fh)
     _dump_json(result.to_manifest_dict(), run.output("dataset_manifest.json"))
     run.finish(seeds={"dataset": result.spec.seed})
@@ -210,7 +210,8 @@ def cmd_train(args, argv) -> int:
     run = _Run(args, argv)
     config = TrainConfig(**_settings(args, "train"))
 
-    split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
+    with open(run.input(args.split), encoding="utf-8", newline="\n") as fh:
+        split = datasets.read_split_csv(fh)
     classes = split.classes
     labels = [str(c) for c in classes]
     colour = args.colour or "rgb"
@@ -250,7 +251,8 @@ def cmd_evaluate(args, argv) -> int:
     ckpt = load_checkpoint(run.input(args.checkpoint))
     size = ckpt.descriptor.image_size()
     net = network_from_checkpoint(ckpt)
-    split = datasets.read_split_csv(Path(run.input(args.split)).read_text())
+    with open(run.input(args.split), encoding="utf-8", newline="\n") as fh:
+        split = datasets.read_split_csv(fh)
     items = split.test if args.side == "test" else split.train
     if not items:
         raise DomainError(f"split has no {args.side} items")

@@ -6,21 +6,19 @@ number. Joining copies the matched record's design-load class and load
 rating onto each image verbatim; images whose record carries neither
 label are counted as matched but excluded from the labeled set.
 
-The join is one pass over the manifest: ``iter_manifest`` yields its
-entries row by row and ``join_labels`` consumes them as they come, so
-memory grows with the inventory records and the labeled images, not
-with the manifest text or its entries.
+The join is one pass over the manifest: ``join_labels`` consumes the
+entries ``iter_manifest`` yields as they come, so memory grows with the
+inventory records and the labeled images, not with the manifest text or
+its entries.
 
 An image's completion flag comes from the manifest's optional
 completion column, or, when ``corpus-match`` is given a completion
 model, from ``tag_completion``, which classifies the image itself.
 """
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
-from ._records import as_text, from_ndjson, to_csv, to_ndjson
+from ._records import from_ndjson, iter_csv, to_csv, to_ndjson
 from .errors import ConfigError, FormatError
 from .nbi import DegenerateKeyError, canonicalize, is_valid_state_code
 
@@ -63,15 +61,11 @@ class JoinReport:
 
 
 def iter_manifest(source):
-    """Parse a manifest CSV, yielding one ManifestEntry per row. The
-    completion column is optional; when present it must hold 'complete',
-    'partial', or be blank. A FormatError names the file line where the
-    bad row ends. ``source`` is a str, bytes or a file; an open text file
-    is read row by row, so one row is held at a time, and it gives the
-    rows and line numbers of its whole text."""
-    if not isinstance(source, io.TextIOBase):
-        source = io.StringIO(as_text(source, "utf-8"))
-    rows = _nonblank_rows(csv.reader(source))
+    """Parse a manifest CSV, ``source`` as ``_records.iter_csv`` takes it,
+    yielding one ManifestEntry per row. The completion column is
+    optional; when present it must hold 'complete', 'partial', or be
+    blank. A FormatError names the file line where the bad row ends."""
+    rows = iter_csv(source, "manifest")
     first = next(rows, None)
     if first is None:
         return
@@ -99,17 +93,6 @@ def iter_manifest(source):
         yield ManifestEntry(
             path, row[id_at].strip(), row[state_at].strip(), row[structure_at], completion
         )
-
-
-def _nonblank_rows(reader):
-    """(file line where the row ends, row) for each row with a non-blank
-    cell; the reader's csv.Error becomes FormatError naming its line."""
-    try:
-        for row in reader:
-            if "".join(row).strip():
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise FormatError(f"manifest line {reader.line_num}: {exc}") from exc
 
 
 def write_manifest(entries) -> str:

@@ -11,8 +11,6 @@ of the published count tables can be re-encoded without code changes.
 """
 
 import bisect
-import csv
-import io
 import json
 import math
 from collections import Counter
@@ -21,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._records import to_csv
+from ._records import iter_csv, to_csv
 from .config import SECTIONS, check
 from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
@@ -453,19 +451,17 @@ def write_split_csv(split: DatasetSplit, out=None) -> str | None:
     ), out=out)
 
 
-def read_split_csv(text: str) -> DatasetSplit:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise FormatError(f"split-manifest line {reader.line_num}: {exc}") from exc
-    header = rows[0][1] if rows else None
+def read_split_csv(source) -> DatasetSplit:
+    """The split ``write_split_csv`` wrote, read from ``source`` as
+    ``_records.iter_csv`` takes it. A wrong header raises FormatError,
+    as does a row that is not ``image_path,class,side`` with an integer
+    class and side train or test, naming its line."""
+    rows = iter_csv(source, "split-manifest")
+    header = next(rows, (None, None))[1]
     if header != ["image_path", "class", "side"]:
-        raise ConfigError(f"unexpected split-manifest header: {header}")
+        raise FormatError(f"unexpected split-manifest header: {header}")
     sides = {"train": [], "test": []}
-    for line_num, row in rows[1:]:
-        if not row:
-            continue
+    for line_num, row in rows:
         try:
             image_path, cls, side = row
             sides[side].append(DatasetItem(image_path=image_path, cls=int(cls)))

@@ -94,9 +94,10 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
     read raises ConfigError."""
     if desc.colour_mode not in COLOUR_MODES:
         raise ConfigError(f"unknown colour mode {desc.colour_mode!r} (have {COLOUR_MODES})")
-    shape = tuple(int(s) for s in desc.input_shape)
-    if len(shape) not in (1, 3) or any(s < 1 for s in shape):
-        raise ConfigError(f"bad input shape {shape}")
+    shape = tuple(desc.input_shape)
+    if len(shape) not in (1, 3) or any(isinstance(s, bool) or not isinstance(s, int) or s < 1
+                                       for s in shape):
+        raise ConfigError(f"input_shape must be 1 or 3 integers >= 1, got {shape!r}")
     normalized = []
     for idx, raw in enumerate(desc.layers):
         spec = dict(raw)
@@ -120,7 +121,7 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 ow = (w + 2 * spec["pad"] - spec["kw"]) // spec["stride"] + 1
                 if oh < 1 or ow < 1:
                     raise ConfigError(f"{where}: output collapses to {oh}x{ow}")
-                shape = (int(spec["out_ch"]), oh, ow)
+                shape = (spec["out_ch"], oh, ow)
             elif op == "relu":
                 pass
             elif op == "maxpool":
@@ -139,9 +140,7 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
                 if len(shape) != 1:
                     raise ConfigError(f"{where}: needs flat input, has {shape}")
                 spec["n_in"] = shape[0]
-                spec["n_out"] = int(spec.get("n_out", 0))
-                if spec["n_out"] < 1:
-                    raise ConfigError(f"{where}: missing output width")
+                _check_sizes(spec, where, {"n_out": 1})
                 shape = (spec["n_out"],)
             elif op == "softmax":
                 if len(shape) != 1:
@@ -158,7 +157,7 @@ def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor
         raise ConfigError(
             f"head width {shape} does not match {len(desc.class_labels)} class labels"
         )
-    return replace(desc, input_shape=tuple(int(s) for s in desc.input_shape),
+    return replace(desc, input_shape=tuple(desc.input_shape),
                    layers=tuple(normalized), class_labels=tuple(desc.class_labels))
 
 

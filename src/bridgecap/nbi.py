@@ -10,12 +10,10 @@ parser applies it row by row. Bad rows are rejected with a reason and a
 line number instead of aborting the file.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
-from ._records import as_text, from_ndjson, to_csv, to_ndjson
+from ._records import as_text, from_ndjson, iter_csv, to_csv, to_ndjson
 from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
@@ -171,12 +169,9 @@ def _build_record(fields: dict, profile: ParseProfile) -> NbiRecord:
     )
 
 
-_CSV_OPEN_HINT = " - do you need to open the file in universal-newline mode?"
-
-
-def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile):
-    """Yield (line_number, role->value dict or None, reason) triples."""
-    reader = csv.reader(io.StringIO(text), delimiter=fmt.separator)
+def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile, rejects: list):
+    """Yield (line_number, role->value dict or None, reason) triples; a
+    row the csv module cannot read goes into ``rejects`` as it is met."""
     col_index = {}
     roles = {
         "state": profile.state_column,
@@ -185,20 +180,7 @@ def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile):
         "rating": profile.rating_column,
     }
     header_consumed = False
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:  # the reader resumes at the next line
-            # The text was decoded from bytes with its newlines kept, so
-            # the csv module's hint about opening files does not apply.
-            reason = str(exc).removesuffix(_CSV_OPEN_HINT)
-            yield reader.line_num, None, f"unreadable row: {reason}"
-            continue
-        lineno = reader.line_num  # where the row ends: a quoted field may hold newlines
-        if not "".join(row).strip():
-            continue
+    for lineno, row in iter_csv(text, "inventory", rejects, fmt.separator):
         if fmt.has_header and not header_consumed:
             header_consumed = True
             names = [cell.strip() for cell in row]
@@ -270,13 +252,13 @@ def parse_nbi(source, profile: ParseProfile) -> tuple[list[NbiRecord], NbiFileSt
     except OSError as exc:
         raise OSError(f"could not read inventory source: {exc}") from exc
 
+    records: list[NbiRecord] = []
+    rejects: list[tuple[int, str]] = []
     if isinstance(profile.file_format, DelimitedFormat):
-        rows = _delimited_rows(text, profile.file_format, profile)
+        rows = _delimited_rows(text, profile.file_format, profile, rejects)
     else:
         rows = _fixed_width_rows(text, profile.file_format, profile)
 
-    records: list[NbiRecord] = []
-    rejects: list[tuple[int, str]] = []
     missing_design = 0
     missing_rating = 0
     for lineno, fields, reason in rows:

@@ -1,9 +1,10 @@
 """Test fixtures that the pipeline itself never calls: in-memory corpora,
 random confusion matrices, a rating scheme for synthetic corpora, the
-preset names, a design-load map's output width, and a linear head for
-FC-only learner tests."""
+preset names, a design-load map's output width, a linear head for
+FC-only learner tests, and descriptor sizes that are not integers."""
 
 import numpy as np
+import pytest
 
 from bridgecap import datasets
 from bridgecap.corpus import LabeledImage
@@ -83,3 +84,25 @@ def linear_head(n_features, class_labels) -> ArchitectureDescriptor:
             class_labels=tuple(str(c) for c in class_labels),
         )
     )
+
+
+
+# (field, value) pairs that are not a size: an input shape that is not
+# integers >= 1, or an fc width that is not one. ``int()`` would read each
+# as a different network.
+BAD_SIZES = [
+    pytest.param("input_shape", [3, 4.7, 4], id="input_fraction"),
+    pytest.param("input_shape", ["3", "4", "4"], id="input_str"),
+    pytest.param("input_shape", [True, 4, 4], id="input_bool"),
+    pytest.param("n_out", 2.9, id="n_out_fraction"),
+    pytest.param("n_out", "2", id="n_out_str"),
+]
+
+
+def set_bad_size(meta: dict, field: str, value) -> None:
+    """Put ``value`` in a descriptor's metadata as its input shape, or as
+    the width of its last fc layer."""
+    if field == "input_shape":
+        meta["input_shape"] = value
+    else:
+        next(spec for spec in reversed(meta["layers"]) if spec["op"] == "fc")[field] = value

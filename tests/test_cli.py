@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bridgecap import synth
 from bridgecap.cli import main
 from bridgecap.errors import InvariantError
+from helpers import BAD_SIZES, set_bad_size
 
 
 def run(*argv):
@@ -26,6 +27,29 @@ def missing_image_split(tmp_path):
     split = tmp_path / "missing_images.csv"
     split.write_text("image_path,class,side\ngone_a.pnm,1,train\ngone_b.pnm,2,test\n")
     return ["--split", str(split), "--image-root", str(tmp_path)]
+
+
+def evaluate_forged_checkpoint(tmp_path, forge) -> int:
+    """The exit code of ``evaluate`` on a 2-class 4x4 checkpoint whose
+    metadata ``forge`` edited in place: unedited, the run exits 0."""
+    import numpy as np
+
+    from bridgecap.imaging import RgbImage, encode_pnm
+    from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
+
+    data = checkpoint_to_bytes(make_checkpoint(
+        Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))))
+    (meta_len,) = struct.unpack_from("<Q", data, 8)
+    meta = json.loads(data[16 : 16 + meta_len])
+    forge(meta)
+    raw = json.dumps(meta).encode()
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
+    (tmp_path / "x.pnm").write_bytes(encode_pnm(RgbImage(np.zeros((4, 4, 3), np.uint8))))
+    split = tmp_path / "split.csv"
+    split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\n")
+    return run("evaluate", "--checkpoint", str(ckpt), "--split", str(split),
+               "--image-root", str(tmp_path), "--out", str(tmp_path / "e"))
 
 
 @pytest.fixture()
@@ -102,26 +126,14 @@ class TestExitCodes:
         lambda meta: meta.update(bogus=1),
     ], ids=["layer_key", "descriptor_key"])
     def test_unknown_checkpoint_key_is_2(self, tmp_path, capsys, forge):
-        # Without the key the run exits 0, so the key alone makes it fail.
-        import numpy as np
-
-        from bridgecap.imaging import RgbImage, encode_pnm
-        from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
-
-        data = checkpoint_to_bytes(make_checkpoint(
-            Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))))
-        (meta_len,) = struct.unpack_from("<Q", data, 8)
-        meta = json.loads(data[16 : 16 + meta_len])
-        forge(meta)
-        raw = json.dumps(meta).encode()
-        ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
-        (tmp_path / "x.pnm").write_bytes(encode_pnm(RgbImage(np.zeros((4, 4, 3), np.uint8))))
-        split = tmp_path / "split.csv"
-        split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\n")
-        assert run("evaluate", "--checkpoint", str(ckpt), "--split", str(split),
-                   "--image-root", str(tmp_path), "--out", str(tmp_path / "e")) == 2
+        assert evaluate_forged_checkpoint(tmp_path, forge) == 2
         assert "unknown field(s) ['" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", BAD_SIZES)
+    def test_checkpoint_size_that_is_not_an_integer_is_2(self, tmp_path, capsys, field, value):
+        assert evaluate_forged_checkpoint(
+            tmp_path, lambda meta: set_bad_size(meta, field, value)) == 2
+        assert f"{field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
@@ -361,6 +373,39 @@ class TestExitCodes:
         assert run("nbi-parse", "--input", str(inventory), "--out", str(tmp_path / "n")) == 0
         stats = json.loads((tmp_path / "n" / "nbi_stats.json").read_text())["stats"]
         assert (stats["parsed_rows"], stats["reject_count"]) == (1, 1)
+
+    @pytest.mark.parametrize("stage", ["corpus-match", "train"])
+    def test_cr_only_line_ends_are_2(self, tmp_path, capsys, stage):
+        # A line ends only at \n, so a classic-Mac file is one line with a
+        # bare \r in an unquoted field.
+        source = tmp_path / "in.csv"
+        if stage == "corpus-match":
+            source.write_bytes(b"image_path,bridge_local_id,state,structure\ra.pnm,0,01,S1\r")
+            (tmp_path / "records.ndjson").write_text("")
+            argv = ["--manifest", str(source), "--records", str(tmp_path / "records.ndjson")]
+            what = "manifest"
+        else:
+            source.write_bytes(b"image_path,class,side\ra.pnm,1,train\rb.pnm,2,test\r")
+            argv = ["--split", str(source), "--image-root", str(tmp_path)]
+            what = "split-manifest"
+        assert run(stage, *argv, "--out", str(tmp_path / "o")) == 2
+        assert f"{what} line 1: new-line character seen in unquoted field\n" in (
+            capsys.readouterr().err)
+
+
+class TestCarriageReturns:
+    def test_corpus_match_keeps_them_in_image_paths(self, tmp_path):
+        inventory = tmp_path / "inventory.csv"
+        inventory.write_text("state,structure,design_load_code,load_rating_tons\n01,S1,3,12.5\n")
+        assert run("nbi-parse", "--input", str(inventory), "--out", str(tmp_path / "n")) == 0
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"image_path,bridge_local_id,state,structure\n"
+                             b'"a\rb.pnm",0,01,S1\n"c\r\nd.pnm",1,01,S1\n')
+        assert run("corpus-match", "--manifest", str(manifest),
+                   "--records", str(tmp_path / "n" / "records.ndjson"),
+                   "--out", str(tmp_path / "j")) == 0
+        lines = (tmp_path / "j" / "labeled.ndjson").read_text().splitlines()
+        assert [json.loads(line)["image_path"] for line in lines] == ["a\rb.pnm", "c\r\nd.pnm"]
 
 
 class TestCyclicGc:

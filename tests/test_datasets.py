@@ -1,14 +1,18 @@
+import csv
+import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bridgecap import datasets as ds
 from bridgecap.corpus import LabeledImage
 from bridgecap.errors import ConfigError, DomainError, FormatError
+import csv_oracles
 from helpers import gen_labeled_corpus, output_count, preset_names
 
 # Published per-class design-load counts the synthetic corpus reproduces.
@@ -350,3 +354,82 @@ class TestVariants:
         for name in preset_names():
             spec = ds.load_preset(name)
             assert spec.name == name
+
+
+# Split text with quoted fields that hold line breaks, bare \r and \r\n
+# line ends and, in half of the texts, a wrong header or one malformed
+# row, but no blank row: the old reader read a blank row as a malformed one.
+SPLIT_ROW = st.tuples(
+    st.sampled_from(["a.pnm", " b.pnm", '"q\nx.pnm"', '"q\r\ny.pnm"', '"q\rz.pnm"', '""']),
+    st.sampled_from(["1", "-2", " 3"]),
+    st.sampled_from(["train", "test"]),
+).map(",".join)
+BAD_SPLIT_ROW = st.sampled_from(["a.pnm,1", "a.pnm,x,test", "a.pnm,1,val", "a\rb.pnm,1,train",
+                                 'a.pnm,1,"open', "a,1,test,x"])
+
+
+@st.composite
+def split_texts(draw):
+    rows = draw(st.lists(SPLIT_ROW, max_size=8))
+    header = "image_path,class,side"
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            header = draw(st.sampled_from(["image_path,class", "a"]))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), draw(BAD_SPLIT_ROW))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                         max_size=len(rows) + 1))
+    return "".join(row + end for row, end in zip([header, *rows], ends))
+
+
+def split_or_error(read, errors=FormatError):
+    try:
+        return read()
+    except errors as exc:
+        return str(exc).removesuffix(" - do you need to open the file in universal-newline mode?")
+
+
+class TestSplitCsvReader:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(split_texts().filter(lambda text: not csv_oracles.has_blank_row(text)))
+    def test_rows_lines_and_errors_equal_the_old_reader(self, text):
+        # The old reader read every row before it looked at the first, so
+        # an unreadable row anywhere was reported before an earlier error.
+        # This one stops at the first error: where the old one stops on the
+        # lines up to that error's.
+        got = split_or_error(lambda: ds.read_split_csv(text))
+        if isinstance(got, str):
+            if match := re.match(r"split-manifest line (\d+):", got):
+                last = int(match[1])
+            else:  # the header
+                reader = csv.reader(io.StringIO(text))
+                last = reader.line_num if next(reader, None) else 0
+            text = "".join(io.StringIO(text).readlines()[:last])
+        # The old reader raised ConfigError for a wrong header.
+        expected = split_or_error(lambda: csv_oracles.read_split_csv(text),
+                                  (FormatError, ConfigError))
+        assert got == expected
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.builds(ds.DatasetItem, image_path=st.text(),
+                              cls=st.integers(-10**12, 10**12)), max_size=8),
+           st.integers(0, 8))
+    @example([ds.DatasetItem("a\rb.pnm", 1), ds.DatasetItem("c\r\nd.pnm", 2)], 1)
+    def test_file_opened_as_train_opens_it_gives_the_written_paths(self, tmp_path, items, cut):
+        split = ds.DatasetSplit(train=tuple(items[:cut]), test=tuple(items[cut:]))
+        path = tmp_path / "split.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            ds.write_split_csv(split, fh)
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            assert ds.read_split_csv(fh) == split
+
+    @pytest.mark.parametrize("header", ["", "image_path,class\n", "path,class,side\n"])
+    def test_wrong_header_is_format_error(self, header):
+        with pytest.raises(FormatError, match="unexpected split-manifest header"):
+            ds.read_split_csv(header + "a.pnm,1,train\n")
+
+    def test_rows_of_blank_cells_are_skipped(self):
+        text = "image_path,class,side\n   \na.pnm,1,train\n,,\n\nb.pnm,2,test\n"
+        assert ds.read_split_csv(text) == ds.DatasetSplit(
+            train=(ds.DatasetItem("a.pnm", 1),), test=(ds.DatasetItem("b.pnm", 2),))

@@ -43,7 +43,7 @@ from bridgecap.learner import (
 from bridgecap.learner import layers as L
 from bridgecap.learner import network as network_module
 from bridgecap.learner.checkpoint import MAGIC, VERSION
-from helpers import linear_head
+from helpers import BAD_SIZES, linear_head, set_bad_size
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 HELPER_COUNTS = (0, 1, 3)
@@ -1004,6 +1004,13 @@ class TestCheckpoint:
         assert ArchitectureDescriptor.from_dict(meta) == micro_cnn(["a", "b"], (3, 4, 4))
         with pytest.raises(ConfigError, match=r"descriptor: unknown field\(s\) \['bogus'\]"):
             ArchitectureDescriptor.from_dict({**meta, "bogus": 1})
+
+    @pytest.mark.parametrize("field, value", BAD_SIZES)
+    def test_size_that_is_not_an_integer_is_config_error(self, field, value):
+        meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
+        set_bad_size(meta, field, value)
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ArchitectureDescriptor.from_dict(meta)
 
 
 class TestFeatureHead:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bridgecap import nbi
 from bridgecap.errors import ConfigError, DegenerateKeyError, FormatError
+from csv_oracles import parse_delimited_nbi
 
 STANDARD = nbi.load_builtin_profile("standard")
 
@@ -111,6 +112,52 @@ class TestProperties:
         again, stats = nbi.parse_nbi(nbi.write_delimited(records), STANDARD)
         assert again == records
         assert stats.reject_count == 0
+
+
+PIPES = nbi.profile_from_dict({
+    "name": "pipes", "format": {"kind": "delimited", "separator": "|", "has_header": False},
+    "columns": {"state": 0, "structure": 1, "design_load": 2, "rating": 3},
+    "design_code_map": {"3": 3}, "rating_divisor": 1,
+})
+
+
+@st.composite
+def inventory_texts(draw, profile):
+    """Inventory text with quoted fields that hold line breaks, bare \\r
+    and \\r\\n line ends, blank, short, unreadable and rejected rows."""
+    sep = profile.file_format.separator
+    row = st.tuples(
+        st.sampled_from(["01", " 06", "X1", ""]),
+        st.sampled_from(["S1", '"S\n2"', '"q\rz"', '"q\r\nz"', "1\r2", "ABCDEFGH12345678",
+                         '"open']),
+        st.sampled_from(["3", "", "Z"]),
+        st.sampled_from(["12.5", "", "abc"]),
+    ).map(sep.join) | st.sampled_from(["", " ", sep * 3, "01", f"01{sep}S1"])
+    rows = draw(st.lists(row, max_size=8))
+    if profile.file_format.has_header:
+        good = "state,structure,design_load_code,load_rating_tons"
+        rows.insert(0, draw(st.sampled_from([good, good, good, "state,structure"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows),
+                         max_size=len(rows)))
+    return "".join(r + end for r, end in zip(rows, ends))
+
+
+def parsed_or_error(parse):
+    try:
+        return parse()
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestDelimitedReader:
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("profile", [STANDARD, PIPES], ids=["standard", "pipes"])
+    def test_records_and_rejects_equal_the_old_reader(self, profile, data):
+        # The old reader skipped blank rows too, so every text is compared.
+        text = data.draw(inventory_texts(profile))
+        assert parsed_or_error(lambda: nbi.parse_nbi(text, profile)) == parsed_or_error(
+            lambda: parse_delimited_nbi(text, profile))
 
 
 class TestParseFixture:

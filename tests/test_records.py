@@ -304,6 +304,44 @@ class TestBlockReader:
         assert rows[1][:7] == ["1", "10.0", "1", "1", "0", "0", "3"]
 
 
+# CSV text from pieces that quote, split and end rows, with \r and \r\n
+# inside and outside quotes.
+CSV_TEXT = st.lists(st.sampled_from(["a", "é", " ", ",", '"', '""', "\r", "\n", "\r\n"]),
+                    max_size=16).map("".join)
+
+
+def _csv_rows_or_error(source):
+    try:
+        return list(_records.iter_csv(source, "table"))
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestCsvReader:
+    @PROPERTY
+    @given(text=CSV_TEXT)
+    def test_a_file_gives_the_rows_and_lines_of_its_text(self, text):
+        expected = _csv_rows_or_error(text)
+        assert _csv_rows_or_error(text.encode()) == expected
+        opened = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")
+        assert _csv_rows_or_error(opened) == expected
+
+    def test_rows_of_blank_cells_are_skipped(self):
+        assert list(_records.iter_csv('a\n \n,\n"\n"\n\nb,\n', "table")) == [
+            (1, ["a"]), (7, ["b", ""])]
+
+    def test_error_names_what_and_line_without_the_open_hint(self):
+        with pytest.raises(FormatError) as info:
+            list(_records.iter_csv("a\nb\rc\n", "table"))
+        assert str(info.value) == "table line 2: new-line character seen in unquoted field"
+
+    def test_rejects_take_the_error_and_reading_resumes(self):
+        rejects = []
+        rows = list(_records.iter_csv("a\nb\rc\nd;e\n", "table", rejects, ";"))
+        assert rows == [(1, ["a"]), (3, ["d", "e"])]
+        assert rejects == [(2, "unreadable row: new-line character seen in unquoted field")]
+
+
 @st.composite
 def schemes(draw):
     rest = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=6, unique=True))
