@@ -18,7 +18,8 @@ The ndjson codec contract:
   ``bool`` is never a number), and ``NaN``, ``Infinity`` and literals
   that overflow a double are rejected. A line that breaks any of this
   raises FormatError naming its 1-based line, so a record it returns
-  holds only values ``to_ndjson`` writes back unchanged.
+  holds only values ``to_ndjson`` writes back unchanged. So does a file
+  that is not UTF-8, naming its path and the first line that is not.
 
 The CSV contract, for ``to_csv`` and ``iter_csv``:
 
@@ -26,8 +27,8 @@ The CSV contract, for ``to_csv`` and ``iter_csv``:
   ``\r`` must be quoted, which ``to_csv`` does. So a file opened with
   ``newline="\n"`` gives exactly the rows and line numbers of its text.
 - A row whose cells are all blank is skipped.
-- A row the csv module cannot read raises ``FormatError(f"{what} line
-  {n}: {reason}")``, ``n`` being the line where the row ends.
+- A row the csv module cannot read, or that is not UTF-8, raises
+  ``FormatError(f"{what} line {n}: {reason}")``, ``n`` its last line.
 """
 
 import csv
@@ -89,6 +90,18 @@ def as_text(source, encoding: str) -> str:
 _OPEN_HINT = " - do you need to open the file in universal-newline mode?"
 
 
+def _undecodable(what: str, text, exc: UnicodeDecodeError) -> FormatError:
+    """The FormatError for ``exc``, raised reading the text file ``text``,
+    naming ``what`` and the first ``\n``-ended line that does not decode."""
+    text.buffer.seek(0)
+    for line, data in enumerate(text.buffer, 1):
+        try:
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as bad:
+            return FormatError(f"{what} line {line}: not {exc.encoding} text ({bad.reason})")
+    return FormatError(f"{what}: not {exc.encoding} text ({exc.reason})")
+
+
 def iter_csv(source, what: str, rejects=None, delimiter=","):
     """(line where the row ends, row) for each row of ``source`` with a
     non-blank cell, its cells split at ``delimiter``. ``source`` is a str,
@@ -96,8 +109,10 @@ def iter_csv(source, what: str, rejects=None, delimiter=","):
     ``rejects`` is a list, an unreadable row is appended to it as ``(line,
     "unreadable row: <reason>")`` and reading resumes at the next line, in
     place of the FormatError naming ``what``."""
-    if isinstance(source, (str, bytes)):
-        source = io.StringIO(as_text(source, "utf-8"))
+    if isinstance(source, bytes):
+        source = io.TextIOWrapper(io.BytesIO(source), "utf-8", newline="\n")
+    elif isinstance(source, str):
+        source = io.StringIO(source)
     reader = csv.reader(source, delimiter=delimiter)
     while True:
         try:
@@ -110,6 +125,8 @@ def iter_csv(source, what: str, rejects=None, delimiter=","):
             if rejects is None:
                 raise FormatError(f"{what} line {reader.line_num}: {reason}") from exc
             rejects.append((reader.line_num, f"unreadable row: {reason}"))
+        except UnicodeDecodeError as exc:
+            raise _undecodable(what, source, exc) from exc
 
 
 def to_csv(header, rows, out=None) -> str | None:
@@ -277,15 +294,18 @@ def _line_blocks(source, size: int):
         yield 1, source.splitlines()
         return
     lineno, pending = 1, []
-    while chunk := source.read(size):
-        cut = chunk.rfind("\n") + 1
-        if not cut:
-            pending.append(chunk)
-            continue
-        lines = "".join([*pending, chunk[:cut]]).splitlines()
-        pending = [chunk[cut:]]
-        yield lineno, lines
-        lineno += len(lines)
+    try:
+        while chunk := source.read(size):
+            cut = chunk.rfind("\n") + 1
+            if not cut:
+                pending.append(chunk)
+                continue
+            lines = "".join([*pending, chunk[:cut]]).splitlines()
+            pending = [chunk[cut:]]
+            yield lineno, lines
+            lineno += len(lines)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(getattr(source, "name", "ndjson"), source, exc) from exc
     yield lineno, "".join(pending).splitlines()
 
 

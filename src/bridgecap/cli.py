@@ -167,7 +167,7 @@ def cmd_corpus_match(args, argv) -> int:
     run = _Run(args, argv)
     # The records are indexed first; the manifest then flows row by row
     # from the open file through the join, so no manifest entry is held.
-    with open(run.input(args.records)) as fh:
+    with open(run.input(args.records), encoding="utf-8") as fh:
         records = nbi.records_from_ndjson(fh)
     with open(run.input(args.manifest), encoding="utf-8", newline="\n") as fh:
         labeled, join_report = corpus.join_labels(corpus.iter_manifest(fh), records)
@@ -189,7 +189,7 @@ def cmd_corpus_match(args, argv) -> int:
 
 def cmd_dataset_build(args, argv) -> int:
     run = _Run(args, argv)
-    with open(run.input(args.corpus)) as fh:
+    with open(run.input(args.corpus), encoding="utf-8") as fh:
         labeled = corpus.labeled_from_ndjson(fh)
     if _is_file_ref(args.preset):
         spec_file = run.input(args.preset)
@@ -216,16 +216,19 @@ def cmd_train(args, argv) -> int:
     labels = [str(c) for c in classes]
     colour = args.colour or "rgb"
     if args.dataset_manifest:
+        where = f"dataset manifest {args.dataset_manifest}"
         manifest = read_json(run.input(args.dataset_manifest), "dataset manifest")
-        try:
-            all_labels = manifest["class_labels"]
-            colour = manifest["colour"]
-            labels = [all_labels[c - 1] for c in classes]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise FormatError(
-                f"dataset manifest {args.dataset_manifest} needs a 'colour' and "
-                f"'class_labels' covering classes {classes}: {type(exc).__name__} {exc}"
-            ) from exc
+        check(manifest, dict, where)
+        for key, shape in (("class_labels", [str]), ("colour", str)):
+            if key not in manifest:
+                raise ConfigError(f"{where}: missing field {key!r}")
+            check(manifest[key], shape, f"{where}.{key}")
+        all_labels, colour = manifest["class_labels"], manifest["colour"]
+        outside = [c for c in classes if not 1 <= c <= len(all_labels)]
+        if outside:
+            raise FormatError(f"split classes {outside} are outside "
+                              f"1..{len(all_labels)}, the classes of {where}")
+        labels = [all_labels[c - 1] for c in classes]
         if args.colour is not None and args.colour != colour:
             raise UsageError(
                 f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"

@@ -43,9 +43,8 @@ def _fits(value, kind) -> bool:
 def _describe(shape) -> str:
     if isinstance(shape, tuple):
         return " or ".join(map(_describe, shape))
-    if isinstance(shape, list):
-        return "a list"
-    return "a JSON object" if isinstance(shape, dict) else getattr(shape, "__name__", "null")
+    kind = shape if isinstance(shape, type) else type(shape)
+    return {list: "a list", dict: "a JSON object"}.get(kind) or getattr(shape, "__name__", "null")
 
 
 def check(value, shape, where: str) -> None:
@@ -53,10 +52,10 @@ def check(value, shape, where: str) -> None:
     parsed JSON ``value`` has ``shape``. A shape is a JSON scalar type
     (``str``, ``int``, ``float`` or ``bool``: a bool is never an int, a
     float also takes an int, and a number must fit an int64 or a finite
-    double), ``None`` for null, a tuple of alternative shapes, ``[shape]``
-    for a list of ``shape``, or a dict for an object with only those keys,
-    where a ``str`` key means any key. No key is required: each reader
-    checks the keys it cannot do without.
+    double), ``None`` for null, ``dict`` for any object, a tuple of
+    alternative shapes, ``[shape]`` for a list of ``shape``, or a dict for
+    an object with only those keys, where a ``str`` key means any key. No
+    key is required: each reader checks the keys it cannot do without.
     """
     if isinstance(shape, tuple):
         for alternative in shape:

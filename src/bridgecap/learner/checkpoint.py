@@ -35,8 +35,6 @@ MAGIC = b"BCAP"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, meta length
 
-_HISTORY_SERIES = ("train_acc", "train_loss", "val_acc", "val_loss")
-
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -95,9 +93,9 @@ def _json_block(raw: bytes, what: str) -> dict:
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Decode checkpoint bytes. Malformed bytes raise ``FormatError``; a
-    well-formed descriptor that fails validation raises ``ConfigError``,
-    as it would at construction."""
+    """Decode checkpoint bytes. Malformed bytes raise ``FormatError``. A
+    descriptor that fails validation, a missing field included (once a
+    FormatError), raises ``ConfigError`` as at construction. Both exit 2."""
     if data[:4] != MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:4]!r}")
     if len(data) < _HEADER.size:
@@ -109,10 +107,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     if meta_end > len(data):
         raise FormatError(f"metadata of {meta_len} bytes runs past the end of the file")
     meta = _json_block(data[_HEADER.size : meta_end], "metadata")
-    try:
-        descriptor = ArchitectureDescriptor.from_dict(meta)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint metadata: bad or missing field {exc}") from exc
+    descriptor = ArchitectureDescriptor.from_dict(meta)
 
     weights = []
     pos = meta_end

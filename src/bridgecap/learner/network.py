@@ -2,34 +2,37 @@
 
 A descriptor is data: an input shape, an ordered list of layer specs,
 the class labels the head predicts, and the colour mode its tensors are
-prepared with. Validation propagates shapes through the stack once, so
-a bad wiring fails at construction and names the offending layer.
+prepared with. One checker, ``config.check``, rejects its wrong types and
+unknown keys. Validation then propagates shapes through the stack once,
+so a bad wiring fails at construction and names the offending layer.
 """
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .._records import plain
+from ..config import check
 from ..errors import ConfigError, DomainError
 from ..imaging import COLOUR_MODES, pixels_to_tensor
 from . import layers as L
 
-# Op -> the keys its layer spec may hold.
-_LAYER_KEYS = {
-    "conv": {"op", "kh", "kw", "out_ch", "stride", "pad", "in_ch"},
-    "relu": {"op"},
-    "maxpool": {"op", "k", "stride"},
-    "flatten": {"op"},
-    "fc": {"op", "n_out", "n_in"},
-    "softmax": {"op"},
+_DESCRIPTOR_SHAPE = {"input_shape": [int], "layers": [dict], "class_labels": [str],
+                     "colour_mode": str}
+# Op -> the sizes its layer spec may hold beside the op.
+_LAYER_SHAPES = {
+    "conv": {"kh": int, "kw": int, "out_ch": int, "stride": int, "pad": int, "in_ch": int},
+    "relu": {},
+    "maxpool": {"k": int, "stride": int},
+    "flatten": {},
+    "fc": {"n_out": int, "n_in": int},
+    "softmax": {},
 }
-_LAYER_OPS = tuple(_LAYER_KEYS)
-
-
-def _reject_unknown(keys, allowed, where):
-    unknown = keys - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(map(str, unknown))}")
+_LAYER_OPS = tuple(_LAYER_SHAPES)
+# Op -> the size its spec cannot do without, and the one its input fixes.
+_REQUIRED = {"conv": "out_ch", "maxpool": "k", "fc": "n_out"}
+_DERIVED = {"conv": "in_ch", "fc": "n_in"}
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,7 @@ class ArchitectureDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureDescriptor":
-        _reject_unknown(d.keys(), {f.name for f in fields(cls)}, "descriptor")
-        return normalize_descriptor(
-            cls(
-                input_shape=tuple(d["input_shape"]),
-                layers=tuple(d["layers"]),
-                class_labels=tuple(d["class_labels"]),
-                colour_mode=d.get("colour_mode", "rgb"),
-            )
-        )
+        return normalize_descriptor(d)
 
     @property
     def num_classes(self) -> int:
@@ -78,87 +73,73 @@ class ArchitectureDescriptor:
         return shapes
 
 
-def _check_sizes(spec, where, least):
-    """``least`` maps each size field to its smallest allowed integer."""
-    for key, low in least.items():
-        value = spec[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"{where}: {key} must be an integer >= {low}, got {value!r}")
-
-
-def normalize_descriptor(desc: ArchitectureDescriptor) -> ArchitectureDescriptor:
-    """Fill derived fields (conv in_ch, fc n_in) and verify the stack:
-    shapes must compose, the final layer must be softmax over a head as
-    wide as the class-label list, and the colour mode must be one of
-    ``imaging.COLOUR_MODES``. A layer spec holding a key its op does not
-    read raises ConfigError."""
-    if desc.colour_mode not in COLOUR_MODES:
-        raise ConfigError(f"unknown colour mode {desc.colour_mode!r} (have {COLOUR_MODES})")
-    shape = tuple(desc.input_shape)
-    if len(shape) not in (1, 3) or any(isinstance(s, bool) or not isinstance(s, int) or s < 1
-                                       for s in shape):
+def normalize_descriptor(desc) -> ArchitectureDescriptor:
+    """``desc``, a descriptor or its plain JSON form, with its derived
+    fields (conv in_ch, fc n_in) filled. ``config.check`` alone rejects a
+    wrong type or a key nothing reads; then required fields, sizes >= 1
+    (pad >= 0), a given in_ch or n_in, the shapes, the colour mode and a
+    softmax head as wide as the class labels are checked: ConfigError."""
+    d = plain(desc)
+    check(d, _DESCRIPTOR_SHAPE, "descriptor")
+    for key in ("input_shape", "layers", "class_labels"):
+        if key not in d:
+            raise ConfigError(f"descriptor: missing field {key!r}")
+    colour_mode = d.get("colour_mode", "rgb")
+    if colour_mode not in COLOUR_MODES:
+        raise ConfigError(f"unknown colour mode {colour_mode!r} (have {COLOUR_MODES})")
+    shape = tuple(d["input_shape"])
+    if len(shape) not in (1, 3) or min(shape) < 1:
         raise ConfigError(f"input_shape must be 1 or 3 integers >= 1, got {shape!r}")
     normalized = []
-    for idx, raw in enumerate(desc.layers):
-        spec = dict(raw)
+    for idx, spec in enumerate(d["layers"]):
         op = spec.get("op")
         where = f"layer {idx} ({op})"
         if op not in _LAYER_OPS:
             raise ConfigError(f"{where}: unknown op (have {_LAYER_OPS})")
-        _reject_unknown(spec.keys(), _LAYER_KEYS[op], where)
-        try:
-            if op == "conv":
-                if len(shape) != 3:
-                    raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
-                spec.setdefault("kh", 3)
-                spec.setdefault("kw", spec["kh"])
-                spec.setdefault("stride", 1)
-                spec.setdefault("pad", 0)
-                _check_sizes(spec, where, {"kh": 1, "kw": 1, "stride": 1, "out_ch": 1, "pad": 0})
-                spec["in_ch"] = shape[0]
-                c, h, w = shape
-                oh = (h + 2 * spec["pad"] - spec["kh"]) // spec["stride"] + 1
-                ow = (w + 2 * spec["pad"] - spec["kw"]) // spec["stride"] + 1
-                if oh < 1 or ow < 1:
-                    raise ConfigError(f"{where}: output collapses to {oh}x{ow}")
-                shape = (spec["out_ch"], oh, ow)
-            elif op == "relu":
-                pass
-            elif op == "maxpool":
-                if len(shape) != 3:
-                    raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
-                spec.setdefault("stride", spec.get("k", 2))
-                _check_sizes(spec, where, {"k": 1, "stride": 1})
-                k, s = spec["k"], spec["stride"]
-                c, h, w = shape
-                if h < k or w < k:
-                    raise ConfigError(f"{where}: window {k} exceeds input {h}x{w}")
-                shape = (c, (h - k) // s + 1, (w - k) // s + 1)
-            elif op == "flatten":
-                shape = (int(np.prod(shape)),)
-            elif op == "fc":
-                if len(shape) != 1:
-                    raise ConfigError(f"{where}: needs flat input, has {shape}")
-                spec["n_in"] = shape[0]
-                _check_sizes(spec, where, {"n_out": 1})
-                shape = (spec["n_out"],)
-            elif op == "softmax":
-                if len(shape) != 1:
-                    raise ConfigError(f"{where}: needs flat input, has {shape}")
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: bad field: {exc}") from exc
+        check(spec, {"op": str, **_LAYER_SHAPES[op]}, where)
+        if op in _REQUIRED and _REQUIRED[op] not in spec:
+            raise ConfigError(f"{where}: missing field {_REQUIRED[op]!r}")
+        if op == "conv":
+            spec = {"kh": 3, "stride": 1, "pad": 0, **spec}
+            spec.setdefault("kw", spec["kh"])
+        elif op == "maxpool":
+            spec.setdefault("stride", spec["k"])
+        for key, value in spec.items():
+            least = 0 if key == "pad" else 1
+            if key != "op" and value < least:
+                raise ConfigError(f"{where}: {key} must be an integer >= {least}, got {value!r}")
+        if op in ("conv", "maxpool") and len(shape) != 3:
+            raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
+        if op in ("fc", "softmax") and len(shape) != 1:
+            raise ConfigError(f"{where}: needs flat input, has {shape}")
+        derived = _DERIVED.get(op)
+        if derived and spec.setdefault(derived, shape[0]) != shape[0]:
+            raise ConfigError(f"{where}: {derived} is {spec[derived]}, not its input's {shape[0]}")
+        if op == "conv":
+            c, h, w = shape
+            oh = (h + 2 * spec["pad"] - spec["kh"]) // spec["stride"] + 1
+            ow = (w + 2 * spec["pad"] - spec["kw"]) // spec["stride"] + 1
+            if oh < 1 or ow < 1:
+                raise ConfigError(f"{where}: output collapses to {oh}x{ow}")
+            shape = (spec["out_ch"], oh, ow)
+        elif op == "maxpool":
+            k, s = spec["k"], spec["stride"]
+            c, h, w = shape
+            if h < k or w < k:
+                raise ConfigError(f"{where}: window {k} exceeds input {h}x{w}")
+            shape = (c, (h - k) // s + 1, (w - k) // s + 1)
+        elif op == "flatten":
+            shape = (math.prod(shape),)
+        elif op == "fc":
+            shape = (spec["n_out"],)
         normalized.append(spec)
 
     if not normalized or normalized[-1]["op"] != "softmax":
         raise ConfigError("descriptor must end with a softmax layer")
-    if shape != (len(desc.class_labels),):
-        raise ConfigError(
-            f"head width {shape} does not match {len(desc.class_labels)} class labels"
-        )
-    return replace(desc, input_shape=tuple(desc.input_shape),
-                   layers=tuple(normalized), class_labels=tuple(desc.class_labels))
+    labels = tuple(d["class_labels"])
+    if shape != (len(labels),):
+        raise ConfigError(f"head width {shape} does not match {len(labels)} class labels")
+    return ArchitectureDescriptor(tuple(d["input_shape"]), tuple(normalized), labels, colour_mode)
 
 
 def micro_cnn(class_labels, input_shape=(3, 64, 64), colour_mode="rgb") -> ArchitectureDescriptor:

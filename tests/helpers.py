@@ -1,7 +1,9 @@
 """Test fixtures that the pipeline itself never calls: in-memory corpora,
 random confusion matrices, a rating scheme for synthetic corpora, the
 preset names, a design-load map's output width, a linear head for
-FC-only learner tests, and descriptor sizes that are not integers."""
+FC-only learner tests, and descriptor fields a checkpoint cannot hold."""
+
+import re
 
 import numpy as np
 import pytest
@@ -86,23 +88,94 @@ def linear_head(n_features, class_labels) -> ArchitectureDescriptor:
     )
 
 
+# A value ``set_field`` deletes in place of setting it.
+MISSING = object()
 
-# (field, value) pairs that are not a size: an input shape that is not
-# integers >= 1, or an fc width that is not one. ``int()`` would read each
-# as a different network.
-BAD_SIZES = [
-    pytest.param("input_shape", [3, 4.7, 4], id="input_fraction"),
-    pytest.param("input_shape", ["3", "4", "4"], id="input_str"),
-    pytest.param("input_shape", [True, 4, 4], id="input_bool"),
-    pytest.param("n_out", 2.9, id="n_out_fraction"),
-    pytest.param("n_out", "2", id="n_out_str"),
+
+def set_field(meta: dict, path: tuple, value) -> None:
+    """Set the field of a descriptor's metadata that ``path`` leads to,
+    a key or list index at each step, to ``value``, or delete it when
+    ``value`` is MISSING."""
+    *parents, last = path
+    for step in parents:
+        meta = meta[step]
+    if value is MISSING:
+        del meta[last]
+    else:
+        meta[last] = value
+
+
+# Each size field of ``micro_cnn(["a", "b"], input_shape=(3, 4, 4))``'s
+# metadata: (id, path, the name messages give it, its value, the least
+# it may be, whether it has no default).
+_SIZE_FIELDS = [
+    *((f"input_{i}", ("input_shape", i), f"input_shape[{i}]", v, 1, True)
+      for i, v in enumerate((3, 4, 4))),
+    *((f"conv_{key}", ("layers", 0, key), key, v, least, key == "out_ch")
+      for key, v, least in (("kh", 3, 1), ("kw", 3, 1), ("out_ch", 16, 1), ("stride", 1, 1),
+                            ("pad", 1, 0))),
+    ("maxpool_k", ("layers", 2, "k"), "k", 2, 1, True),
+    ("maxpool_stride", ("layers", 2, "stride"), "stride", 2, 1, False),
+    ("fc_n_out", ("layers", 9, "n_out"), "n_out", 2, 1, True),
 ]
 
 
-def set_bad_size(meta: dict, field: str, value) -> None:
-    """Put ``value`` in a descriptor's metadata as its input shape, or as
-    the width of its last fc layer."""
-    if field == "input_shape":
-        meta["input_shape"] = value
-    else:
-        next(spec for spec in reversed(meta["layers"]) if spec["op"] == "fc")[field] = value
+def _bad_sizes():
+    """Each size field as a float, a numeric string, a bool and a negative
+    number, and, when no default stands in for it, absent; the message
+    regex each must raise."""
+    for case, path, name, value, least, required in _SIZE_FIELDS:
+        wrong_type = re.escape(f"{name} must be int, got")
+        if path[0] == "input_shape":
+            too_small = absent = re.escape("input_shape must be 1 or 3 integers >= 1")
+        else:
+            too_small = re.escape(f"{name} must be an integer >= {least}")
+            absent = re.escape(f"missing field '{name}'")
+        yield pytest.param(path, float(value), wrong_type, id=f"{case}_float")
+        yield pytest.param(path, str(value), wrong_type, id=f"{case}_str")
+        yield pytest.param(path, True, wrong_type, id=f"{case}_bool")
+        yield pytest.param(path, least - 1 - value, too_small, id=f"{case}_negative")
+        if required:
+            yield pytest.param(path, MISSING, absent, id=f"{case}_missing")
+
+
+# (path, value, message regex): sizes a ``micro_cnn`` metadata field
+# cannot take. ``int()`` would read the first five as a different network.
+BAD_SIZES = [
+    pytest.param(("input_shape", 1), 4.7, re.escape("input_shape[1] must be int"),
+                 id="input_fraction"),
+    pytest.param(("input_shape",), ["3", "4", "4"], re.escape("input_shape[0] must be int"),
+                 id="input_str"),
+    pytest.param(("input_shape", 0), True, re.escape("input_shape[0] must be int"),
+                 id="input_bool"),
+    pytest.param(("layers", 9, "n_out"), 2.9, re.escape("n_out must be int"),
+                 id="n_out_fraction"),
+    pytest.param(("layers", 9, "n_out"), "2", re.escape("n_out must be int"), id="n_out_str"),
+    *_bad_sizes(),
+]
+
+# (path, value, message regex): other descriptors the loader once read
+# as a different network or failed on with a KeyError or ValueError.
+BAD_DESCRIPTORS = [
+    pytest.param(("class_labels",), "ab", re.escape("class_labels must be a list, got \"ab\""),
+                 id="labels_str"),
+    pytest.param(("class_labels",), [1, 2], re.escape("class_labels[0] must be str, got 1"),
+                 id="labels_int"),
+    pytest.param(("class_labels",), [["a"], {"b": 1}], re.escape("class_labels[0] must be str"),
+                 id="labels_nested"),
+    pytest.param(("layers", 0, "in_ch"), 7,
+                 re.escape("layer 0 (conv): in_ch is 7, not its input's 3"), id="in_ch_wrong"),
+    pytest.param(("layers", 0, "in_ch"), "x", re.escape("in_ch must be int, got \"x\""),
+                 id="in_ch_str"),
+    pytest.param(("layers", 9, "n_in"), 7,
+                 re.escape("layer 9 (fc): n_in is 7, not its input's 128"), id="n_in_wrong"),
+    pytest.param(("layers", 0, "out_ch"), 10**30, re.escape("out_ch must be int, got 1" + "0" * 30),
+                 id="out_ch_huge"),
+    pytest.param(("layers",), {"op": "softmax"}, re.escape("layers must be a list"),
+                 id="layers_object"),
+    pytest.param(("layers",), "x", re.escape("layers must be a list"), id="layers_str"),
+    pytest.param(("layers", 1), "relu", re.escape("layers[1] must be a JSON object"),
+                 id="layer_str"),
+    pytest.param(("layers",), MISSING, re.escape("descriptor: missing field 'layers'"),
+                 id="layers_missing"),
+]

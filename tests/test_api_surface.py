@@ -1,10 +1,14 @@
-"""Every public function in the package has a caller inside it, and every
-defaulted parameter of one is passed by a call inside it.
+"""Every public function and every private name in the package is read
+inside it, and every defaulted parameter of a public function is passed
+by a call inside it.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
-under ``src/bridgecap`` names it. Import lines and ``__all__`` strings do
-not count: a function only tests reach belongs in ``tests/``. Likewise a
+under ``src/bridgecap`` reads its name. So does a private name: a
+module-level constant, function or class, or a method of a top-level
+class, whose name starts with ``_`` and is not a dunder. Assignments,
+import lines and ``__all__`` strings do not count: a name only tests
+reach belongs in ``tests/``, and one nothing reads is dead. Likewise a
 parameter value only tests pass belongs in the tests, or is a constant.
 """
 
@@ -58,19 +62,42 @@ def _public_defs(tree):
                     yield f"{node.name}.{item.name}", called, item, 0 if static else 1
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_names(tree):
+    """(qualified name, name) of each private module-level constant,
+    function and class, and of each private method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            names = []
+        yield from ((name, name) for name in names if _private(name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _private(item.name))
+
+
 def uncalled(root: Path) -> list[str]:
     trees = _trees(root)
-    named = set()
+    read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
     found = []
     for path, tree in trees.items():
-        for qualified, name, _, _ in _public_defs(tree):
-            if not name.startswith("_") and name not in named:
+        public = [(q, name) for q, name, _, _ in _public_defs(tree) if not name.startswith("_")]
+        for qualified, name in public + list(_private_names(tree)):
+            if name not in read:
                 found.append(f"{_module(root, path)}.{qualified}")
     return found
 
@@ -141,7 +168,22 @@ def test_imports_and_all_strings_are_not_calls(tmp_path):
                                    "    def _private(self):\n        pass\n")
     (tmp_path / "b.py").write_text("from a import unused, used\n\n__all__ = ['unused']\n\n"
                                    "used()\nK().m\n")
-    assert uncalled(tmp_path) == ["a.unused"]
+    assert uncalled(tmp_path) == ["a.unused", "a.K._private"]
+
+
+def test_private_names_nothing_reads_are_listed(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_READ = 1\n_STORED = 2\n_A, _B = 3, 4\n_T: int = 5\n__all__ = []\n\n\n"
+        "def _helper():\n    pass\n\n\n"
+        "class _Unused:\n    pass\n\n\n"
+        "class K:\n"
+        "    def __init__(self):\n        self._used()\n\n"
+        "    def _used(self):\n        return _READ + _A\n\n"
+        "    def _unused(self):\n        pass\n"
+    )
+    (tmp_path / "b.py").write_text("from a import K, _helper\n\n_STORED = K()\n")
+    assert uncalled(tmp_path) == ["a._STORED", "a._B", "a._T", "a._helper", "a._Unused",
+                                  "a.K._unused", "b._STORED"]
 
 
 def test_a_parameter_is_passed_by_keyword_position_or_star(tmp_path):

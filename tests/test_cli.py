@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bridgecap import synth
 from bridgecap.cli import main
 from bridgecap.errors import InvariantError
-from helpers import BAD_SIZES, set_bad_size
+from helpers import BAD_DESCRIPTORS, BAD_SIZES, set_field
 
 
 def run(*argv):
@@ -127,13 +127,20 @@ class TestExitCodes:
     ], ids=["layer_key", "descriptor_key"])
     def test_unknown_checkpoint_key_is_2(self, tmp_path, capsys, forge):
         assert evaluate_forged_checkpoint(tmp_path, forge) == 2
-        assert "unknown field(s) ['" in capsys.readouterr().err
+        assert re.search(r"error: unknown [^\n]+ keys: \['", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("field, value", BAD_SIZES)
-    def test_checkpoint_size_that_is_not_an_integer_is_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("path, value, message", BAD_SIZES)
+    def test_checkpoint_size_that_is_not_an_integer_is_2(self, tmp_path, capsys, path, value,
+                                                         message):
         assert evaluate_forged_checkpoint(
-            tmp_path, lambda meta: set_bad_size(meta, field, value)) == 2
-        assert f"{field} must be" in capsys.readouterr().err
+            tmp_path, lambda meta: set_field(meta, path, value)) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("path, value, message", BAD_DESCRIPTORS)
+    def test_malformed_checkpoint_descriptor_is_2(self, tmp_path, capsys, path, value, message):
+        assert evaluate_forged_checkpoint(
+            tmp_path, lambda meta: set_field(meta, path, value)) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
@@ -390,6 +397,36 @@ class TestExitCodes:
             what = "split-manifest"
         assert run(stage, *argv, "--out", str(tmp_path / "o")) == 2
         assert f"{what} line 1: new-line character seen in unquoted field\n" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("document", ["manifest", "split", "labeled", "records"])
+    def test_bytes_that_are_not_utf8_are_2(self, tmp_path, capsys, document):
+        # The bad byte sits past the first block the text file decodes.
+        source = tmp_path / "in"
+        records = tmp_path / "records.ndjson"
+        records.write_text("")
+        manifest = [b"image_path,bridge_local_id,state,structure\n"]
+        manifest += [b"a%d.pnm,0,01,S1\n" % i for i in range(1000)]
+        if document == "manifest":
+            source.write_bytes(b"".join([*manifest, b"\xff.pnm,0,01,S1\n"]))
+            argv = ["corpus-match", "--manifest", str(source), "--records", str(records)]
+            where = "manifest line 1002"
+        elif document == "split":
+            rows = [b"a%d.pnm,%d,train\n" % (i, i % 2 + 1) for i in range(1000)]
+            source.write_bytes(b"".join([b"image_path,class,side\n", *rows, b"\xff,1,test\n"]))
+            argv = ["train", "--split", str(source), "--image-root", str(tmp_path)]
+            where = "split-manifest line 1002"
+        elif document == "labeled":
+            source.write_bytes(b"\n" * 20_000 + b'{"image_path": "\xff"}\n')
+            argv = ["dataset-build", "LR5", "--corpus", str(source)]
+            where = f"{source} line 20001"
+        else:
+            records.write_bytes(b"\n" * 20_000 + b'{"state": "\xff"}\n')
+            source.write_bytes(b"".join(manifest))
+            argv = ["corpus-match", "--manifest", str(source), "--records", str(records)]
+            where = f"{records} line 20001"
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert f"error: {where}: not utf-8 text (invalid start byte)\n" in (
             capsys.readouterr().err)
 
 
@@ -826,6 +863,35 @@ class TestPipeline:
         assert ckpt.descriptor.colour_mode == "grayscale"
         assert run(*train, "--colour", "rgb", "--out", str(tmp_path / "m2")) == 1
         assert not (tmp_path / "m2").exists()
+
+    @pytest.mark.parametrize("edit", ["class_zero", "labels_str"])
+    def test_dataset_manifest_that_does_not_label_the_split_is_2(self, small_corpus, tmp_path,
+                                                                 capsys, edit):
+        # Each edit used to train a network under the wrong labels.
+        data = tmp_path / "ds"
+        assert run(
+            "dataset-build", "LR5",
+            "--corpus", str(small_corpus / "joined" / "labeled.ndjson"),
+            "--seed", "3", "--out", str(data),
+        ) == 0
+        split, manifest = data / "split.csv", data / "dataset_manifest.json"
+        if edit == "class_zero":
+            header, *rows = split.read_text().splitlines()
+            rows = [re.sub(r",(\d+),", lambda m: f",{int(m[1]) - 1},", row) for row in rows]
+            split.write_text("\n".join([header, *rows]) + "\n")
+            message = ("split classes [0] are outside 1..3, "
+                       f"the classes of dataset manifest {manifest}\n")
+        else:
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                            "class_labels": "xyz"}))
+            message = f"dataset manifest {manifest}.class_labels must be a list, got \"xyz\""
+        assert run(
+            "train", "--split", str(split), "--image-root", str(small_corpus),
+            "--dataset-manifest", str(manifest), "--size", "16", "--max-epochs", "1",
+            "--out", str(tmp_path / "m"),
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+import re
 import struct
 import threading
 import time
@@ -43,7 +44,7 @@ from bridgecap.learner import (
 from bridgecap.learner import layers as L
 from bridgecap.learner import network as network_module
 from bridgecap.learner.checkpoint import MAGIC, VERSION
-from helpers import BAD_SIZES, linear_head, set_bad_size
+from helpers import BAD_DESCRIPTORS, BAD_SIZES, linear_head, set_field
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 HELPER_COUNTS = (0, 1, 3)
@@ -938,14 +939,24 @@ class TestCheckpoint:
         b"\xff\xfe{}",
         b'{"input_shape": [2], "layers": [',
         b"[1, 2]",
-        b'{"layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
-        b'{"input_shape": 2, "layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
         b"[" * 100_000,
-    ], ids=["not_utf8", "cut_json", "not_an_object", "no_input_shape", "scalar_shape",
-            "too_deep"])
+    ], ids=["not_utf8", "cut_json", "not_an_object", "too_deep"])
     def test_bad_metadata_is_format_error(self, meta):
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(FormatError):
+            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+
+    # Metadata that is a JSON object but not a descriptor raises
+    # ConfigError, as the descriptor would at construction.
+    @pytest.mark.parametrize("meta, message", [
+        (b'{"layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
+         "descriptor: missing field 'input_shape'"),
+        (b'{"input_shape": 2, "layers": [{"op": "softmax"}], "class_labels": ["a", "b"]}',
+         "descriptor.input_shape must be a list, got 2"),
+    ], ids=["no_input_shape", "scalar_shape"])
+    def test_bad_descriptor_is_config_error(self, meta, message):
+        header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
+        with pytest.raises(ConfigError, match=re.escape(message)):
             checkpoint_from_bytes(header + meta + b"\x00" * 8)
 
     def test_metadata_length_past_eof_is_format_error(self):
@@ -994,7 +1005,7 @@ class TestCheckpoint:
             "softmax"])
     def test_unknown_layer_key_is_config_error(self, spec):
         unknown = (spec.keys() - {"op", "out_ch", "k"}).pop()
-        with pytest.raises(ConfigError, match=rf"layer 0 \({spec['op']}\): unknown field\(s\) "
+        with pytest.raises(ConfigError, match=rf"unknown layer 0 \({spec['op']}\) keys: "
                                               rf"\['{unknown}'\]"):
             normalize_descriptor(ArchitectureDescriptor(
                 (1, 4, 4), (spec, {"op": "flatten"}, {"op": "softmax"}), ("a",) * 16))
@@ -1002,14 +1013,21 @@ class TestCheckpoint:
     def test_unknown_descriptor_key_is_config_error(self):
         meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
         assert ArchitectureDescriptor.from_dict(meta) == micro_cnn(["a", "b"], (3, 4, 4))
-        with pytest.raises(ConfigError, match=r"descriptor: unknown field\(s\) \['bogus'\]"):
+        with pytest.raises(ConfigError, match=r"unknown descriptor keys: \['bogus'\]"):
             ArchitectureDescriptor.from_dict({**meta, "bogus": 1})
 
-    @pytest.mark.parametrize("field, value", BAD_SIZES)
-    def test_size_that_is_not_an_integer_is_config_error(self, field, value):
+    @pytest.mark.parametrize("path, value, message", BAD_SIZES)
+    def test_size_that_is_not_an_integer_is_config_error(self, path, value, message):
         meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
-        set_bad_size(meta, field, value)
-        with pytest.raises(ConfigError, match=f"{field} must be"):
+        set_field(meta, path, value)
+        with pytest.raises(ConfigError, match=message):
+            ArchitectureDescriptor.from_dict(meta)
+
+    @pytest.mark.parametrize("path, value, message", BAD_DESCRIPTORS)
+    def test_malformed_descriptor_is_config_error(self, path, value, message):
+        meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
+        set_field(meta, path, value)
+        with pytest.raises(ConfigError, match=message):
             ArchitectureDescriptor.from_dict(meta)
 
 

@@ -261,6 +261,16 @@ class TestBlockReader:
                 assert _records_or_error(fh) == _records_or_error(path.read_text())
         assert "line 5: not valid JSON" in _records_or_error(path.read_text())
 
+    @pytest.mark.parametrize("size", [1, 7, 1 << 20])
+    def test_file_that_is_not_utf8_names_its_path_and_line(self, tmp_path, size):
+        path = tmp_path / "labeled.ndjson"
+        good = b'{"image_path":"a","state":"01","structure":"S1"}\n'
+        path.write_bytes(good * 3000 + b'{"image_path":"\xc3"}\n' + good)
+        with mock.patch.object(_records, "_BLOCK", size), open(path, encoding="utf-8") as fh:
+            with pytest.raises(FormatError) as info:
+                from_ndjson(LabeledImage, fh)
+        assert str(info.value) == f"{path} line 3001: not utf-8 text (invalid continuation byte)"
+
     def test_file_writes_the_text_in_blocks(self):
         records = [LabeledImage(f"p{i}", "01", f"S{i}", i, i / 3) for i in range(25)]
         out = io.StringIO()
@@ -334,6 +344,19 @@ class TestCsvReader:
         with pytest.raises(FormatError) as info:
             list(_records.iter_csv("a\nb\rc\n", "table"))
         assert str(info.value) == "table line 2: new-line character seen in unquoted field"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1), (b"a\nb\n\xffc\n", 3), (b"a\r\nb,\"\xe9\n\"\n", 2),
+        (b"a\n" * 9000 + b"\xc3", 9001),
+    ], ids=["first", "third", "quoted", "truncated_at_end"])
+    def test_bytes_that_are_not_utf8_name_what_and_line(self, data, line):
+        # Bytes, or a file opened as the CLI opens one; rejects or none.
+        for opened in (False, True):
+            for rejects in (None, []):
+                source = (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+                          if opened else data)
+                with pytest.raises(FormatError, match=rf"^table line {line}: not utf-8 text \("):
+                    list(_records.iter_csv(source, "table", rejects))
 
     def test_rejects_take_the_error_and_reading_resumes(self):
         rejects = []
