@@ -1,9 +1,15 @@
-"""One serialization path for the pipeline's record dataclasses.
+r"""One serialization path for the pipeline's record dataclasses.
 
 The one rule: a record's JSON is its fields. ``plain`` gives that JSON
 value for every document the CLI writes and for checkpoint metadata. A
 list of flat records is ndjson: one compact object per line, keys
 sorted, so equal records give equal bytes.
+
+The line rule, for ndjson and the fixed-width inventory (``iter_lines``)
+and CSV (``iter_csv``): a line ends only at ``\n``, a ``\r\n`` at its
+``\n``. A bare ``\r``, ``\f``, ``\x85`` or ``\u2028``, where
+``str.splitlines`` would break, is part of its line. So a file opened with
+``newline="\n"`` gives exactly the lines and line numbers of its text.
 
 The ndjson codec contract:
 
@@ -23,9 +29,8 @@ The ndjson codec contract:
 
 The CSV contract, for ``to_csv`` and ``iter_csv``:
 
-- A line ends only at ``\n``; a ``\r\n`` ends at its ``\n``, and a bare
-  ``\r`` must be quoted, which ``to_csv`` does. So a file opened with
-  ``newline="\n"`` gives exactly the rows and line numbers of its text.
+- Lines end under the line rule, so a bare ``\r`` in a cell must be
+  quoted, which ``to_csv`` does.
 - A row whose cells are all blank is skipped.
 - A row the csv module cannot read, or that is not UTF-8, raises
   ``FormatError(f"{what} line {n}: {reason}")``, ``n`` its last line.
@@ -76,13 +81,6 @@ def _finite_float(token: str) -> float:
 
 
 _decoder = json.JSONDecoder(parse_float=_finite_float, parse_constant=reject_constant)
-
-
-def as_text(source, encoding: str) -> str:
-    """The text of ``source``: bytes (decoded with ``encoding``), str, or
-    a readable file object yielding either."""
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.decode(encoding) if isinstance(data, bytes) else data
 
 
 # The csv module's advice on a row error, which assumes a file opened
@@ -283,30 +281,34 @@ def _check_types(codec: _Codec, d: dict, lineno: int) -> None:
 def _line_blocks(source, size: int):
     """(number of the first line, lines) for consecutive blocks of the
     lines of ``source``, a str or an open text file, that together are
-    exactly ``text.splitlines()`` of its whole text.
+    the lines of its whole text under the line rule, without their ends.
 
-    A file is read ``size`` characters at a time. Each read is cut after
-    its last ``\\n``, which always ends a line (``\\r\\n`` ends at its
-    ``\\n``), and the text up to the cut is split; the rest waits for the
-    next read. So only one block and its lines are held at a time, plus a
-    line longer than a block."""
+    The text is read ``size`` characters at a time. Each read is cut after
+    its last ``\\n``, and the text up to the cut is split; the rest waits
+    for the next read. So only one block and its lines are held at a
+    time, plus a line longer than a block."""
     if isinstance(source, str):
-        yield 1, source.splitlines()
-        return
+        source = io.StringIO(source)
     lineno, pending = 1, []
     try:
         while chunk := source.read(size):
             cut = chunk.rfind("\n") + 1
-            if not cut:
-                pending.append(chunk)
-                continue
-            lines = "".join([*pending, chunk[:cut]]).splitlines()
-            pending = [chunk[cut:]]
-            yield lineno, lines
-            lineno += len(lines)
+            if cut:
+                text = "".join([*pending, chunk[:cut]])
+                lines, pending = text.replace("\r\n", "\n").split("\n")[:-1], []
+                yield lineno, lines
+                lineno += len(lines)
+            pending.append(chunk[cut:])
     except UnicodeDecodeError as exc:
         raise _undecodable(getattr(source, "name", "ndjson"), source, exc) from exc
-    yield lineno, "".join(pending).splitlines()
+    if last := "".join(pending):
+        yield lineno, [last]
+
+
+def iter_lines(source):
+    """(line number, line) for each line of ``_line_blocks(source)``."""
+    return chain.from_iterable(
+        enumerate(lines, first) for first, lines in _line_blocks(source, _BLOCK))
 
 
 def from_ndjson(cls, source) -> list:
@@ -320,9 +322,7 @@ def from_ndjson(cls, source) -> list:
     codec = _codec(cls)
     scan, accepted, names = _decoder.scan_once, codec.accepted, codec.names
     out = []
-    numbered = chain.from_iterable(
-        enumerate(lines, first) for first, lines in _line_blocks(source, _BLOCK))
-    for lineno, line in numbered:
+    for lineno, line in iter_lines(source):
         # Fast path: a line that is exactly one JSON object and nothing
         # else. Every other line is parsed again below, which raises the
         # precise error or skips it when blank.

@@ -56,7 +56,11 @@ def _sha256(path) -> str:
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(plain(obj), sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(plain(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"cannot write {path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 class _Run:
@@ -149,7 +153,7 @@ def cmd_nbi_parse(args, argv) -> int:
         profile = nbi.profile_from_dict(read_json(run.input(args.profile), "profile"))
     else:
         profile = nbi.load_builtin_profile(args.profile)
-    with open(source, "rb") as fh:
+    with open(source, encoding="latin-1", newline="\n") as fh:
         records, stats = nbi.parse_nbi(fh, profile)
     with open(run.output("records.ndjson"), "w") as fh:
         nbi.records_to_ndjson(records, fh)
@@ -167,7 +171,7 @@ def cmd_corpus_match(args, argv) -> int:
     run = _Run(args, argv)
     # The records are indexed first; the manifest then flows row by row
     # from the open file through the join, so no manifest entry is held.
-    with open(run.input(args.records), encoding="utf-8") as fh:
+    with open(run.input(args.records), encoding="utf-8", newline="\n") as fh:
         records = nbi.records_from_ndjson(fh)
     with open(run.input(args.manifest), encoding="utf-8", newline="\n") as fh:
         labeled, join_report = corpus.join_labels(corpus.iter_manifest(fh), records)
@@ -189,7 +193,7 @@ def cmd_corpus_match(args, argv) -> int:
 
 def cmd_dataset_build(args, argv) -> int:
     run = _Run(args, argv)
-    with open(run.input(args.corpus), encoding="utf-8") as fh:
+    with open(run.input(args.corpus), encoding="utf-8", newline="\n") as fh:
         labeled = corpus.labeled_from_ndjson(fh)
     if _is_file_ref(args.preset):
         spec_file = run.input(args.preset)
@@ -320,6 +324,19 @@ def cmd_binarize(args, argv) -> int:
     return 0
 
 
+# The documents ``evaluate`` and ``binarize`` write, as ``report`` reads them.
+_REPORT_SHAPES = {
+    "metrics": {"accuracy": float, "macro_precision": float, "macro_recall": float,
+                "macro_f1": float, "total": int, "per_class": [
+                    {"label": str, "precision": float, "recall": (float, None),
+                     "f1": (float, None)}]},
+    "error_distribution": {"mass": {str: float}, "total": int},
+    "binarization": [{"level": int, "threshold_tons": float, "boundary": int,
+                      "matrix": {"counts": [[int]], "labels": [str]}, "accuracy": float,
+                      "precision": float, "recall": float, "f1": float, "positive": str}],
+}
+
+
 def cmd_report(args, argv) -> int:
     run = _Run(args, argv)
     rows = [
@@ -331,18 +348,21 @@ def cmd_report(args, argv) -> int:
     ]
     if not any(row[0] for row in rows):
         raise UsageError("report needs --metrics, --distribution, or --binarization")
-    # Render every table before writing one, so a bad input writes nothing.
+    # Check and render every table before writing one, so a bad input writes nothing.
     rendered = []
     for path, stem, to_csv, to_svg in rows:
         if not path:
             continue
         what = stem.replace("_", " ")
         data = read_json(run.input(path), what)
+        check(data, _REPORT_SHAPES[stem], f"{what} file {path}")
         try:
             rendered.append((f"{stem}.csv", to_csv(data)))
             if args.svg:
                 rendered.append((f"{stem}.svg", to_svg(data)))
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        # What a shape cannot say: a missing key, a binary matrix that is
+        # not 2x2, and mass keys that are not distinct integers.
+        except (KeyError, IndexError, ValueError) as exc:
             raise FormatError(
                 f"{what} file {path} does not have the shape the report needs: "
                 f"{type(exc).__name__} {exc}"

@@ -15,9 +15,10 @@ Byte layout (all integers little-endian):
                loss, best/stopped epoch)
 
 Loading bounds-checks every length field against the file size and
-verifies magic, version, and the exact weight byte count. It
-round-trips bit-identically: save -> load -> forward matches at 32-bit
-precision.
+verifies magic, version, and the exact weight byte count. Neither JSON
+block holds ``NaN`` or ``Infinity``, which are not JSON: writing one
+raises DomainError and reading one FormatError. It round-trips
+bit-identically: save -> load -> forward matches at 32-bit precision.
 """
 
 import json
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._records import plain
+from .._records import plain, reject_constant
 from ..errors import DomainError, FormatError
 from .network import ArchitectureDescriptor, Network
 
@@ -71,8 +72,8 @@ def make_checkpoint(net: Network, history: dict | None = None) -> Checkpoint:
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     weights = _validate_weights(ckpt.descriptor, ckpt.weights)
-    meta = json.dumps(plain(ckpt.descriptor), sort_keys=True, separators=(",", ":")).encode()
-    hist = json.dumps(ckpt.history, sort_keys=True, separators=(",", ":")).encode()
+    meta = _json_bytes(plain(ckpt.descriptor), "metadata")
+    hist = _json_bytes(ckpt.history, "history")
     parts = [_HEADER.pack(MAGIC, ckpt.version, len(meta)), meta]
     parts.extend(arr.tobytes() for arr in weights)
     parts.append(struct.pack("<Q", len(hist)))
@@ -80,11 +81,18 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(parts)
 
 
+def _json_bytes(value, what: str) -> bytes:
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+    except ValueError as exc:  # NaN or Infinity, which JSON lacks
+        raise DomainError(f"checkpoint {what} cannot be written: {exc}") from exc
+
+
 def _json_block(raw: bytes, what: str) -> dict:
     try:
-        value = json.loads(raw.decode("utf-8"))
-    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too
-    # deep for the parser raises RecursionError.
+        value = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
+    # UnicodeDecodeError, JSONDecodeError and reject_constant's errors are
+    # ValueErrors; nesting too deep for the parser raises RecursionError.
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"checkpoint {what} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(value, dict):

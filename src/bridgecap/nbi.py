@@ -5,15 +5,20 @@ fixed-width card images, and the details (column names, layout, how the
 design-load code maps onto ordered capacity classes, whether the rating
 column carries an implied decimal) shift between vintages and states.
 All of that is data, not code: a ParseProfile names the format, the
-columns of interest, the raw-code table, and a rating divisor, and the
-parser applies it row by row. Bad rows are rejected with a reason and a
-line number instead of aborting the file.
+column map, the raw-code table, and a rating divisor, and the parser
+applies it row by row. Bad rows are rejected with a reason and a line
+number instead of aborting the file.
+
+The column map takes each role to a column. ``parse_nbi`` resolves it
+once per file into one index per role, a cell index into a delimited row
+or a slice of a fixed-width line, and one loop reads ``row[index]`` for
+both formats. A line ends only at ``\\n`` (``_records``' line rule).
 """
 
 import json
 from dataclasses import dataclass, field
 
-from ._records import as_text, from_ndjson, iter_csv, to_csv, to_ndjson
+from ._records import from_ndjson, iter_csv, iter_lines, to_csv, to_ndjson
 from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
@@ -98,45 +103,34 @@ class FixedWidthField:
 class FixedWidthFormat:
     fields: tuple[FixedWidthField, ...]
 
-    @property
-    def min_line_length(self) -> int:
-        return max(f.start + f.length for f in self.fields)
-
 
 @dataclass(frozen=True)
 class ParseProfile:
     """Everything needed to read one inventory vintage.
 
-    ``columns`` maps the roles state/structure/design_load/rating to a
-    column name (header or layout-field name) or, for headerless
-    delimited files, a 0-based index. ``design_code_map`` translates raw
-    design-load codes to the ordered classes 1..12. ``rating_divisor``
-    undoes an implied decimal (10 for vintages that store 36.2 t as 362).
+    ``columns`` maps the roles state, structure and optionally
+    design_load and rating to a column name (header or layout-field name)
+    or, for headerless delimited files, a 0-based index. ``design_code_map``
+    translates raw design-load codes to the ordered classes 1..12.
+    ``rating_divisor`` undoes an implied decimal (10 for vintages that
+    store 36.2 t as 362).
     """
 
     file_format: DelimitedFormat | FixedWidthFormat
-    state_column: str | int
-    structure_column: str | int
-    design_load_column: str | int | None
-    rating_column: str | int | None
+    columns: dict[str, str | int]
     design_code_map: dict[str, int] = field(default_factory=dict)
     rating_divisor: float = 1.0
     name: str = "custom"
 
 
 def _parse_rating(text: str, divisor: float) -> float | None:
-    text = text.strip()
-    if not text:
-        return None
     try:
-        value = float(text) / divisor
+        value = float(text) / divisor  # float() strips whitespace; "" is a ValueError
     except ValueError:
         return None
     # Implausible tonnage is treated as absent, not fatal: national files
     # use sentinel codes and per-state quirks in these columns.
-    if not (0.0 <= value < MAX_RATING_TONS):
-        return None
-    return value
+    return value if 0.0 <= value < MAX_RATING_TONS else None
 
 
 def _build_record(fields: dict, profile: ParseProfile) -> NbiRecord:
@@ -148,125 +142,78 @@ def _build_record(fields: dict, profile: ParseProfile) -> NbiRecord:
         raise FormatError(f"structure number longer than {MAX_STRUCTURE_LEN} chars")
     canonical = canonicalize(raw)
 
-    raw_code = fields.get("design_load")
-    design_class = None
-    if raw_code is not None:
-        raw_code = raw_code.strip() or None
-    if raw_code is not None:
-        design_class = profile.design_code_map.get(raw_code)
-
-    rating = None
-    if fields.get("rating") is not None:
-        rating = _parse_rating(fields["rating"], profile.rating_divisor)
-
+    raw_code = fields.get("design_load", "").strip() or None
     return NbiRecord(
         state=state,
         structure_raw=raw,
         structure=canonical,
-        design_load_class=design_class,
-        load_rating_tons=rating,
+        design_load_class=profile.design_code_map.get(raw_code),
+        load_rating_tons=_parse_rating(fields.get("rating", ""), profile.rating_divisor),
         raw_design_code=raw_code,
     )
 
 
-def _delimited_rows(text: str, fmt: DelimitedFormat, profile: ParseProfile, rejects: list):
-    """Yield (line_number, role->value dict or None, reason) triples; a
-    row the csv module cannot read goes into ``rejects`` as it is met."""
-    col_index = {}
-    roles = {
-        "state": profile.state_column,
-        "structure": profile.structure_column,
-        "design_load": profile.design_load_column,
-        "rating": profile.rating_column,
-    }
-    header_consumed = False
-    for lineno, row in iter_csv(text, "inventory", rejects, fmt.separator):
-        if fmt.has_header and not header_consumed:
-            header_consumed = True
-            names = [cell.strip() for cell in row]
-            for role, ref in roles.items():
-                if ref is None:
-                    continue
-                if isinstance(ref, int):
-                    col_index[role] = ref
-                elif ref in names:
-                    col_index[role] = names.index(ref)
-                else:
-                    raise FormatError(f"header is missing required column {ref!r}")
-            continue
-        if not header_consumed and not fmt.has_header and not col_index:
-            for role, ref in roles.items():
-                if ref is None:
-                    continue
-                if not isinstance(ref, int):
-                    raise ConfigError(
-                        f"column {ref!r} is a name but the format declares no header"
-                    )
-                col_index[role] = ref
-        fields = {}
-        short = False
-        for role, idx in col_index.items():
-            if idx >= len(row):
-                yield lineno, None, f"row has {len(row)} fields, column {idx} required"
-                short = True
-                break
-            fields[role] = row[idx]
-        if not short:
-            yield lineno, fields, ""
-
-
-def _fixed_width_rows(text: str, fmt: FixedWidthFormat, profile: ParseProfile):
-    by_name = {f.name: f for f in fmt.fields}
-    roles = {}
-    for role, ref in (
-        ("state", profile.state_column),
-        ("structure", profile.structure_column),
-        ("design_load", profile.design_load_column),
-        ("rating", profile.rating_column),
-    ):
-        if ref is None:
-            continue
-        if ref not in by_name:
-            raise ConfigError(f"layout has no field named {ref!r}")
-        roles[role] = by_name[ref]
-    need = fmt.min_line_length
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if len(line) < need:
-            yield lineno, None, f"row length {len(line)} shorter than layout ({need})"
-            continue
-        fields = {role: line[f.start : f.start + f.length] for role, f in roles.items()}
-        yield lineno, fields, ""
+def _column_index(profile: ParseProfile, header) -> dict:
+    """Each role of ``profile.columns`` -> its index into a row: a slice
+    of a fixed-width line, else a cell index, found by name in
+    ``header``, the stripped cells of the header row (None without one)."""
+    fmt = profile.file_format
+    index = {}
+    for role, ref in profile.columns.items():
+        if isinstance(fmt, FixedWidthFormat):
+            at = next((f for f in fmt.fields if f.name == ref), None)
+            if at is None:
+                raise ConfigError(f"layout has no field named {ref!r}")
+            index[role] = slice(at.start, at.start + at.length)
+        elif isinstance(ref, int):
+            index[role] = ref
+        elif header is None:
+            raise ConfigError(f"column {ref!r} is a name but the format declares no header")
+        elif ref in header:
+            index[role] = header.index(ref)
+        else:
+            raise FormatError(f"header is missing required column {ref!r}")
+    return index
 
 
 def parse_nbi(source, profile: ParseProfile) -> tuple[list[NbiRecord], NbiFileStats]:
     """Parse one inventory file into typed records plus per-file stats.
 
-    ``source`` may be bytes, text, or a readable file object. Every data
-    row either becomes a record or a (line number, reason) reject;
-    blank capacity fields become absent values, never errors.
+    ``source`` is a str or an open text file, which is read as it is
+    parsed; open it with ``newline="\\n"`` for the line rule. Every data
+    row either becomes a record or a (line number, reason) reject; blank
+    capacity fields become absent values, never errors.
     """
-    try:
-        text = as_text(source, "latin-1")
-    except OSError as exc:
-        raise OSError(f"could not read inventory source: {exc}") from exc
+    fmt = profile.file_format
+    rejects: list[tuple[int, str]] = []
+    if isinstance(fmt, FixedWidthFormat):
+        rows = ((lineno, line) for lineno, line in iter_lines(source) if line.strip())
+        index = _column_index(profile, None)
+        need = max(f.start + f.length for f in fmt.fields)
+    else:
+        rows = iter_csv(source, "inventory", rejects, fmt.separator)
+        if not fmt.has_header:
+            index = _column_index(profile, None)
+        elif header := next(rows, None):
+            index = _column_index(profile, [cell.strip() for cell in header[1]])
+        else:  # no header row, so no data row either
+            index = {}
+        need = max(index.values(), default=-1) + 1
 
     records: list[NbiRecord] = []
-    rejects: list[tuple[int, str]] = []
-    if isinstance(profile.file_format, DelimitedFormat):
-        rows = _delimited_rows(text, profile.file_format, profile, rejects)
-    else:
-        rows = _fixed_width_rows(text, profile.file_format, profile)
-
     missing_design = 0
     missing_rating = 0
-    for lineno, fields, reason in rows:
-        if fields is None:
+    for lineno, row in rows:
+        if len(row) < need:
+            if isinstance(fmt, FixedWidthFormat):
+                reason = f"row length {len(row)} shorter than layout ({need})"
+            else:
+                column = next(i for i in index.values() if i >= len(row))
+                reason = f"row has {len(row)} fields, column {column} required"
             rejects.append((lineno, reason))
             continue
         try:
-            record = _build_record(fields, profile)
+            record = _build_record({role: row[at] for role, at in index.items()}, profile)
         except (FormatError, DegenerateKeyError) as exc:
             rejects.append((lineno, str(exc)))
             continue
@@ -385,10 +332,8 @@ def profile_from_dict(cfg: dict) -> ParseProfile:
 
     return ParseProfile(
         file_format=fmt,
-        state_column=columns["state"],
-        structure_column=columns["structure"],
-        design_load_column=columns.get("design_load"),
-        rating_column=columns.get("rating"),
+        columns={role: columns[role] for role in _PROFILE_SHAPE["columns"]
+                 if columns.get(role) is not None},
         design_code_map=code_map,
         rating_divisor=float(cfg.get("rating_divisor", 1.0)),
         name=cfg.get("name", "custom"),

@@ -80,7 +80,7 @@ def metrics_chart_svg(metrics_dict: dict) -> str:
 def distribution_chart_svg(dist_dict: dict) -> str:
     """Histogram over signed class distance; negative bars sit left of
     zero, mirroring a predicted-lower-than-actual reading."""
-    mass = {int(k): float(v) for k, v in dist_dict["mass"].items()}
+    mass = _mass(dist_dict)
     pairs = [(f"{d:+d}" if d else "0", mass[d]) for d in sorted(mass)]
     y_max = max(0.0001, max(mass.values()))
     parts = _svg_header("Signed prediction-distance distribution")
@@ -117,9 +117,8 @@ def metrics_to_csv(metrics_dict: dict) -> str:
 
 
 def distribution_to_csv(dist_dict: dict) -> str:
-    return to_csv(["signed_distance", "mass"], (
-        [d, _fmt(dist_dict["mass"][str(d)])] for d in sorted(int(k) for k in dist_dict["mass"])
-    ))
+    mass = _mass(dist_dict)
+    return to_csv(["signed_distance", "mass"], ([d, _fmt(mass[d])] for d in sorted(mass)))
 
 
 def binarization_to_csv(reports: list[dict]) -> str:
@@ -133,6 +132,15 @@ def binarization_to_csv(reports: list[dict]) -> str:
         ])
     return to_csv(["level", "threshold_tons", "boundary", "tp", "fn", "fp", "tn",
                    "accuracy", "precision", "recall", "f1"], rows)
+
+
+def _mass(dist_dict: dict) -> dict[int, float]:
+    """The mass by signed distance. ValueError unless every key is an
+    integer written as ``str`` writes it, so no two keys name one distance."""
+    mass = {int(key): value for key, value in dist_dict["mass"].items()}
+    if set(map(str, mass)) != dist_dict["mass"].keys():
+        raise ValueError(f"mass keys {sorted(dist_dict['mass'])} are not distinct integers")
+    return mass
 
 
 def _fmt(value) -> str:

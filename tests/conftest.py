@@ -16,7 +16,7 @@ def nbi_fixture_records(nbi_fixture_path):
     from bridgecap import nbi
 
     profile = nbi.load_builtin_profile("standard")
-    return nbi.parse_nbi(nbi_fixture_path.read_bytes(), profile)
+    return nbi.parse_nbi(nbi_fixture_path.read_bytes().decode("latin-1"), profile)
 
 
 _HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()

@@ -9,10 +9,14 @@ import csv
 import io
 
 from bridgecap import nbi
-from bridgecap._records import as_text
 from bridgecap.corpus import COMPLETION_VALUES, MANIFEST_COLUMNS, ManifestEntry
 from bridgecap.datasets import DatasetItem, DatasetSplit
 from bridgecap.errors import ConfigError, DegenerateKeyError, FormatError
+
+
+def as_text(source, encoding):
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.decode(encoding) if isinstance(data, bytes) else data
 
 
 def iter_manifest(source):
@@ -88,10 +92,10 @@ def _delimited_rows(text, fmt, profile):
     reader = csv.reader(io.StringIO(text), delimiter=fmt.separator)
     col_index = {}
     roles = {
-        "state": profile.state_column,
-        "structure": profile.structure_column,
-        "design_load": profile.design_load_column,
-        "rating": profile.rating_column,
+        "state": profile.columns.get("state"),
+        "structure": profile.columns.get("structure"),
+        "design_load": profile.columns.get("design_load"),
+        "rating": profile.columns.get("rating"),
     }
     header_consumed = False
     while True:

@@ -1,12 +1,15 @@
 """Test fixtures that the pipeline itself never calls: in-memory corpora,
 random confusion matrices, a rating scheme for synthetic corpora, the
 preset names, a design-load map's output width, a linear head for
-FC-only learner tests, and descriptor fields a checkpoint cannot hold."""
+FC-only learner tests, descriptor fields a checkpoint cannot hold, and
+valid inventories with a strategy that damages them."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bridgecap import datasets
 from bridgecap.corpus import LabeledImage
@@ -179,3 +182,34 @@ BAD_DESCRIPTORS = [
     pytest.param(("layers",), MISSING, re.escape("descriptor: missing field 'layers'"),
                  id="layers_missing"),
 ]
+
+
+def fixed_width_line(state: str, structure: str, code: str, rating: str) -> str:
+    """One line of the built-in ``fixed_width_demo`` layout, without its end."""
+    return f"{state:2}{structure:15}{code:1}{rating:>4}"
+
+
+# A valid inventory for each built-in layout: the delimited test fixture,
+# which holds rows the parser rejects, and fixed-width card images with
+# \n and \r\n line ends, a blank line and an implausible rating.
+INVENTORIES = {
+    "standard": (Path(__file__).parent / "data" / "nbi_fixture.csv").read_bytes(),
+    "fixed_width_demo": "".join([
+        fixed_width_line("01", " 0000S702", "5", "0362") + "\n",
+        fixed_width_line("06", "004560", "2", "") + "\r\n",
+        "\n",
+        fixed_width_line("12", "  123456789", "4", "0200") + "\n",
+        fixed_width_line("48", "BR-77", "A", "9999") + "\r\n",
+        fixed_width_line("36", "X903", "", "0075") + "\n",
+    ]).encode("latin-1"),
+}
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` cut at a random length, with up to four of the bytes left
+    flipped at random."""
+    out = bytearray(data[: draw(st.integers(0, len(data)))])
+    for _ in range(draw(st.integers(0, 4)) if out else 0):
+        out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)

@@ -1,6 +1,7 @@
 """Every public function and every private name in the package is read
-inside it, and every defaulted parameter of a public function is passed
-by a call inside it.
+inside it, every defaulted parameter of a public function is passed by a
+call inside it, and text is split into lines and CSV rows only by the
+shared readers.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
@@ -139,6 +140,28 @@ def unpassed(root: Path) -> list[str]:
                 if not any(_passes(call, position, param) for call in calls.get(name, ())):
                     found.append(f"{_module(root, path)}.{qualified}({param})")
     return found
+
+
+def line_rule_breaches(root: Path) -> list[str]:
+    """The modules under ``root`` that split lines themselves: any that
+    calls ``str.splitlines``, which breaks at ``\\r``, ``\\x85``,
+    ``\\u2028`` and more, and any but ``_records.py`` that builds a
+    ``csv.reader``. ``_records`` holds the one line rule."""
+    return [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
+            if "splitlines(" in path.read_text()
+            or ("csv.reader(" in path.read_text() and path.name != "_records.py")]
+
+
+def test_lines_are_split_only_by_the_shared_readers():
+    assert line_rule_breaches(PACKAGE) == []
+
+
+def test_line_rule_breaches_are_listed(tmp_path):
+    (tmp_path / "_records.py").write_text("import csv\n\nrows = csv.reader(f)\n")
+    (tmp_path / "a.py").write_text("lines = text.splitlines()\n")
+    (tmp_path / "b.py").write_text("import csv\n\nrows = csv.reader(f)\n")
+    (tmp_path / "c.py").write_text('"""Not ``str.splitlines`` or ``csv.reader``."""\n')
+    assert line_rule_breaches(tmp_path) == ["a.py", "b.py"]
 
 
 def test_every_public_function_has_a_caller():

@@ -13,11 +13,36 @@ from hypothesis import strategies as st
 from bridgecap import synth
 from bridgecap.cli import main
 from bridgecap.errors import InvariantError
-from helpers import BAD_DESCRIPTORS, BAD_SIZES, set_field
+from helpers import (
+    BAD_DESCRIPTORS,
+    BAD_SIZES,
+    INVENTORIES,
+    damaged,
+    fixed_width_line,
+    set_field,
+)
 
 
 def run(*argv):
     return main(list(argv))
+
+
+# One valid input of each kind ``report`` reads, as evaluate and binarize
+# write them.
+REPORT_INPUTS = {
+    "--metrics": {
+        "accuracy": 0.5, "macro_precision": 0.5, "macro_recall": 0.5, "macro_f1": 0.5,
+        "per_class": [{"label": "a", "precision": 0.5, "recall": None, "f1": None}],
+        "total": 4,
+    },
+    "--distribution": {"mass": {"-1": 0.25, "0": 0.5, "1": 0.25}, "total": 4},
+    "--binarization": [{
+        "level": 1, "threshold_tons": 10.0, "boundary": 1,
+        "matrix": {"counts": [[1, 0], [1, 2]], "labels": ["<= class 1", "> class 1"]},
+        "accuracy": 0.75, "precision": 0.5, "recall": 1.0, "f1": 0.6666666666666666,
+        "positive": "lower than threshold",
+    }],
+}
 
 
 def missing_image_split(tmp_path):
@@ -312,6 +337,27 @@ class TestExitCodes:
         ) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, path, value, message", [
+        ("--metrics", ("accuracy",), True, r"metrics file \S+\.accuracy must be float"),
+        ("--metrics", ("per_class", 0, "label"), ["a"],
+         r"metrics file \S+\.per_class\[0\]\.label must be str"),
+        ("--distribution", ("mass",), {"01": 0.5, "1": 0.25, "-1": 0.25},
+         r"mass keys \['-1', '01', '1'\] are not distinct integers"),
+        ("--binarization", (0, "level"), "<b>x</b>",
+         r"binarization file \S+\[0\]\.level must be int"),
+    ], ids=["accuracy_bool", "label_list", "mass_keys_not_distinct", "level_markup"])
+    def test_report_input_of_the_wrong_shape_is_2(self, tmp_path, capsys, flag, path, value,
+                                                  message):
+        doc = copy.deepcopy(REPORT_INPUTS[flag])
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        assert run("report", flag, str(src), "--svg", "--out", str(tmp_path / "good")) == 0
+        set_field(doc, path, value)
+        src.write_text(json.dumps(doc))
+        assert run("report", flag, str(src), "--svg", "--out", str(tmp_path / "rep")) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "rep").exists()
+
     def test_train_without_split_or_features_is_1(self, tmp_path):
         assert run("train", "--out", str(tmp_path / "m")) == 1
         assert not (tmp_path / "m").exists()
@@ -381,6 +427,29 @@ class TestExitCodes:
         stats = json.loads((tmp_path / "n" / "nbi_stats.json").read_text())["stats"]
         assert (stats["parsed_rows"], stats["reject_count"]) == (1, 1)
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("profile", sorted(INVENTORIES))
+    def test_damaged_inventory_is_0_or_2(self, tmp_path, capsys, profile, data):
+        inventory = tmp_path / "inventory"
+        inventory.write_bytes(data.draw(damaged(INVENTORIES[profile])))
+        code = run("nbi-parse", "--input", str(inventory), "--profile", profile,
+                   "--out", str(tmp_path / "n"))
+        assert code in (0, 2), capsys.readouterr().err
+
+    @pytest.mark.parametrize("byte", [b"\x85", b"\x0c"])
+    def test_fixed_width_lines_end_only_at_newline(self, tmp_path, byte):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_bytes(b"".join([
+            b"01 0000S7" + byte + b"02     50362\r\n",
+            fixed_width_line("06", "S703", "1", "0100").encode() + b"\r\n",
+        ]))
+        assert run("nbi-parse", "--input", str(inventory), "--profile", "fixed_width_demo",
+                   "--out", str(tmp_path / "n")) == 0
+        stats = json.loads((tmp_path / "n" / "nbi_stats.json").read_text())["stats"]
+        assert (stats["parsed_rows"], stats["reject_count"]) == (2, 0)
+
     @pytest.mark.parametrize("stage", ["corpus-match", "train"])
     def test_cr_only_line_ends_are_2(self, tmp_path, capsys, stage):
         # A line ends only at \n, so a classic-Mac file is one line with a
@@ -398,6 +467,24 @@ class TestExitCodes:
         assert run(stage, *argv, "--out", str(tmp_path / "o")) == 2
         assert f"{what} line 1: new-line character seen in unquoted field\n" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("end, code", [("\n", 0), ("\r\n", 0), ("\r", 2)])
+    def test_ndjson_line_ends_only_at_newline(self, tmp_path, capsys, end, code):
+        # A raw U+2028, as json.dumps(..., ensure_ascii=False) writes it,
+        # stays in its line; a bare \r ends none.
+        line = json.dumps({"state": "01", "structure": "S1", "structure_raw": "S\u20281"},
+                          ensure_ascii=False)
+        records = tmp_path / "records.ndjson"
+        records.write_bytes(f"{line}{end}{line}{end}".encode())
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("image_path,bridge_local_id,state,structure\na.pnm,0,01,S1\n")
+        assert run("corpus-match", "--manifest", str(manifest), "--records", str(records),
+                   "--out", str(tmp_path / "j")) == code
+        out = capsys.readouterr()
+        if code:
+            assert "error: line 1: not valid JSON (Extra data)\n" in out.err
+        else:
+            assert "corpus-match: matched 1, unmatched 0" in out.out
 
     @pytest.mark.parametrize("document", ["manifest", "split", "labeled", "records"])
     def test_bytes_that_are_not_utf8_are_2(self, tmp_path, capsys, document):

@@ -959,6 +959,29 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=re.escape(message)):
             checkpoint_from_bytes(header + meta + b"\x00" * 8)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_history_is_not_written(self, value):
+        ckpt = make_checkpoint(Network(linear_head(2, ["a", "b"])), {"val_acc": [value]})
+        with pytest.raises(DomainError, match="checkpoint history cannot be written"):
+            checkpoint_to_bytes(ckpt)
+
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_history_is_format_error(self, token):
+        data = checkpoint_to_bytes(make_checkpoint(Network(linear_head(2, ["a", "b"])),
+                                                   {"val_acc": [0.5]}))
+        history = b'{"val_acc":[' + token + b"]}"
+        head = data[: -len(b'{"val_acc":[0.5]}') - 8]
+        forged = head + struct.pack("<Q", len(history)) + history
+        with pytest.raises(FormatError, match=f"checkpoint history is not UTF-8 JSON: "
+                                              f"{token.decode()} is not a JSON number"):
+            checkpoint_from_bytes(forged)
+
+    def test_non_finite_metadata_is_format_error(self):
+        meta = b'{"input_shape": [NaN], "layers": [], "class_labels": []}'
+        header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
+        with pytest.raises(FormatError, match="NaN is not a JSON number"):
+            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+
     def test_metadata_length_past_eof_is_format_error(self):
         data = checkpoint_to_bytes(make_checkpoint(Network(linear_head(2, ["a", "b"]))))
         with pytest.raises(FormatError, match="past the end"):

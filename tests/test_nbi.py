@@ -1,3 +1,4 @@
+import io
 import string
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgecap import nbi
-from bridgecap.errors import ConfigError, DegenerateKeyError, FormatError
+from bridgecap.errors import BridgecapError, ConfigError, DegenerateKeyError, FormatError
 from csv_oracles import parse_delimited_nbi
+from helpers import INVENTORIES, damaged, fixed_width_line
 
 STANDARD = nbi.load_builtin_profile("standard")
 
@@ -160,6 +162,30 @@ class TestDelimitedReader:
             lambda: parse_delimited_nbi(text, profile))
 
 
+def parsed_or_error_type(source, profile):
+    try:
+        return nbi.parse_nbi(source, profile)
+    except BridgecapError as exc:
+        return type(exc), str(exc)
+
+
+class TestInventoryFuzz:
+    @PROPERTY
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", sorted(INVENTORIES))
+    def test_damaged_inventory_raises_only_package_errors(self, name, data):
+        profile = nbi.load_builtin_profile(name)
+        text = data.draw(damaged(INVENTORIES[name])).decode("latin-1")
+        result = parsed_or_error_type(text, profile)
+        # An open file is read as it is parsed, and gives what its text gives.
+        assert parsed_or_error_type(io.StringIO(text), profile) == result
+        if isinstance(result[1], str):
+            return
+        records, stats = result
+        assert stats.parsed_rows + stats.reject_count == stats.total_rows
+        assert stats.parsed_rows == len(records)
+
+
 class TestParseFixture:
     def test_golden_records(self, nbi_fixture_records):
         records, _ = nbi_fixture_records
@@ -240,6 +266,31 @@ class TestParseEdges:
         assert stats.reject_count == 1
         assert "shorter than layout" in stats.rejects[0][1]
 
+    @pytest.mark.parametrize("byte", ["\x85", "\x0c"])
+    def test_fixed_width_line_ends_only_at_newline(self, byte):
+        # str.splitlines breaks at both bytes, which the structure field
+        # may hold; canonicalize removes them as whitespace.
+        text = (fixed_width_line("01", f" 0000S7{byte}02", "5", "0362") + "\n"
+                + fixed_width_line("06", "S703", "1", "0100") + "\n")
+        records, stats = nbi.parse_nbi(text, nbi.load_builtin_profile("fixed_width_demo"))
+        assert [r.structure for r in records] == ["S702", "S703"]
+        assert stats.total_rows == 2 and stats.rejects == ()
+
+    def test_fixed_width_bare_carriage_return_ends_no_line(self):
+        profile = nbi.load_builtin_profile("fixed_width_demo")
+        line = fixed_width_line("01", "S702", "5", "0362")
+        records, stats = nbi.parse_nbi(f"{line}\r{line}\r\n{line}\n", profile)
+        assert [r.structure for r in records] == ["S702", "S702"]
+        assert records[0].load_rating_tons == pytest.approx(36.2)
+
+    def test_name_column_without_header_is_rejected_before_any_row(self):
+        profile = nbi.profile_from_dict({
+            "format": {"kind": "delimited", "separator": ",", "has_header": False},
+            "columns": {"state": 0, "structure": "structure"},
+        })
+        with pytest.raises(ConfigError, match="'structure' is a name but the format"):
+            nbi.parse_nbi("", profile)
+
     def test_unreadable_row_is_rejected_and_parsing_resumes(self):
         # A bare carriage return inside an unquoted field is a csv.Error.
         text = "state,structure,design_load_code,load_rating_tons\n01,1\r2,3,4\n02,S5,3,12.5\n"
@@ -282,7 +333,7 @@ class TestProfiles:
     def test_inventory_and_operating_differ_only_in_rating_column(self):
         inv = nbi.load_builtin_profile("nbi_csv_inventory")
         op = nbi.load_builtin_profile("nbi_csv_operating")
-        assert inv.rating_column != op.rating_column
+        assert inv.columns["rating"] != op.columns["rating"]
         assert inv.design_code_map == op.design_code_map
 
     def test_unknown_profile_key_rejected(self):

@@ -96,6 +96,13 @@ class TestWrittenBytes:
         cli._dump_json(make(), path)
         assert path.read_text() == json.dumps(json.loads(compact), indent=2) + "\n"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_cli_json_writer_rejects_non_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "history.json"
+        with pytest.raises(DomainError, match="cannot write history.json"):
+            cli._dump_json({"val_acc": [0.5, value]}, path)
+        assert not path.exists()
+
     def test_checkpoint_metadata(self):
         descriptor = micro_cnn(("low", "high"), input_shape=(1, 8, 8), colour_mode="grayscale")
         data = checkpoint_to_bytes(make_checkpoint(Network(descriptor, seed=0)))
@@ -209,8 +216,9 @@ class TestNdjson:
             from_ndjson(LabeledImage, line % value)
 
 
-# Every separator str.splitlines breaks at, and pieces of ndjson lines:
-# whole records, blanks and fragments that raise FormatError.
+# Every separator str.splitlines breaks at, of which only \n and \r\n end
+# a line, and pieces of ndjson lines: whole records, blanks and fragments
+# that raise FormatError.
 LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
 LINE_PIECES = st.sampled_from([
@@ -232,19 +240,43 @@ def _records_or_error(source):
         return str(exc)
 
 
+def newline_rule_lines(text):
+    """The lines of ``text`` when a line ends only at \\n, a \\r\\n at its \\n."""
+    *ended, last = text.split("\n")
+    return [line.removesuffix("\r") for line in ended] + ([last] if last else [])
+
+
 class TestBlockReader:
     """An open file is read in blocks; its lines, records and FormatError
-    line numbers are those of ``str.splitlines`` over its whole text."""
+    line numbers are those of its whole text, where a line ends only at
+    ``\\n``."""
 
     @PROPERTY
     @given(text=NDJSON_TEXT | st.text(st.sampled_from("ab\n\r" + "".join(LINE_BREAKS))),
            size=st.integers(1, 9))
-    def test_lines_equal_splitlines(self, text, size):
+    def test_lines_end_only_at_newline(self, text, size):
         numbered = []
         for first, lines in _records._line_blocks(io.StringIO(text), size):
             assert first == len(numbered) + 1
             numbered.extend(lines)
-        assert numbered == text.splitlines()
+        assert numbered == newline_rule_lines(text)
+        assert [line for _, line in _records.iter_lines(text)] == numbered
+
+    def test_raw_line_separators_stay_in_their_line(self, tmp_path):
+        record = LabeledImage("a\u2028b\x85c\u2029d", "01", "S1")
+        line = json.dumps(plain(record), ensure_ascii=False)
+        path = tmp_path / "labeled.ndjson"
+        path.write_bytes(f"{line}\n{line}\r\n".encode())
+        for size in (1, 1 << 20):
+            with mock.patch.object(_records, "_BLOCK", size), \
+                    open(path, encoding="utf-8", newline="\n") as fh:
+                assert from_ndjson(LabeledImage, fh) == [record, record]
+        assert from_ndjson(LabeledImage, f"{line}\n{line}") == [record, record]
+
+    def test_bare_carriage_return_ends_no_line(self):
+        line = '{"image_path":"a","state":"01","structure":"S1"}'
+        with pytest.raises(FormatError, match=r"^line 1: not valid JSON \(Extra data\)$"):
+            from_ndjson(LabeledImage, f"{line}\r{line}\r")
 
     @PROPERTY
     @given(text=NDJSON_TEXT, size=st.integers(1, 40))

@@ -24,7 +24,8 @@ class TestGenCorpus:
         assert len(result.image_paths) == 30
         assert len(list(corpus.iter_manifest(result.manifest_path.read_text()))) == 30
         records, stats = nbi.parse_nbi(
-            result.inventory_path.read_bytes(), nbi.load_builtin_profile("standard")
+            result.inventory_path.read_bytes().decode("latin-1"),
+            nbi.load_builtin_profile("standard"),
         )
         assert stats.reject_count == 0
         # one inventory row per bridge, 10 images / 3 per bridge = 4 bridges per class
@@ -46,7 +47,7 @@ class TestGenCorpus:
         result = synth.gen_corpus(spec, tmp_path / "c")
         manifest = list(corpus.iter_manifest(result.manifest_path.read_text()))
         profile = nbi.load_builtin_profile("standard")
-        records, _ = nbi.parse_nbi(result.inventory_path.read_bytes(), profile)
+        records, _ = nbi.parse_nbi(result.inventory_path.read_bytes().decode("latin-1"), profile)
         labeled, report = corpus.join_labels(manifest, records)
         assert report.unmatched_images == 0
         assert report.matched_images == 27
