@@ -73,6 +73,17 @@ def reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def ascii_number(text: str) -> str:
+    """``text`` stripped of whitespace, as ``int`` and ``float`` strip
+    it, when they may read the rest: ASCII without ``_``. Else
+    ValueError, since both also read ``_`` between digits and other
+    scripts' digits (``1_0`` as 10, ``\u0663`` as 3)."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
+
+
 def _finite_float(token: str) -> float:
     value = float(token)
     if math.isinf(value):

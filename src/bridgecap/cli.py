@@ -20,8 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
 from ._records import plain
 from .config import SECTIONS, check, load_config, read_json, resolve_output_dir
@@ -30,6 +28,7 @@ from .learner import (
     Network,
     TrainConfig,
     load_checkpoint,
+    load_side,
     micro_cnn,
     network_from_checkpoint,
     predict,
@@ -238,9 +237,7 @@ def cmd_train(args, argv) -> int:
                 f"--colour {args.colour} contradicts the dataset manifest's {colour!r}"
             )
     descriptor = micro_cnn(labels, input_shape=(3, args.size, args.size), colour_mode=colour)
-    net = Network(descriptor, seed=config.seed)
-    loader = imaging.make_loader(args.image_root, colour, descriptor.image_size())
-    ckpt = train(net, split, config, loader)
+    ckpt = train(Network(descriptor, seed=config.seed), split, config, args.image_root)
 
     save_checkpoint(ckpt, run.output("model.ckpt"))
     _dump_json(ckpt.history, run.output("history.json"))
@@ -256,29 +253,16 @@ def cmd_train(args, argv) -> int:
 def cmd_evaluate(args, argv) -> int:
     run = _Run(args, argv)
     ckpt = load_checkpoint(run.input(args.checkpoint))
-    size = ckpt.descriptor.image_size()
     net = network_from_checkpoint(ckpt)
     with open(run.input(args.split), encoding="utf-8", newline="\n") as fh:
         split = datasets.read_split_csv(fh)
-    items = split.test if args.side == "test" else split.train
-    if not items:
+    if not getattr(split, args.side):
         raise DomainError(f"split has no {args.side} items")
-
-    classes = split.classes
-    if len(classes) != ckpt.descriptor.num_classes:
-        raise DomainError(
-            f"split has {len(classes)} classes, checkpoint head is "
-            f"{ckpt.descriptor.num_classes} wide"
-        )
-    index = {cls: i for i, cls in enumerate(classes)}
-    loader = imaging.make_loader(args.image_root, ckpt.descriptor.colour_mode, size)
-    x = np.empty((len(items), 3, *size), dtype=np.uint8)
-    for row, item in zip(x, items):
-        loader(item.image_path, out=row)
-    truths = np.array([index[item.cls] for item in items])
+    x, truths = load_side(ckpt.descriptor, split, args.side, args.image_root)
     preds = predict(net, x)
 
-    cm = evaluation.confusion(preds, truths, k=len(classes), labels=ckpt.class_labels)
+    cm = evaluation.confusion(preds, truths, k=ckpt.descriptor.num_classes,
+                              labels=ckpt.class_labels)
     rep = evaluation.metrics(cm)
     dist = evaluation.error_distribution(cm)
     _dump_json(cm, run.output("confusion.json"))

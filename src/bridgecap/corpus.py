@@ -184,20 +184,16 @@ class TagReport:
 def tag_completion(images, checkpoint, image_root=None) -> tuple[list[LabeledImage], TagReport]:
     """Flag every image complete or partial with a completion model.
 
-    One uint8 (n, 3, h, w) array is allocated for the n images and the
-    loader writes each image file straight into the next free row, so
-    the pixels are held once and not copied again. An image that cannot
-    be read or decoded becomes a reject, whose reason does not repeat the
-    path, and leaves its row to the next image. The decoded rows are
-    classified in a single ``predict_proba`` call with a 2-class
-    checkpoint (labels must include "complete"), and the per-image
-    probability is recorded. A checkpoint whose input is not a (3, h, w)
+    The images are read into one ``imaging.load_batch`` batch. An image
+    that cannot be read or decoded becomes a reject, whose reason does
+    not repeat the path, and leaves its row to the next image. The
+    decoded rows are classified in a single ``predict_proba`` call with
+    a 2-class checkpoint (labels must include "complete"), and the
+    per-image probability is recorded. A checkpoint whose input is not a (3, h, w)
     image raises DomainError before any image is read. Labels and paths
     are never altered.
     """
-    import numpy as np
-
-    from .imaging import make_loader
+    from .imaging import load_batch
     from .learner import network_from_checkpoint, predict_proba
 
     labels = list(checkpoint.class_labels)
@@ -206,33 +202,21 @@ def tag_completion(images, checkpoint, image_root=None) -> tuple[list[LabeledIma
             f"completion checkpoint must be 2-class with a 'complete' label, got {labels}"
         )
     complete_idx = labels.index("complete")
-    size = checkpoint.descriptor.image_size()
-    net = network_from_checkpoint(checkpoint)
-    load = make_loader(image_root, checkpoint.descriptor.colour_mode, size)
-
+    descriptor = checkpoint.descriptor
     images = list(images)
-    pixels = np.empty((len(images), 3, *size), dtype=np.uint8)
-    decoded = []
     rejects = []
-    for img in images:
-        try:
-            load(img.image_path, out=pixels[len(decoded)])
-        except (OSError, FormatError) as exc:
-            # The reject names the file, so its reason is the bare error:
-            # an OSError's strerror, or the cause a decode error wraps.
-            reason = getattr(exc, "strerror", None) or exc.__cause__ or exc
-            rejects.append((img.image_path, str(reason)))
-            continue
-        decoded.append(img)
+    pixels = load_batch([img.image_path for img in images], image_root,
+                        descriptor.colour_mode, descriptor.image_size(), rejects)
+    rejected = {path for path, _ in rejects}  # the manifest's paths are unique
+    decoded = [img for img in images if img.image_path not in rejected]
 
     tagged = []
     probs = []
-    if decoded:
-        complete_probs = predict_proba(net, pixels[: len(decoded)])[:, complete_idx]
-        for img, p in zip(decoded, complete_probs.tolist()):
-            flag = "complete" if p >= 0.5 else "partial"
-            tagged.append(replace(img, completion=flag))
-            probs.append((img.image_path, p))
+    complete_probs = predict_proba(network_from_checkpoint(checkpoint), pixels)
+    for img, p in zip(decoded, complete_probs[:, complete_idx].tolist()):
+        flag = "complete" if p >= 0.5 else "partial"
+        tagged.append(replace(img, completion=flag))
+        probs.append((img.image_path, p))
     return tagged, TagReport(
         tagged=len(tagged), rejects=tuple(rejects), probabilities=tuple(probs)
     )

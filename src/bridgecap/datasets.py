@@ -13,13 +13,14 @@ of the published count tables can be re-encoded without code changes.
 import bisect
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
 
-from ._records import iter_csv, to_csv
+from ._records import ascii_number, iter_csv, to_csv
 from .config import SECTIONS, check
 from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
@@ -29,6 +30,7 @@ DESIGN_CLASS_RANGE = tuple(range(1, 13))
 COMPLETION_FILTERS = ("any", "complete_only", "partial_only")
 GROUP_SPLITS = ("image_level", "bridge_level")
 MATCH_MIN = "match_min"
+_CLASS_NUMBER = re.compile("[0-9]+")
 
 
 def default_bin_labels(edges) -> tuple[str, ...]:
@@ -180,7 +182,7 @@ class DatasetSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.caps, dict):
-            if not all(str(k).isdecimal() for k in self.caps):
+            if not all(_CLASS_NUMBER.fullmatch(str(k)) for k in self.caps):
                 raise ConfigError(f"caps keys must be class numbers, got {list(self.caps)}")
             caps = {int(k): int(v) for k, v in self.caps.items()}
             if any(v <= 0 for v in caps.values()):
@@ -464,7 +466,7 @@ def read_split_csv(source) -> DatasetSplit:
     for line_num, row in rows:
         try:
             image_path, cls, side = row
-            sides[side].append(DatasetItem(image_path=image_path, cls=int(cls)))
+            sides[side].append(DatasetItem(image_path=image_path, cls=int(ascii_number(cls))))
         except (KeyError, ValueError) as exc:
             raise FormatError(
                 f"split-manifest line {line_num}: expected image_path,class,side "

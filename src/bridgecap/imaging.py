@@ -1,29 +1,33 @@
-"""Image decoding, colour conversion, resizing, and tensor preparation.
+"""Image decoding, colour conversion, resizing, and batch loading.
 
 The canonical on-disk format is binary PNM (P6 colour / P5 grayscale,
 maxval 255): it is dependency-free and byte-exact, which keeps the
 pipeline's image handling testable down to the bit. JPEG/PNG files are
 readable through an optional Pillow adapter behind the same interface.
 
-The pipeline holds a prepared image as its pixels: a C-contiguous
-uint8 array shaped (3, height, width), 1 byte per value where a float32
-tensor takes 4. Only the batch being forwarded is scaled to floats in
-[0, 1], by ``pixels_to_tensor``. The colour mode, one of
-``COLOUR_MODES``, is the single vocabulary shared by dataset specs, the
-CLI and model descriptors: ``rgb`` keeps the colour channels,
+An image is a uint8 array shaped (height, width, channels), with 3
+channels for colour and 1 for grayscale. The functions here make images
+in that form, and ``encode_pnm``, which takes images from outside,
+checks it.
+
+The pipeline holds prepared images as one batch: ``load_batch`` returns
+a C-contiguous uint8 array shaped (n, 3, height, width), 1 byte per
+value where a float32 tensor takes 4. Only the batch being forwarded is
+scaled to floats in [0, 1], by ``pixels_to_tensor``. The colour mode,
+one of ``COLOUR_MODES``, is the single vocabulary shared by dataset
+specs, the CLI and model descriptors: ``rgb`` keeps the colour channels,
 ``grayscale`` feeds BT.601 luminance copied into all three, so one
 network shape serves both.
 
-Memory along the loader's path, per image: ``load_image`` reads the
+Memory along ``load_batch``'s path, per image: ``load_image`` reads the
 file into one bytes object and ``decode_pnm`` views its payload without
 copying it. ``resize_bilinear`` gathers the four corner samples it
 needs, works in float64 buffers of the output's size and returns a view
 of a new channel-first uint8 array. ``to_pixels`` writes that once into
-its ``out`` row, which callers take from their preallocated batch.
+the image's row of the batch.
 """
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,48 +40,6 @@ COLOUR_MODES = ("rgb", "grayscale")
 # BT.601 luma weights scaled by 1000; integer arithmetic keeps the
 # conversion exact (the weights sum to exactly 1000).
 _LUMA_R, _LUMA_G, _LUMA_B = 299, 587, 114
-
-
-@dataclass(frozen=True)
-class RgbImage:
-    """8-bit colour image; ``pixels`` is a (height, width, 3) uint8 array."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise DomainError(f"RGB pixel array must be (h, w, 3), got {px.shape}")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit luminance image; ``pixels`` is a (height, width) uint8 array."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
-        if px.ndim != 2:
-            raise DomainError(f"gray pixel array must be (h, w), got {px.shape}")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 _HEADER_SKIP = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*")
@@ -94,10 +56,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return token.group(), token.end()
 
 
-def decode_pnm(data: bytes) -> RgbImage | GrayImage:
+def decode_pnm(data: bytes) -> np.ndarray:
     """Decode binary PNM bytes (P5 grayscale or P6 colour, maxval 255).
 
-    The pixels are a read-only view of ``data``'s payload, not a copy.
+    The image is a read-only view of ``data``'s payload, not a copy.
     Raises FormatError (citing the byte offset or the expected vs actual
     payload length) on bad magic, unsupported maxval, or truncation.
     """
@@ -131,25 +93,22 @@ def decode_pnm(data: bytes) -> RgbImage | GrayImage:
         raise FormatError(
             f"payload length mismatch: expected {expected} bytes, got {len(data) - pos}"
         )
-    arr = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    if channels == 1:
-        return GrayImage(arr.reshape(height, width))
-    return RgbImage(arr.reshape(height, width, 3))
+    return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width, channels)
 
 
-def encode_pnm(img: RgbImage | GrayImage) -> bytes:
-    """Encode to canonical binary PNM: ``P6\\n{w} {h}\\n255\\n`` + payload."""
-    if isinstance(img, RgbImage):
-        magic = b"P6"
-    elif isinstance(img, GrayImage):
-        magic = b"P5"
-    else:
-        raise DomainError(f"cannot encode {type(img).__name__}")
-    header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
-    return header + img.pixels.tobytes()
+def encode_pnm(img: np.ndarray) -> bytes:
+    """Encode to canonical binary PNM: ``P6\\n{w} {h}\\n255\\n`` + payload,
+    P5 for one channel. DomainError unless ``img`` is a uint8 (h, w, 1)
+    or (h, w, 3) array."""
+    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] not in (1, 3):
+        raise DomainError(f"an image must be a uint8 (h, w, 1) or (h, w, 3) array, "
+                          f"got {img.dtype} {img.shape}")
+    height, width, channels = img.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    return magic + b"\n%d %d\n255\n" % (width, height) + img.tobytes()
 
 
-def load_image(path) -> RgbImage | GrayImage:
+def load_image(path) -> np.ndarray:
     """Read an image file. PNM is decoded natively from one read of the
     file; anything else goes through Pillow when it is installed. A file
     that cannot be decoded raises FormatError naming ``path``, whose
@@ -169,16 +128,17 @@ def load_image(path) -> RgbImage | GrayImage:
         raise FormatError(f"{path}: {reason}") from reason
     with Image.open(path) as im:
         if im.mode == "L":
-            return GrayImage(np.asarray(im, dtype=np.uint8))
-        return RgbImage(np.asarray(im.convert("RGB"), dtype=np.uint8))
+            return np.asarray(im, dtype=np.uint8)[:, :, None]
+        return np.asarray(im.convert("RGB"), dtype=np.uint8)
 
 
-def to_grayscale(img: RgbImage) -> GrayImage:
-    """BT.601 luminance: Y = 0.299 R + 0.587 G + 0.114 B, rounded half
-    away from zero. Computed in integers, so (v, v, v) maps to exactly v."""
-    px = img.pixels.astype(np.int64)
-    y = (_LUMA_R * px[:, :, 0] + _LUMA_G * px[:, :, 1] + _LUMA_B * px[:, :, 2] + 500) // 1000
-    return GrayImage(y.astype(np.uint8))
+def to_grayscale(img: np.ndarray) -> np.ndarray:
+    """BT.601 luminance of a colour image, as a (h, w, 1) image: Y =
+    0.299 R + 0.587 G + 0.114 B, rounded half away from zero. Computed in
+    integers, so (v, v, v) maps to exactly v."""
+    px = img.astype(np.int64)
+    y = (_LUMA_R * px[:, :, :1] + _LUMA_G * px[:, :, 1:2] + _LUMA_B * px[:, :, 2:] + 500) // 1000
+    return y.astype(np.uint8)
 
 
 @lru_cache(maxsize=32)
@@ -210,27 +170,26 @@ def _column_index(n_in: int, n_out: int, channels: int):
     return (*index, w)
 
 
-def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
+def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resize (not aspect-preserving). Resizing to the source
     dimensions returns ``img`` itself; uniform images stay uniform.
 
-    The result's pixels are a view of a new C-contiguous uint8
-    (channels, out_h, out_w) array, so ``to_pixels`` copies them out in
-    one block. Only the four corner samples of each output value are
+    The result is the (out_h, out_w, channels) view of a new C-contiguous
+    uint8 (channels, out_h, out_w) array, so ``to_pixels`` copies it out
+    in one block. Only the four corner samples of each output value are
     read from the source and converted to float64; the lerps run in
     place in four buffers of the output's size, each row holding one
     run of ``out_w`` values per channel, against the (out_w,) weight row.
     """
     if out_w < 1 or out_h < 1:
         raise DomainError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    if (out_w, out_h) == (img.width, img.height):
+    height, width, channels = img.shape
+    if (out_w, out_h) == (width, height):
         return img
-    gray = isinstance(img, GrayImage)
-    channels = 1 if gray else 3
-    rows = img.pixels.reshape(img.height, img.width * channels)
+    rows = img.reshape(height, width * channels)
 
-    x0, x1, wx = _column_index(img.width, out_w, channels)
-    y0, y1, wy = _axis_coords(img.height, out_h)
+    x0, x1, wx = _column_index(width, out_w, channels)
+    y0, y1, wy = _axis_coords(height, out_h)
 
     # Gather the source rows, then from each the (channels, out_w)
     # samples: (out_h, channels, out_w), still uint8 until the cast.
@@ -257,12 +216,10 @@ def resize_bilinear(img: RgbImage | GrayImage, out_w: int, out_h: int):
 
     planar = np.empty((channels, out_h, out_w), dtype=np.uint8)
     np.copyto(planar.transpose(1, 0, 2), d, casting="unsafe")
-    return GrayImage(planar[0]) if gray else RgbImage(planar.transpose(1, 2, 0))
+    return planar.transpose(1, 2, 0)
 
 
-def to_pixels(
-    img: RgbImage | GrayImage, colour_mode: str = "rgb", out: np.ndarray | None = None
-) -> np.ndarray:
+def to_pixels(img: np.ndarray, colour_mode: str = "rgb", out=None) -> np.ndarray:
     """The image as a C-contiguous uint8 (3, height, width) array:
     written into ``out`` when one is given, else into a new array, and
     returned.
@@ -274,17 +231,14 @@ def to_pixels(
     """
     if colour_mode not in COLOUR_MODES:
         raise DomainError(f"unknown colour mode {colour_mode!r}")
-    if colour_mode == "grayscale" and isinstance(img, RgbImage):
+    if colour_mode == "grayscale" and img.shape[2] == 3:
         img = to_grayscale(img)
-    shape = (3, img.height, img.width)
+    shape = (3, *img.shape[:2])
     if out is None:
         out = np.empty(shape, dtype=np.uint8)
     elif out.shape != shape or out.dtype != np.uint8:
         raise DomainError(f"out must be a uint8 {shape} array, got {out.dtype} {out.shape}")
-    if isinstance(img, GrayImage):
-        out[...] = img.pixels
-    else:
-        out[...] = img.pixels.transpose(2, 0, 1)
+    out[...] = img.transpose(2, 0, 1)  # one channel spreads over three
     return out
 
 
@@ -296,22 +250,31 @@ def pixels_to_tensor(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def make_loader(image_root, colour_mode: str, size):
-    """Per-image pipeline for a network input of ``size`` =
-    (height, width). ``load(path, out=None)`` decodes, resizes and
-    colour-converts one image into the ``to_pixels`` uint8
-    (3, height, width) array: into ``out`` when one is given, typically
-    a row of the caller's batch, else into a new array, which it
-    returns. A call holds the file's bytes, the resize's float64 buffers
-    and its uint8 result only until it returns; the result reaches
-    ``out`` in one copy. A ``Network`` scales uint8 input itself, chunk
-    by chunk. Paths are taken relative to ``image_root`` when one is
-    given."""
+def load_batch(paths, image_root, colour_mode: str, size, rejects=None) -> np.ndarray:
+    """The images at ``paths`` as one C-contiguous uint8 (n, 3, height,
+    width) batch for a network input of ``size`` = (height, width): each
+    is decoded, resized and colour-converted straight into its row. Paths
+    are taken relative to ``image_root`` when one is given.
+
+    An image that cannot be read or decoded raises, unless ``rejects`` is
+    a list: then ``(path, reason)`` is appended to it and the batch holds
+    the other images in order. The reason does not repeat the path: it is
+    an OSError's strerror, or the cause a decode error wraps. A call holds
+    one file's bytes and the resize's float64 buffers at a time, beside
+    the batch; a ``Network`` scales uint8 input itself, chunk by chunk.
+    """
     root = Path(image_root) if image_root else None
     height, width = size
-
-    def load(path: str, out=None) -> np.ndarray:
-        img = load_image(root / path if root else Path(path))
-        return to_pixels(resize_bilinear(img, width, height), colour_mode, out)
-
-    return load
+    batch = np.empty((len(paths), 3, height, width), dtype=np.uint8)
+    n = 0
+    for path in paths:
+        try:
+            img = load_image(root / path if root else Path(path))
+        except (OSError, FormatError) as exc:
+            if rejects is None:
+                raise
+            rejects.append((path, str(getattr(exc, "strerror", None) or exc.__cause__ or exc)))
+            continue
+        to_pixels(resize_bilinear(img, width, height), colour_mode, batch[n])
+        n += 1
+    return batch[:n]

@@ -18,6 +18,7 @@ from .train import (
     TrainConfig,
     evaluate,
     fit,
+    load_side,
     predict,
     predict_proba,
     train,
@@ -34,6 +35,7 @@ __all__ = [
     "evaluate",
     "fit",
     "load_checkpoint",
+    "load_side",
     "make_checkpoint",
     "micro_cnn",
     "network_from_checkpoint",

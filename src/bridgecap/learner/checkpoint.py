@@ -30,7 +30,7 @@ import numpy as np
 
 from .._records import plain, reject_constant
 from ..errors import DomainError, FormatError
-from .network import ArchitectureDescriptor, Network
+from .network import ArchitectureDescriptor, Network, normalize_descriptor
 
 MAGIC = b"BCAP"
 VERSION = 1
@@ -115,7 +115,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     if meta_end > len(data):
         raise FormatError(f"metadata of {meta_len} bytes runs past the end of the file")
     meta = _json_block(data[_HEADER.size : meta_end], "metadata")
-    descriptor = ArchitectureDescriptor.from_dict(meta)
+    descriptor = normalize_descriptor(meta)
 
     weights = []
     pos = meta_end

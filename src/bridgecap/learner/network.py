@@ -42,10 +42,6 @@ class ArchitectureDescriptor:
     class_labels: tuple[str, ...]
     colour_mode: str = "rgb"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchitectureDescriptor":
-        return normalize_descriptor(d)
-
     @property
     def num_classes(self) -> int:
         return len(self.class_labels)
@@ -183,7 +179,7 @@ class Network:
     ``layers``). ``dtype`` is float32 for training and checkpoints;
     gradient-check tests build float64 instances.
 
-    A uint8 input to any method is pixels (``imaging.to_pixels``): it is
+    A uint8 input to any method is pixels (``imaging.load_batch``): it is
     scaled to [0, 1] in ``dtype`` by ``imaging.pixels_to_tensor`` on the
     calling thread, so a caller can hold a whole image set as uint8 and
     only the batch being forwarded, or the group ``predict_proba`` holds,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DomainError, TrainingDivergedError
+from ..imaging import load_batch
 from .checkpoint import Checkpoint, make_checkpoint
 from .network import Network
 
@@ -184,29 +185,31 @@ def fit(
     return make_checkpoint(net, history)
 
 
-def train(net: Network, split, config: TrainConfig, data_source) -> Checkpoint:
-    """Train on a DatasetSplit. ``data_source(image_path, out=row)``
-    writes one image's uint8 pixels into ``row``, a (c, h, w) row of the
-    side's batch, as the ``imaging.make_loader`` loader does. Each side is
-    one uint8 array allocated up front, so its pixels are held once, at
-    1 byte per value, and each image is written once, into its row. Split
-    classes (1-based, possibly sparse) are mapped onto the head's label
-    positions in sorted order and must match its width."""
+def load_side(descriptor, split, side: str, image_root) -> tuple[np.ndarray, np.ndarray]:
+    """The ``side`` ("train" or "test") of a DatasetSplit as the uint8
+    batch ``imaging.load_batch`` gives for ``descriptor``'s colour mode
+    and image size, and its int64 labels: the split's classes (1-based,
+    possibly sparse) mapped in sorted order onto the head's label
+    positions. DomainError, before any image is read, when the split's
+    class count is not the head's width."""
     classes = split.classes
-    if len(classes) != net.descriptor.num_classes:
+    if len(classes) != descriptor.num_classes:
         raise DomainError(
             f"split has {len(classes)} classes but the model head is "
-            f"{net.descriptor.num_classes} wide"
+            f"{descriptor.num_classes} wide"
         )
     index = {cls: i for i, cls in enumerate(classes)}
+    items = getattr(split, side)
+    x = load_batch([item.image_path for item in items], image_root, descriptor.colour_mode,
+                   descriptor.image_size())
+    return x, np.array([index[item.cls] for item in items], dtype=np.int64)
 
-    def materialize(items):
-        xs = np.empty((len(items), *net.descriptor.input_shape), dtype=np.uint8)
-        for row, item in zip(xs, items):
-            data_source(item.image_path, out=row)
-        ys = np.array([index[item.cls] for item in items], dtype=np.int64)
-        return xs, ys
 
-    x_train, y_train = materialize(split.train)
-    x_val, y_val = materialize(split.test)
+def train(net: Network, split, config: TrainConfig, image_root) -> Checkpoint:
+    """Train on a DatasetSplit, validating on its test side, with the
+    images under ``image_root`` as ``net``'s descriptor reads them (see
+    ``load_side``). Each side is one uint8 batch, so its pixels are held
+    once, at 1 byte per value."""
+    x_train, y_train = load_side(net.descriptor, split, "train", image_root)
+    x_val, y_val = load_side(net.descriptor, split, "test", image_root)
     return fit(net, x_train, y_train, x_val, y_val, config)

@@ -18,7 +18,7 @@ both formats. A line ends only at ``\\n`` (``_records``' line rule).
 import json
 from dataclasses import dataclass, field
 
-from ._records import from_ndjson, iter_csv, iter_lines, to_csv, to_ndjson
+from ._records import ascii_number, from_ndjson, iter_csv, iter_lines, to_csv, to_ndjson
 from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
@@ -57,9 +57,12 @@ def canonicalize(raw: str) -> str:
     return canonical
 
 
+_STATE_CODES = frozenset(f"{n:02d}" for n in range(100))
+
+
 def is_valid_state_code(code: str) -> bool:
-    """FIPS-style state code: exactly two decimal digits."""
-    return len(code) == 2 and code.isdigit()
+    """FIPS-style state code: exactly two ASCII digits."""
+    return code in _STATE_CODES
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +128,7 @@ class ParseProfile:
 
 def _parse_rating(text: str, divisor: float) -> float | None:
     try:
-        value = float(text) / divisor  # float() strips whitespace; "" is a ValueError
+        value = float(ascii_number(text)) / divisor  # "" is a ValueError
     except ValueError:
         return None
     # Implausible tonnage is treated as absent, not fatal: national files

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import ManifestEntry, write_manifest
 from .errors import DomainError
-from .imaging import RgbImage, encode_pnm
+from .imaging import encode_pnm
 from .nbi import NbiRecord, canonicalize, write_delimited
 
 _BACKGROUND = np.array([150, 180, 210], dtype=np.int64)  # hazy sky
@@ -75,7 +75,7 @@ def render_scene(cls: int, size: int, noise: int, jitter: int, rng) -> np.ndarra
     return img.astype(np.uint8)
 
 
-def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> RgbImage:
+def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> np.ndarray:
     scene = render_scene(cls, spec.image_size, spec.noise, spec.jitter, rng)
     if partial:
         # A quarter-area corner crop (< 30% of the scene).
@@ -84,7 +84,7 @@ def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> RgbImage:
         y0 = 0 if corner < 2 else spec.image_size - half
         x0 = 0 if corner % 2 == 0 else spec.image_size - half
         scene = scene[y0 : y0 + half, x0 : x0 + half]
-    return RgbImage(scene)
+    return scene
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Every public function and every private name in the package is read
 inside it, every defaulted parameter of a public function is passed by a
-call inside it, and text is split into lines and CSV rows only by the
-shared readers.
+call inside it, text is split into lines and CSV rows only by the shared
+readers, a digit in text means an ASCII digit, and images are loaded only
+through ``imaging.load_batch``.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
@@ -150,6 +151,57 @@ def line_rule_breaches(root: Path) -> list[str]:
     return [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
             if "splitlines(" in path.read_text()
             or ("csv.reader(" in path.read_text() and path.name != "_records.py")]
+
+
+DIGIT_TESTS = (".isdigit(", ".isdecimal(", ".isnumeric(")
+
+
+def digit_tests(root: Path) -> list[tuple[str, str]]:
+    """(module, stripped line) of each line under ``root`` that calls
+    ``isdigit``, ``isdecimal`` or ``isnumeric``. On a str each is true for
+    other scripts' digits, and ``isdigit`` for superscripts; on bytes
+    ``isdigit`` means ASCII digits."""
+    return [(path.relative_to(root).as_posix(), line.strip())
+            for path in sorted(root.rglob("*.py"))
+            for line in path.read_text().split("\n")
+            if any(test in line for test in DIGIT_TESTS)]
+
+
+PER_IMAGE_STEPS = {"load_image", "resize_bilinear", "to_pixels"}
+
+
+def per_image_callers(root: Path) -> list[str]:
+    """``module.step`` for each call of a per-image step outside
+    ``imaging.py``: a module that makes one loads images itself, where
+    ``imaging.load_batch`` fills every batch."""
+    return [f"{_module(root, path)}.{name}"
+            for path, tree in _trees(root).items() if path.name != "imaging.py"
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            if name in PER_IMAGE_STEPS]
+
+
+def test_digits_are_ascii_digits():
+    assert digit_tests(PACKAGE) == [("imaging.py", "if not token.isdigit():")]
+
+
+def test_digit_tests_are_listed(tmp_path):
+    (tmp_path / "a.py").write_text("ok = code.isdigit()\nn = s.isnumeric() or s.isdecimal()\n")
+    (tmp_path / "b.py").write_text('"""Not ``str.isdigit``."""\nok = code.isascii()\n')
+    assert digit_tests(tmp_path) == [("a.py", "ok = code.isdigit()"),
+                                     ("a.py", "n = s.isnumeric() or s.isdecimal()")]
+
+
+def test_images_are_loaded_only_by_load_batch():
+    assert per_image_callers(PACKAGE) == []
+
+
+def test_per_image_callers_are_listed(tmp_path):
+    (tmp_path / "imaging.py").write_text("def load_batch(p):\n    return to_pixels(load_image(p))\n")
+    (tmp_path / "a.py").write_text("import imaging\n\nx = imaging.resize_bilinear(i, 2, 2)\n"
+                                   "y = imaging.load_batch(p)\n")
+    (tmp_path / "b.py").write_text("from imaging import load_image\n\nimg = load_image(p)\n")
+    assert per_image_callers(tmp_path) == ["a.resize_bilinear", "b.load_image"]
 
 
 def test_lines_are_split_only_by_the_shared_readers():

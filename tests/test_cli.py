@@ -59,7 +59,7 @@ def evaluate_forged_checkpoint(tmp_path, forge) -> int:
     metadata ``forge`` edited in place: unedited, the run exits 0."""
     import numpy as np
 
-    from bridgecap.imaging import RgbImage, encode_pnm
+    from bridgecap.imaging import encode_pnm
     from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
 
     data = checkpoint_to_bytes(make_checkpoint(
@@ -70,7 +70,7 @@ def evaluate_forged_checkpoint(tmp_path, forge) -> int:
     raw = json.dumps(meta).encode()
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
-    (tmp_path / "x.pnm").write_bytes(encode_pnm(RgbImage(np.zeros((4, 4, 3), np.uint8))))
+    (tmp_path / "x.pnm").write_bytes(encode_pnm(np.zeros((4, 4, 3), np.uint8)))
     split = tmp_path / "split.csv"
     split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\n")
     return run("evaluate", "--checkpoint", str(ckpt), "--split", str(split),
@@ -166,6 +166,18 @@ class TestExitCodes:
         assert evaluate_forged_checkpoint(
             tmp_path, lambda meta: set_field(meta, path, value)) == 2
         assert re.search(message, capsys.readouterr().err)
+
+    def test_split_wider_than_the_head_is_2_before_any_image_is_read(self, tmp_path, capsys):
+        from bridgecap.learner import Network, make_checkpoint, micro_cnn, save_checkpoint
+
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(make_checkpoint(Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))),
+                        ckpt)
+        split = tmp_path / "split.csv"
+        split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\nx.pnm,3,test\n")
+        assert run("evaluate", "--checkpoint", str(ckpt), "--split", str(split),
+                   "--image-root", str(tmp_path / "nowhere"), "--out", str(tmp_path / "e")) == 2
+        assert "split has 3 classes but the model head is 2 wide" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
@@ -1029,13 +1041,13 @@ class TestImageMemory:
     def images(self, tmp_path):
         import numpy as np
 
-        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.imaging import encode_pnm
 
         rng = np.random.default_rng(12)
         paths = []
         for i in range(2 * self.N):
             pixels = rng.integers(0, 256, (self.SIDE, self.SIDE, 3)).astype(np.uint8)
-            (tmp_path / f"i{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            (tmp_path / f"i{i}.pnm").write_bytes(encode_pnm(pixels))
             paths.append(f"i{i}.pnm")
         return paths
 

@@ -128,6 +128,13 @@ class TestJoin:
         with pytest.raises(FormatError, match="duplicate image path"):
             corpus.join_labels(manifest, [])
 
+    def test_state_of_other_digits_is_unmatched(self):
+        states = ["0\xb2", "\u0660\u0661"]
+        manifest = [entry(f"{i}.pnm", state, "S1") for i, state in enumerate(states)]
+        records = [record(state, "S1", design=1) for state in states]
+        labeled, report = corpus.join_labels(manifest, records)
+        assert labeled == [] and report.unmatched_images == 2
+
     def test_degenerate_manifest_key_counts_unmatched(self):
         manifest = [entry("a.pnm", "01", "0000")]
         labeled, report = corpus.join_labels(manifest, [record("01", "S1", design=1)])
@@ -308,13 +315,13 @@ class TestTagCompletion:
     def test_model_source_missing_file_isolated(self, tmp_path):
         import numpy as np
 
-        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.imaging import encode_pnm
         from bridgecap.learner import Network, make_checkpoint, micro_cnn
 
         net = Network(micro_cnn(["complete", "partial"], input_shape=(3, 16, 16)), seed=0)
         ckpt = make_checkpoint(net)
         (tmp_path / "ok.pnm").write_bytes(
-            encode_pnm(RgbImage(np.zeros((16, 16, 3), dtype=np.uint8)))
+            encode_pnm(np.zeros((16, 16, 3), dtype=np.uint8))
         )
         images = [
             corpus.LabeledImage(image_path="ok.pnm", state="01", structure="S1",
@@ -363,7 +370,7 @@ class TestTagCompletion:
     def test_grayscale_model_tags_every_image(self, tmp_path):
         import numpy as np
 
-        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.imaging import encode_pnm
         from bridgecap.learner import Network, make_checkpoint, micro_cnn
 
         descriptor = micro_cnn(["partial", "complete"], input_shape=(3, 12, 12),
@@ -373,7 +380,7 @@ class TestTagCompletion:
         images = []
         for i in range(4):
             pixels = rng.integers(0, 256, (20, 16, 3)).astype(np.uint8)
-            (tmp_path / f"c{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            (tmp_path / f"c{i}.pnm").write_bytes(encode_pnm(pixels))
             images.append(corpus.LabeledImage(image_path=f"c{i}.pnm", state="01",
                                               structure=f"S{i}", design_load_class=2))
         tagged, report = corpus.tag_completion(
@@ -382,12 +389,12 @@ class TestTagCompletion:
         assert [img.image_path for img in tagged] == [img.image_path for img in images]
         assert report.tagged == 4 and report.rejects == ()
 
-        from bridgecap.imaging import make_loader
+        from bridgecap.imaging import load_batch
         from bridgecap.learner import network_from_checkpoint
 
         net = network_from_checkpoint(ckpt)
-        load = make_loader(tmp_path, "grayscale", (12, 12))
-        batch = net.forward(np.stack([load(img.image_path) for img in images]))
+        batch = net.forward(load_batch([img.image_path for img in images], tmp_path,
+                                       "grayscale", (12, 12)))
         for (path, p), row in zip(report.probabilities, batch):
             assert p == float(row[1])
 
@@ -395,7 +402,7 @@ class TestTagCompletion:
     def test_corrupt_image_rejected_rest_tagged_in_order(self, tmp_path):
         import numpy as np
 
-        from bridgecap.imaging import RgbImage, encode_pnm, make_loader
+        from bridgecap.imaging import encode_pnm, load_batch
         from bridgecap.learner import (
             Network, make_checkpoint, micro_cnn, network_from_checkpoint, predict_proba,
         )
@@ -406,7 +413,7 @@ class TestTagCompletion:
         rng = np.random.default_rng(11)
         images = []
         for i in range(7):
-            data = encode_pnm(RgbImage(rng.integers(0, 256, (20, 18, 3)).astype(np.uint8)))
+            data = encode_pnm(rng.integers(0, 256, (20, 18, 3)).astype(np.uint8))
             (tmp_path / f"m{i}.pnm").write_bytes(data[:-5] if i == 3 else data)
             images.append(corpus.LabeledImage(image_path=f"m{i}.pnm", state="01",
                                               structure=f"S{i}", design_load_class=1))
@@ -419,9 +426,8 @@ class TestTagCompletion:
         assert "payload length mismatch" in report.rejects[0][1]
         assert "m3.pnm" not in report.rejects[0][1]  # the reject names it once
 
-        load = make_loader(tmp_path, "rgb", (12, 12))
         expected = predict_proba(network_from_checkpoint(ckpt),
-                                 np.stack([load(path) for path in kept]))[:, 0]
+                                 load_batch(kept, tmp_path, "rgb", (12, 12)))[:, 0]
         assert report.probabilities == tuple(zip(kept, expected.tolist()))
         assert [img.completion for img in tagged] == [
             "complete" if p >= 0.5 else "partial" for p in expected

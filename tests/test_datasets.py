@@ -310,6 +310,14 @@ class TestVariants:
         with pytest.raises(ConfigError, match="bridge_level"):
             ds.DatasetSpec("dl", design_load, stratified=False, group_split="bridge_level")
 
+    @pytest.mark.parametrize("key", ["\u0663", "1\u0662"])
+    def test_caps_key_of_other_digits_is_config_error(self, key):
+        # str.isdecimal is true for other scripts' digits, which int() reads.
+        design_load = ds.load_preset("DL1").label_source
+        assert ds.DatasetSpec("dl", design_load, caps={"3": 5}).caps == {3: 5}
+        with pytest.raises(ConfigError, match="caps keys must be class numbers"):
+            ds.DatasetSpec("dl", design_load, caps={key: 5})
+
     def test_completion_filter(self, column_a_corpus):
         # column-A corpus is all complete, so partial-only variants starve
         with pytest.raises(DomainError):
@@ -428,6 +436,12 @@ class TestSplitCsvReader:
     def test_wrong_header_is_format_error(self, header):
         with pytest.raises(FormatError, match="unexpected split-manifest header"):
             ds.read_split_csv(header + "a.pnm,1,train\n")
+
+    @pytest.mark.parametrize("cls", ["1_0", "\u0663", "1\u0660"])
+    def test_class_of_other_digits_is_format_error(self, cls):
+        # int() reads "_" between digits and other scripts' digits.
+        with pytest.raises(FormatError, match=r"split-manifest line 3: .* integer class"):
+            ds.read_split_csv(f"image_path,class,side\na.pnm,1,train\nb.pnm,{cls},test\n")
 
     def test_rows_of_blank_cells_are_skipped(self):
         text = "image_path,class,side\n   \na.pnm,1,train\n,,\n\nb.pnm,2,test\n"

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,31 +14,37 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 
 
 def rgb(rows):
-    return imaging.RgbImage(np.array(rows, dtype=np.uint8))
+    return np.array(rows, dtype=np.uint8)
 
 
 class TestPnmCodec:
     def test_single_red_pixel(self):
         img = imaging.decode_pnm(b"P6\n1 1\n255\n\xff\x00\x00")
-        assert isinstance(img, imaging.RgbImage)
-        assert img.width == img.height == 1
-        assert img.pixels.tolist() == [[[255, 0, 0]]]
+        assert img.dtype == np.uint8 and img.shape == (1, 1, 3)
+        assert img.tolist() == [[[255, 0, 0]]]
 
     def test_round_trip_is_lossless(self):
         rng = np.random.default_rng(3)
-        img = imaging.RgbImage(rng.integers(0, 256, (7, 5, 3)).astype(np.uint8))
+        img = rng.integers(0, 256, (7, 5, 3)).astype(np.uint8)
         data = imaging.encode_pnm(img)
         assert imaging.encode_pnm(imaging.decode_pnm(data)) == data
 
-        gray = imaging.GrayImage(rng.integers(0, 256, (4, 9)).astype(np.uint8))
+        gray = rng.integers(0, 256, (4, 9, 1)).astype(np.uint8)
         data = imaging.encode_pnm(gray)
         decoded = imaging.decode_pnm(data)
-        assert isinstance(decoded, imaging.GrayImage)
+        assert decoded.shape == (4, 9, 1)
         assert imaging.encode_pnm(decoded) == data
 
     def test_header_comments_and_whitespace(self):
         img = imaging.decode_pnm(b"P5 # comment\n# another\n 2\t1 \n255\n\x00\xff")
-        assert img.pixels.tolist() == [[0, 255]]
+        assert img.tolist() == [[[0], [255]]]
+
+    @pytest.mark.parametrize("img", [np.zeros((2, 3, 3), np.int64), np.zeros((2, 3), np.uint8),
+                                     np.zeros((2, 3, 2), np.uint8), np.zeros((2, 3, 3, 1), np.uint8)],
+                             ids=["int64", "no_channel_axis", "two_channels", "four_axes"])
+    def test_encode_rejects_what_is_not_an_image(self, img):
+        with pytest.raises(DomainError, match=r"uint8 \(h, w, 1\) or \(h, w, 3\)"):
+            imaging.encode_pnm(img)
 
     def test_truncated_payload_cites_lengths(self):
         with pytest.raises(FormatError, match="expected 3 bytes, got 2"):
@@ -54,9 +61,7 @@ class TestPnmCodec:
 
 def random_image(seed, height, width, gray):
     rng = np.random.default_rng(seed)
-    if gray:
-        return imaging.GrayImage(rng.integers(0, 256, (height, width)).astype(np.uint8))
-    return imaging.RgbImage(rng.integers(0, 256, (height, width, 3)).astype(np.uint8))
+    return rng.integers(0, 256, (height, width, 1 if gray else 3)).astype(np.uint8)
 
 
 class TestPnmRoundTrip:
@@ -67,52 +72,52 @@ class TestPnmRoundTrip:
         img = random_image(seed, height, width, gray)
         data = imaging.encode_pnm(img)
         decoded = imaging.decode_pnm(data)
-        assert type(decoded) is type(img)
-        assert decoded.pixels.shape == img.pixels.shape
-        assert decoded.pixels.tobytes() == img.pixels.tobytes()
+        assert decoded.shape == img.shape
+        assert decoded.tobytes() == img.tobytes()
         assert imaging.encode_pnm(decoded) == data
 
 
 class TestGrayscale:
     def test_primaries(self):
         img = rgb([[[255, 0, 0], [0, 255, 0], [0, 0, 255]]])
-        assert imaging.to_grayscale(img).pixels.tolist() == [[76, 150, 29]]
+        assert imaging.to_grayscale(img).tolist() == [[[76], [150], [29]]]
 
     def test_neutral_triple_passthrough(self):
-        assert imaging.to_grayscale(rgb([[[100, 100, 100]]])).pixels[0, 0] == 100
+        assert imaging.to_grayscale(rgb([[[100, 100, 100]]]))[0, 0, 0] == 100
 
     def test_identity_on_all_256_gray_levels(self):
         v = np.arange(256, dtype=np.uint8)
-        img = imaging.RgbImage(np.stack([v, v, v], axis=1).reshape(1, 256, 3))
-        assert (imaging.to_grayscale(img).pixels[0] == v).all()
+        img = np.stack([v, v, v], axis=1).reshape(1, 256, 3)
+        assert (imaging.to_grayscale(img)[0, :, 0] == v).all()
 
     def test_rounding_half_away_from_zero(self):
         # 0.299*5 = 1.495 -> 1; 0.299*15 = 4.485 -> 4; 0.114*250 = 28.5 -> 29
         img = rgb([[[5, 0, 0], [15, 0, 0], [0, 0, 250]]])
-        assert imaging.to_grayscale(img).pixels[0].tolist() == [1, 4, 29]
+        assert imaging.to_grayscale(img)[0, :, 0].tolist() == [1, 4, 29]
 
 
 class TestResize:
     def test_same_dims_identity(self):
         rng = np.random.default_rng(11)
-        img = imaging.RgbImage(rng.integers(0, 256, (64, 64, 3)).astype(np.uint8))
+        img = rng.integers(0, 256, (64, 64, 3)).astype(np.uint8)
         out = imaging.resize_bilinear(img, 64, 64)
-        assert (out.pixels == img.pixels).all()
+        assert (out == img).all()
 
     def test_monotone_upscale(self):
-        img = imaging.GrayImage(np.array([[0, 255]], dtype=np.uint8))
+        img = np.array([[[0], [255]]], dtype=np.uint8)
         out = imaging.resize_bilinear(img, 4, 1)
-        values = out.pixels[0].astype(int)
+        assert out.shape == (1, 4, 1)
+        values = out[0, :, 0].astype(int)
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[0] == 0 and values[-1] == 255
 
     def test_uniform_preserved(self):
-        img = imaging.RgbImage(np.full((5, 7, 3), 137, dtype=np.uint8))
+        img = np.full((5, 7, 3), 137, dtype=np.uint8)
         out = imaging.resize_bilinear(img, 13, 3)
-        assert (out.pixels == 137).all()
+        assert out.shape == (3, 13, 3) and (out == 137).all()
 
     def test_zero_dim_rejected(self):
-        img = imaging.GrayImage(np.zeros((2, 2), dtype=np.uint8))
+        img = np.zeros((2, 2, 1), dtype=np.uint8)
         with pytest.raises(DomainError):
             imaging.resize_bilinear(img, 0, 2)
 
@@ -120,19 +125,15 @@ class TestResize:
 def float_first_resize(img, out_w, out_h):
     """The resize ``resize_bilinear`` replaced, kept as its oracle: it
     converts the whole image to float64 before gathering the corners."""
-    gray = isinstance(img, imaging.GrayImage)
-    px = img.pixels.astype(np.float64)
-    if gray:
-        px = px[:, :, None]
-    x0, x1, wx = imaging._axis_coords(img.width, out_w)
-    y0, y1, wy = imaging._axis_coords(img.height, out_h)
+    px = img.astype(np.float64)
+    x0, x1, wx = imaging._axis_coords(img.shape[1], out_w)
+    y0, y1, wy = imaging._axis_coords(img.shape[0], out_h)
     wx = wx[None, :, None]
     wy = wy[:, None, None]
     top = px[y0][:, x0] + wx * (px[y0][:, x1] - px[y0][:, x0])
     bot = px[y1][:, x0] + wx * (px[y1][:, x1] - px[y1][:, x0])
     out = top + wy * (bot - top)
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return out[:, :, 0] if gray else out
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
 class TestResizeOracle:
@@ -146,7 +147,7 @@ class TestResizeOracle:
     @example(height=3, width=5, out_h=80, out_w=64, gray=True, seed=4)
     def test_matches_float_first_bytes(self, height, width, out_h, out_w, gray, seed):
         img = random_image(seed, height, width, gray)
-        out = imaging.resize_bilinear(img, out_w, out_h).pixels
+        out = imaging.resize_bilinear(img, out_w, out_h)
         expected = float_first_resize(img, out_w, out_h)
         assert out.shape == expected.shape and out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
@@ -177,7 +178,7 @@ class TestToTensor:
     def test_tensor_range_random_images(self):
         rng = np.random.default_rng(5)
         for mode in imaging.COLOUR_MODES:
-            img = imaging.RgbImage(rng.integers(0, 256, (9, 4, 3)).astype(np.uint8))
+            img = rng.integers(0, 256, (9, 4, 3)).astype(np.uint8)
             t = to_tensor(img, mode)
             assert t.min() >= 0.0 and t.max() <= 1.0
 
@@ -196,10 +197,10 @@ class TestToTensor:
         # The scaling the classifier has always seen: float32(v) / float32(255).
         assert tensor.tobytes() == (pixels.astype(np.float32) / np.float32(255.0)).tobytes()
         if gray or mode == "grayscale":
-            expected = imaging.to_grayscale(img).pixels if not gray else img.pixels
-            assert (pixels == expected).all()
+            expected = imaging.to_grayscale(img) if not gray else img
+            assert (pixels == np.moveaxis(expected, 2, 0)).all()
         else:
-            assert (pixels == np.moveaxis(img.pixels, 2, 0)).all()
+            assert (pixels == np.moveaxis(img, 2, 0)).all()
 
     def test_pixels_to_tensor_in_float64(self):
         pixels = np.arange(256, dtype=np.uint8).reshape(1, 1, 256)
@@ -213,14 +214,19 @@ class TestLoader:
     @pytest.mark.parametrize("gray", [False, True], ids=["P6", "P5"])
     @pytest.mark.parametrize("size", [(6, 5), (11, 14)], ids=["same", "resized"])
     def test_returns_contiguous_uint8_pixels(self, tmp_path, mode, gray, size):
-        img = random_image(9, 6, 5, gray)
-        (tmp_path / "i.pnm").write_bytes(imaging.encode_pnm(img))
-        out = imaging.make_loader(tmp_path, mode, size)("i.pnm")
-        assert out.dtype == np.uint8 and out.shape == (3, *size)
+        # The image between two of the other kind, so a batch mixes P5 and P6.
+        paths = ["a.pnm", "i.pnm", "b.pnm"]
+        for seed, path in enumerate(paths):
+            img = random_image(9 + seed, 6, 5, gray if path == "i.pnm" else not gray)
+            (tmp_path / path).write_bytes(imaging.encode_pnm(img))
+        out = imaging.load_batch(paths, tmp_path, mode, size)
+        assert out.dtype == np.uint8 and out.shape == (3, 3, *size)
         assert out.flags.c_contiguous
         height, width = size
-        expected = imaging.to_pixels(imaging.resize_bilinear(img, width, height), mode)
-        assert out.tobytes() == expected.tobytes()
+        for row, path in zip(out, paths):
+            img = imaging.load_image(tmp_path / path)
+            expected = imaging.to_pixels(imaging.resize_bilinear(img, width, height), mode)
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestLoaderIntoRow:
@@ -235,14 +241,11 @@ class TestLoaderIntoRow:
         img = random_image(seed, height, width, gray)
         root = tmp_path_factory.mktemp("loader")
         (root / "i.pnm").write_bytes(imaging.encode_pnm(img))
-        batch = np.full((5, 3, out_h, out_w), 0xA5, dtype=np.uint8)
-        row = batch[2]
-        returned = imaging.make_loader(root, mode, (out_h, out_w))("i.pnm", out=row)
-        assert returned is row
-        resized = float_first_resize(img, out_w, out_h)
-        resized = imaging.GrayImage(resized) if gray else imaging.RgbImage(resized)
-        assert row.tobytes() == imaging.to_pixels(resized, mode).tobytes()
-        for other in (0, 1, 3, 4):
+        (root / "u.pnm").write_bytes(imaging.encode_pnm(np.full((3, 2, 3), 0xA5, np.uint8)))
+        batch = imaging.load_batch(["u.pnm", "i.pnm", "u.pnm"], root, mode, (out_h, out_w))
+        expected = imaging.to_pixels(float_first_resize(img, out_w, out_h), mode)
+        assert batch[1].tobytes() == expected.tobytes()
+        for other in (0, 2):  # a uniform image resizes and converts to itself
             assert (batch[other] == 0xA5).all()
 
 
@@ -289,6 +292,38 @@ class TestLoadImage:
             imaging.load_image(path)
 
 
+class TestLoadBatchRejects:
+    PATHS = ["a.pnm", "cut.pnm", "b.pnm", "gone.pnm", "x.gif", "c.pnm"]
+
+    def write(self, root):
+        for seed, name in enumerate(("a.pnm", "b.pnm", "c.pnm")):
+            (root / name).write_bytes(imaging.encode_pnm(random_image(seed, 5, 4, seed == 1)))
+        (root / "cut.pnm").write_bytes(imaging.encode_pnm(random_image(3, 3, 2, False))[:-1])
+        (root / "x.gif").write_bytes(b"GIF89a" + bytes(11))
+
+    def test_rejects_keep_their_order_and_the_rest_fill_the_batch(self, tmp_path, monkeypatch):
+        import errno
+        import os
+
+        monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
+        self.write(tmp_path)
+        rejects = []
+        batch = imaging.load_batch(self.PATHS, tmp_path, "rgb", (6, 6), rejects)
+        assert rejects == [
+            ("cut.pnm", "payload length mismatch: expected 18 bytes, got 17"),
+            ("gone.pnm", os.strerror(errno.ENOENT)),
+            ("x.gif", "not a binary PNM file and Pillow is not installed"),
+        ]
+        assert batch.shape == (3, 3, 6, 6) and batch.flags.c_contiguous
+        kept = imaging.load_batch(["a.pnm", "b.pnm", "c.pnm"], tmp_path, "rgb", (6, 6))
+        assert batch.tobytes() == kept.tobytes()
+
+    def test_without_a_reject_list_the_first_bad_image_raises(self, tmp_path):
+        self.write(tmp_path)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'cut.pnm'))}: "):
+            imaging.load_batch(self.PATHS, tmp_path, "rgb", (6, 6))
+
+
 def mutate(data, ops):
     """``data`` after each (kind, position, byte) edit in turn: cut
     everything from the position on, xor the byte there with a non-zero
@@ -320,8 +355,8 @@ class TestPnmFuzz:
             img = imaging.decode_pnm(data)
         except FormatError:
             return
-        assert img.pixels.dtype == np.uint8
-        assert img.pixels.size <= len(data)
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] in (1, 3)
+        assert img.size <= len(data)
 
 
 def looped_next_token(data, pos):

@@ -729,7 +729,7 @@ class TestPixelInput:
     def test_train_hands_fit_uint8_pixels(self, tmp_path, monkeypatch):
         import importlib
 
-        from bridgecap.imaging import RgbImage, encode_pnm, make_loader
+        from bridgecap.imaging import encode_pnm, load_batch
 
         train_module = importlib.import_module("bridgecap.learner.train")
         seen = []
@@ -743,16 +743,16 @@ class TestPixelInput:
         items = []
         for i in range(6):
             pixels = rng.integers(0, 256, (10, 7, 3)).astype(np.uint8)
-            (tmp_path / f"{i}.pnm").write_bytes(encode_pnm(RgbImage(pixels)))
+            (tmp_path / f"{i}.pnm").write_bytes(encode_pnm(pixels))
             items.append(DatasetItem(image_path=f"{i}.pnm", cls=1 + i % 2))
         split = DatasetSplit(train=tuple(items[:4]), test=tuple(items[4:]))
         net = Network(micro_cnn(["1", "2"], input_shape=(3, 8, 8)), seed=0)
-        load = make_loader(tmp_path, "rgb", (8, 8))
-        train(net, split, TrainConfig(), load)
+        train(net, split, TrainConfig(), tmp_path)
         x_train, x_val = seen
         assert x_train.dtype == x_val.dtype == np.uint8
         assert x_train.shape == (4, 3, 8, 8) and x_val.shape == (2, 3, 8, 8)
-        assert x_train.tobytes() == np.stack([load(i.image_path) for i in items[:4]]).tobytes()
+        expected = load_batch([i.image_path for i in items[:4]], tmp_path, "rgb", (8, 8))
+        assert x_train.tobytes() == expected.tobytes()
 
 
 class TestEarlyStopping:
@@ -832,7 +832,7 @@ class TestTraining:
 
     def test_train_on_split_maps_sparse_classes(self, tmp_path):
         # classes 2 and 5 (sparse ids) must map onto a 2-wide head
-        from bridgecap.imaging import RgbImage, encode_pnm
+        from bridgecap.imaging import encode_pnm
 
         rng = np.random.default_rng(0)
         items = {"train": [], "test": []}
@@ -843,15 +843,12 @@ class TestTraining:
                 path = f"{side}_{i}.pnm"
                 pixels = np.full((8, 8, 3), shade, dtype=np.uint8)
                 pixels += rng.integers(0, 20, pixels.shape).astype(np.uint8)
-                (tmp_path / path).write_bytes(encode_pnm(RgbImage(pixels)))
+                (tmp_path / path).write_bytes(encode_pnm(pixels))
                 items[side].append(DatasetItem(image_path=path, cls=cls))
         split = DatasetSplit(train=tuple(items["train"]), test=tuple(items["test"]))
 
-        from bridgecap.imaging import make_loader
-
         net = Network(micro_cnn(["2", "5"], input_shape=(3, 8, 8)), seed=0)
-        ckpt = train(net, split, TrainConfig(max_epochs=3, seed=0),
-                     make_loader(tmp_path, "rgb", (8, 8)))
+        ckpt = train(net, split, TrainConfig(max_epochs=3, seed=0), tmp_path)
         assert len(ckpt.history["val_acc"]) == ckpt.history["stopped_epoch"]
 
     def test_head_width_mismatch(self):
@@ -861,7 +858,7 @@ class TestTraining:
             test=(DatasetItem("z", 1),),
         )
         with pytest.raises(DomainError, match="head"):
-            train(net, split, TrainConfig(), lambda p: np.zeros(4))
+            train(net, split, TrainConfig(), None)
 
 
 class TestCheckpoint:
@@ -1035,23 +1032,23 @@ class TestCheckpoint:
 
     def test_unknown_descriptor_key_is_config_error(self):
         meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
-        assert ArchitectureDescriptor.from_dict(meta) == micro_cnn(["a", "b"], (3, 4, 4))
+        assert normalize_descriptor(meta) == micro_cnn(["a", "b"], (3, 4, 4))
         with pytest.raises(ConfigError, match=r"unknown descriptor keys: \['bogus'\]"):
-            ArchitectureDescriptor.from_dict({**meta, "bogus": 1})
+            normalize_descriptor({**meta, "bogus": 1})
 
     @pytest.mark.parametrize("path, value, message", BAD_SIZES)
     def test_size_that_is_not_an_integer_is_config_error(self, path, value, message):
         meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
         set_field(meta, path, value)
         with pytest.raises(ConfigError, match=message):
-            ArchitectureDescriptor.from_dict(meta)
+            normalize_descriptor(meta)
 
     @pytest.mark.parametrize("path, value, message", BAD_DESCRIPTORS)
     def test_malformed_descriptor_is_config_error(self, path, value, message):
         meta = plain(micro_cnn(["a", "b"], input_shape=(3, 4, 4)))
         set_field(meta, path, value)
         with pytest.raises(ConfigError, match=message):
-            ArchitectureDescriptor.from_dict(meta)
+            normalize_descriptor(meta)
 
 
 class TestFeatureHead:

@@ -305,6 +305,27 @@ class TestParseEdges:
         _, stats = nbi.parse_nbi(text, STANDARD)
         assert stats.rejects == ((4, "bad state code 'X1'"),)
 
+    @pytest.mark.parametrize("state", ["0\xb2", "\xb9\xb2", "\u0660\u0661"])
+    def test_state_of_other_digits_is_rejected(self, state):
+        # str.isdigit is true for the superscripts a latin-1 file can hold
+        # and for other scripts' digits.
+        text = f"state,structure,design_load_code,load_rating_tons\n{state},S1,3,12.5\n"
+        records, stats = nbi.parse_nbi(text, STANDARD)
+        assert records == [] and stats.rejects == ((2, f"bad state code {state!r}"),)
+        assert not nbi.is_valid_state_code(state)
+
+    @pytest.mark.parametrize("cell", ["1_2.5", "3_6", "\u0663\u0666", "1\u0662.5"])
+    def test_rating_of_other_digits_is_absent(self, cell):
+        # float() reads "_" between digits and other scripts' digits.
+        text = f"state,structure,design_load_code,load_rating_tons\n01,S1,3,{cell}\n"
+        records, stats = nbi.parse_nbi(text, STANDARD)
+        assert records[0].load_rating_tons is None and stats.rows_missing_rating == 1
+
+    def test_rating_padded_with_other_whitespace_reads(self):
+        text = "state,structure,design_load_code,load_rating_tons\n01,S1,3,\xa012.5\t\n"
+        records, _ = nbi.parse_nbi(text, STANDARD)
+        assert records[0].load_rating_tons == 12.5
+
     def test_structure_too_long_rejected(self):
         text = "state,structure,design_load_code,load_rating_tons\n01,ABCDEFGH12345678,1,1\n"
         _, stats = nbi.parse_nbi(text, STANDARD)

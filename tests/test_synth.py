@@ -66,9 +66,9 @@ class TestGenCorpus:
         for entry in corpus.iter_manifest(result.manifest_path.read_text()):
             decoded = imaging.decode_pnm((tmp_path / "c" / entry.image_path).read_bytes())
             if entry.completion == "partial":
-                assert decoded.width == decoded.height == 32
+                assert decoded.shape == (32, 32, 3)
             else:
-                assert decoded.width == decoded.height == 64
+                assert decoded.shape == (64, 64, 3)
 
     def test_ratings_rebuild_visual_classes(self):
         scheme = rating_scheme(4)
