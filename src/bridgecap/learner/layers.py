@@ -11,6 +11,15 @@ it: no array outlives the step that made it, and a ``backward`` without
 a training forward before it raises ``InvariantError``. Layers never
 write into their input or into an array they have returned.
 
+What a training forward saves is its input or smaller: ``Conv`` its
+padded input, ``Relu`` its mask, ``MaxPool`` its input and output.
+``Conv.backward`` unfolds each slice of that input again (im2col) into
+columns of the slice's own, rather than keep the forward's full-batch
+columns, kh * kw times the padded input, until the backward: the
+recompute trade of Chen et al. 2016 (arXiv:1604.06174). It cut the
+traced allocation peak of a 32-image 64-px ``micro_cnn`` SGD step from
+58.8 to 37.9 MiB, and added about 2-3 ms to that step on one thread.
+
 Per-image work runs on every core, and ``forward`` and ``backward`` run
 only on the calling thread. ``Conv`` (im2col, the per-image GEMMs, bias
 and col2im), ``Relu`` and ``MaxPool`` write each image's results into
@@ -43,7 +52,11 @@ glibc reuses freed heap memory well for that order and poorly for
 others: padding per slice after allocating ``cols2`` and zeroing each
 slice of an ``np.empty`` gradient buffer tripled the page faults of a
 ``train`` run with BLAS on two threads (about 75k against 26k) and made
-it 13% slower.
+it 13% slower. ``Conv.forward``'s full-batch ``cols2`` is such a buffer,
+freed when the forward returns. Unfolding into per-slice columns in the
+forward too held less, but without that freed chunk raising glibc's
+dynamic mmap threshold the 4-8 MB activation buffers were mapped afresh
+at every step, about 1,500 page faults per step.
 
 Helpers are used only when the process may run on more than one CPU and
 BLAS is configured for one thread through the variables it reads
@@ -54,8 +67,9 @@ threads, its spinning workers compete with the helpers: a 64-px
 Xeon with OpenBLAS 0.3.31 when helpers were forced on. Without
 helpers the calling thread takes every slice in turn, through the same
 code. Pinned to one CPU of that Xeon, the process that trains on 600
-64-px images for 3 epochs then peaked at 129.9 MB, against 147.9 MB with
-the whole batch as one slice, and wrote the same checkpoint.
+64-px images for 3 epochs then peaked at 108.6 MB. It peaked at 129.9 MB
+while ``Conv`` kept its full-batch columns, and at 147.9 MB with the
+whole batch as one slice as well. All three wrote the same checkpoint.
 """
 
 import math
@@ -184,7 +198,14 @@ class _Layer:
 
 
 class Conv(_Layer):
-    """2-D convolution, zero padding, square stride."""
+    """2-D convolution, zero padding, square stride.
+
+    A training forward keeps its padded input, which with ``pad == 0``
+    is the caller's input, held by reference as ``MaxPool`` holds its
+    own. ``backward`` unfolds each slice of it again with ``_unfold``,
+    the loop the forward's ``_kernel`` runs, before the per-image dW
+    GEMM and the dX path.
+    """
 
     def __init__(self, kh, kw, in_ch, out_ch, stride, pad, rng, dtype):
         self.kh, self.kw = kh, kw
@@ -216,16 +237,20 @@ class Conv(_Layer):
             xp[:, :, p : p + h, :p] = xp[:, :, p : p + h, p + w :] = 0
         return xp, (n, c * self.kh * self.kw, oh * ow), (n, self.out_ch, oh, ow)
 
-    def _kernel(self, xp, cols2, out):
-        """Convolve the padded images ``xp`` into ``out`` (n, out_ch,
-        oh * ow), unfolding them into ``cols2`` (n, c * kh * kw, oh * ow)
-        first."""
+    def _unfold(self, xp, cols2):
+        """Unfold the padded images ``xp`` into ``cols2`` (n, c * kh * kw,
+        oh * ow)."""
         s = self.stride
         oh, ow = (xp.shape[2] - self.kh) // s + 1, (xp.shape[3] - self.kw) // s + 1
         cols = cols2.reshape(-1, self.in_ch, self.kh, self.kw, oh, ow)
         for i in range(self.kh):
             for j in range(self.kw):
                 cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+
+    def _kernel(self, xp, cols2, out):
+        """Convolve the padded images ``xp`` into ``out`` (n, out_ch,
+        oh * ow), unfolding them into ``cols2`` first."""
+        self._unfold(xp, cols2)
         np.matmul(self.w.reshape(self.out_ch, -1), cols2, out=out)
         out += self.b[:, None]
 
@@ -244,22 +269,25 @@ class Conv(_Layer):
         out = np.empty((n, self.out_ch, cols_shape[2]), dtype=np.result_type(self.w, x))
         _split(lambda part: self._kernel(xp[part], cols2[part], out[part]), n)
         if train:
-            self._saved = (cols2, x.shape)
+            self._saved = (xp, x.shape)
         return out.reshape(out_shape)
 
     def backward(self, dout, input_grad=True):
         """Fill dW and db and return dX; with ``input_grad=False`` (the
         lowest parameter layer of a network) skip dX and return None."""
-        cols2, (n, c, h, w) = self._take_saved()
+        xp, (n, c, h, w) = self._take_saved()
         s, p = self.stride, self.pad
         oh, ow = dout.shape[2:]
         dout2 = dout.reshape(n, self.out_ch, oh * ow)
         wm = self.w.reshape(self.out_ch, -1)
-        dw_each = np.empty((n, *wm.shape), dtype=np.result_type(dout, cols2))
+        dw_each = np.empty((n, *wm.shape), dtype=np.result_type(dout, xp))
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype) if input_grad else None
 
         def run(part):
-            np.matmul(dout2[part], cols2[part].transpose(0, 2, 1), out=dw_each[part])
+            xs = xp[part]
+            cols2 = np.empty((len(xs), wm.shape[1], oh * ow), dtype=xs.dtype)
+            self._unfold(xs, cols2)
+            np.matmul(dout2[part], cols2.transpose(0, 2, 1), out=dw_each[part])
             if not input_grad:
                 return
             dcols = np.matmul(wm.T, dout2[part]).reshape(-1, c, self.kh, self.kw, oh, ow)

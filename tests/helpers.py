@@ -2,7 +2,8 @@
 random confusion matrices, a rating scheme for synthetic corpora, the
 preset names, a design-load map's output width, a linear head for
 FC-only learner tests, descriptor fields a checkpoint cannot hold, and
-valid inventories with a strategy that damages them."""
+valid inventories, a valid manifest and a valid checkpoint with a
+strategy that damages them."""
 
 import re
 from pathlib import Path
@@ -12,10 +13,16 @@ import pytest
 from hypothesis import strategies as st
 
 from bridgecap import datasets
-from bridgecap.corpus import LabeledImage
+from bridgecap.corpus import LabeledImage, ManifestEntry, write_manifest
 from bridgecap.datasets import BinningScheme, ClassMapSpec
 from bridgecap.errors import DomainError
-from bridgecap.learner import ArchitectureDescriptor, normalize_descriptor
+from bridgecap.learner import (
+    ArchitectureDescriptor,
+    Network,
+    checkpoint_to_bytes,
+    make_checkpoint,
+    normalize_descriptor,
+)
 from bridgecap.nbi import DESIGN_CLASS_NAMES
 from bridgecap.synth import _STATES
 
@@ -213,3 +220,30 @@ def damaged(draw, data: bytes) -> bytes:
     for _ in range(draw(st.integers(0, 4)) if out else 0):
         out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
     return bytes(out)
+
+
+# A valid manifest: a completion column with every value, a non-ASCII path
+# and a padded structure number.
+MANIFEST = write_manifest([
+    ManifestEntry("images/a.pnm", "0", "01", "S702", "complete"),
+    ManifestEntry("images/\u00e9t\u00e9.pnm", "1", "01", " 0000S702 ", "partial"),
+    ManifestEntry("images/c.pnm", "2", "06", "004560", None),
+    ManifestEntry("images/d.pnm", "3", "48", "NOPE", "complete"),
+]).encode()
+
+# A valid checkpoint of a one-conv 2-class net on 3x4x4 images, small
+# enough that its header and metadata are most of its bytes.
+CHECKPOINT = checkpoint_to_bytes(make_checkpoint(Network(normalize_descriptor(
+    ArchitectureDescriptor(
+        input_shape=(3, 4, 4),
+        layers=(
+            {"op": "conv", "kh": 3, "kw": 3, "out_ch": 2, "stride": 1, "pad": 1},
+            {"op": "relu"},
+            {"op": "maxpool", "k": 2, "stride": 2},
+            {"op": "flatten"},
+            {"op": "fc", "n_out": 2},
+            {"op": "softmax"},
+        ),
+        class_labels=("a", "b"),
+    )
+), seed=0), {"val_acc": [0.5], "best_epoch": 1}))

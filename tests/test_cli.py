@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from bridgecap import synth
 from bridgecap.cli import main
-from bridgecap.errors import InvariantError
+from bridgecap.errors import BridgecapError, InvariantError
 from helpers import (
     BAD_DESCRIPTORS,
     BAD_SIZES,
+    CHECKPOINT,
     INVENTORIES,
     damaged,
     fixed_width_line,
@@ -57,9 +58,6 @@ def missing_image_split(tmp_path):
 def evaluate_forged_checkpoint(tmp_path, forge) -> int:
     """The exit code of ``evaluate`` on a 2-class 4x4 checkpoint whose
     metadata ``forge`` edited in place: unedited, the run exits 0."""
-    import numpy as np
-
-    from bridgecap.imaging import encode_pnm
     from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
 
     data = checkpoint_to_bytes(make_checkpoint(
@@ -68,8 +66,19 @@ def evaluate_forged_checkpoint(tmp_path, forge) -> int:
     meta = json.loads(data[16 : 16 + meta_len])
     forge(meta)
     raw = json.dumps(meta).encode()
+    return evaluate_checkpoint_bytes(
+        tmp_path, data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
+
+
+def evaluate_checkpoint_bytes(tmp_path, data) -> int:
+    """The exit code of ``evaluate`` on the checkpoint bytes ``data`` and
+    a split of two 4x4 test images, classes 1 and 2."""
+    import numpy as np
+
+    from bridgecap.imaging import encode_pnm
+
     ckpt = tmp_path / "model.ckpt"
-    ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + meta_len :])
+    ckpt.write_bytes(data)
     (tmp_path / "x.pnm").write_bytes(encode_pnm(np.zeros((4, 4, 3), np.uint8)))
     split = tmp_path / "split.csv"
     split.write_text("image_path,class,side\nx.pnm,1,test\nx.pnm,2,test\n")
@@ -448,6 +457,31 @@ class TestExitCodes:
         inventory.write_bytes(data.draw(damaged(INVENTORIES[profile])))
         code = run("nbi-parse", "--input", str(inventory), "--profile", profile,
                    "--out", str(tmp_path / "n"))
+        assert code in (0, 2), capsys.readouterr().err
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_checkpoint_is_2(self, tmp_path, capsys, data):
+        from bridgecap.learner import checkpoint_from_bytes
+
+        ckpt = data.draw(damaged(CHECKPOINT))
+        try:
+            checkpoint_from_bytes(ckpt)
+            codes = (0, 2)  # a flipped weight or label still decodes
+        except BridgecapError:
+            codes = (2,)
+        assert evaluate_checkpoint_bytes(tmp_path, ckpt) in codes, capsys.readouterr().err
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_manifest_is_0_or_2(self, small_corpus, tmp_path, capsys, data):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(data.draw(damaged((small_corpus / "manifest.csv").read_bytes())))
+        code = run("corpus-match", "--manifest", str(manifest),
+                   "--records", str(small_corpus / "nbi" / "records.ndjson"),
+                   "--out", str(tmp_path / "j"))
         assert code in (0, 2), capsys.readouterr().err
 
     @pytest.mark.parametrize("byte", [b"\x85", b"\x0c"])

@@ -1,3 +1,4 @@
+import contextlib
 import re
 import sys
 
@@ -6,9 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bridgecap import corpus, nbi
-from bridgecap.errors import FormatError
+from bridgecap.errors import BridgecapError, FormatError
 import csv_oracles
-from helpers import gen_labeled_corpus
+from helpers import MANIFEST, damaged, gen_labeled_corpus
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -296,6 +297,15 @@ class TestManifestFromFile:
             expected = manifest_or_error(lambda: read_manifest(fh.read()))
         with open(path) as fh:
             assert manifest_or_error(lambda: list(corpus.iter_manifest(fh))) == expected
+
+
+class TestManifestFuzz:
+    @PROPERTY
+    @given(data=st.data())
+    def test_damaged_manifest_raises_only_package_errors(self, data):
+        records = [record("01", "S702", design=5, rating=36.0), record("06", "4560", design=2)]
+        with contextlib.suppress(BridgecapError):
+            corpus.join_labels(corpus.iter_manifest(data.draw(damaged(MANIFEST))), records)
 
 
 class TestManifestReader:
