@@ -5,6 +5,13 @@ value for every document the CLI writes and for checkpoint metadata. A
 list of flat records is ndjson: one compact object per line, keys
 sorted, so equal records give equal bytes.
 
+The JSON contract: ``loads`` is the package's one JSON decoder and
+``dumps`` its one encoder (``to_ndjson`` fills its line template with
+``json``'s own encoders), under one number rule: JSON has no ``NaN`` or
+``Infinity`` (RFC 8259, section 6), and a literal beyond a double's range
+would read as one. Reading either raises FormatError, and writing a
+non-finite number DomainError.
+
 The line rule, for ndjson and the fixed-width inventory (``iter_lines``)
 and CSV (``iter_csv``): a line ends only at ``\n``, a ``\r\n`` at its
 ``\n``. A bare ``\r``, ``\f``, ``\x85`` or ``\u2028``, where
@@ -17,7 +24,7 @@ The ndjson codec contract:
   ``json.dumps(fields, sort_keys=True, separators=(",", ":"))``. Each
   class gets one line template filled by the encoders ``json`` itself
   uses for a ``str``, ``int``, finite ``float`` and ``None``; any other
-  value goes through the json encoder. A non-finite float has no JSON
+  value goes through ``dumps``. A non-finite float has no JSON
   encoding, so it raises DomainError instead of writing ``NaN``.
 - ``from_ndjson`` type-checks what it reads. Each value must have its
   field's annotated type (an ``int`` also fills a ``float`` field; a
@@ -52,8 +59,6 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
-
 # Characters per read of an ndjson file, and records or rows per write
 # of ndjson or CSV: a file is never held whole.
 _BLOCK = 1 << 20
@@ -67,7 +72,7 @@ def _blocks(items):
         yield block
 
 
-def reject_constant(token: str):
+def _reject_constant(token: str):
     """A ``parse_constant`` hook: JSON has no ``NaN``, ``Infinity`` or
     ``-Infinity``, so each raises ValueError."""
     raise ValueError(f"{token} is not a JSON number")
@@ -91,7 +96,34 @@ def _finite_float(token: str) -> float:
     return value
 
 
-_decoder = json.JSONDecoder(parse_float=_finite_float, parse_constant=reject_constant)
+_decoder = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
+
+
+def loads(text, what: str):
+    """The JSON value of ``text``, a str or UTF-8 bytes, else FormatError
+    naming ``what``. A syntax error in a text of more than one line also
+    names its line and column; a one-line text (an ndjson line, a
+    checkpoint block) is placed by ``what`` alone."""
+    try:
+        return _decoder.decode(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except json.JSONDecodeError as exc:
+        where = f" at line {exc.lineno} column {exc.colno}" if "\n" in exc.doc else ""
+        raise FormatError(f"{what}: not valid JSON ({exc.msg}{where})") from exc
+    except ValueError as exc:  # from UTF-8 decoding, _reject_constant or _finite_float
+        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{what}: nested too deeply to parse") from exc
+
+
+def dumps(value, what: str, indent=None) -> str:
+    """The JSON text of ``plain(value)``, keys sorted: compact, or with
+    ``indent=2`` one item per line. A non-finite number raises
+    DomainError naming ``what``."""
+    try:
+        return json.dumps(plain(value), sort_keys=True, allow_nan=False, indent=indent,
+                          separators=(",", ": " if indent else ":"))
+    except ValueError as exc:  # NaN or Infinity, which JSON lacks
+        raise DomainError(f"cannot write {what}: {exc}") from exc
 
 
 # The csv module's advice on a row error, which assumes a file opened
@@ -191,10 +223,7 @@ def _encode_float(value: float) -> str:
 
 
 def _encode_other(value) -> str:
-    try:
-        return _encode(value)
-    except ValueError as exc:  # a non-finite float subclass, such as np.float64
-        raise DomainError(f"ndjson cannot hold {value!r}: {exc}") from exc
+    return dumps(value, f"ndjson value {value!r}")
 
 
 # Exact type -> the encoder the json module applies to it.
@@ -260,18 +289,6 @@ def to_ndjson(cls, records, out=None) -> str | None:
             for r in block
         ]))
     return None
-
-
-def _parse_line(line: str, lineno: int):
-    """The JSON value of one line, or FormatError."""
-    try:
-        return _decoder.decode(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-    except ValueError as exc:  # from reject_constant or _finite_float
-        raise FormatError(f"line {lineno}: not valid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise FormatError(f"line {lineno}: nested too deeply to parse") from exc
 
 
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a decimal number", bool: "a boolean",
@@ -344,7 +361,7 @@ def from_ndjson(cls, source) -> list:
         if type(d) is not dict or end != len(line):
             if not line.strip():
                 continue
-            d = _parse_line(line, lineno)
+            d = loads(line, f"line {lineno}")
             if not isinstance(d, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object")
         if not accepted.issuperset(zip(d, map(type, d.values()))):

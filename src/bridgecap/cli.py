@@ -15,13 +15,12 @@ error.
 import argparse
 import gc
 import hashlib
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, corpus, datasets, evaluation, imaging, nbi, report, synth
-from ._records import plain
+from ._records import dumps, plain
 from .config import SECTIONS, check, load_config, read_json, resolve_output_dir
 from .errors import BridgecapError, ConfigError, DomainError, FormatError
 from .learner import (
@@ -55,11 +54,7 @@ def _sha256(path) -> str:
 
 
 def _dump_json(obj, path: Path) -> None:
-    try:
-        text = json.dumps(plain(obj), sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"cannot write {path.name}: {exc}") from exc
-    path.write_text(text + "\n")
+    path.write_text(dumps(obj, path.name, indent=2) + "\n", encoding="utf-8")
 
 
 class _Run:
@@ -154,7 +149,7 @@ def cmd_nbi_parse(args, argv) -> int:
         profile = nbi.load_builtin_profile(args.profile)
     with open(source, encoding="latin-1", newline="\n") as fh:
         records, stats = nbi.parse_nbi(fh, profile)
-    with open(run.output("records.ndjson"), "w") as fh:
+    with open(run.output("records.ndjson"), "w", encoding="utf-8") as fh:
         nbi.records_to_ndjson(records, fh)
     _dump_json({"stats": stats, "rating_histogram": nbi.rating_histogram(records)},
                run.output("nbi_stats.json"))
@@ -178,7 +173,7 @@ def cmd_corpus_match(args, argv) -> int:
         ckpt = load_checkpoint(run.input(args.completion_model))
         labeled, tag_report = corpus.tag_completion(labeled, ckpt, image_root=args.image_root)
         _dump_json(tag_report, run.output("completion_tags.json"))
-    with open(run.output("labeled.ndjson"), "w") as fh:
+    with open(run.output("labeled.ndjson"), "w", encoding="utf-8") as fh:
         corpus.labeled_to_ndjson(labeled, fh)
     _dump_json(join_report, run.output("join_report.json"))
     _dump_json(corpus.corpus_stats(labeled), run.output("corpus_stats.json"))
@@ -298,7 +293,8 @@ def cmd_binarize(args, argv) -> int:
         levels = [lv for lv in evaluation.DEFAULT_LEVELS if lv.boundary <= cm.k - 1]
     reports = [evaluation.binarize(cm, level) for level in levels]
     _dump_json(reports, run.output("binarization.json"))
-    run.output("binarization.csv").write_text(report.binarization_to_csv(plain(reports)))
+    run.output("binarization.csv").write_text(report.binarization_to_csv(plain(reports)),
+                                              encoding="utf-8")
     run.finish()
     for rep in reports:
         print(
@@ -352,7 +348,7 @@ def cmd_report(args, argv) -> int:
                 f"{type(exc).__name__} {exc}"
             ) from exc
     for name, text in rendered:
-        run.output(name).write_text(text)
+        run.output(name).write_text(text, encoding="utf-8")
     run.finish()
     print(f"report: wrote {', '.join(run.outputs)}")
     return 0

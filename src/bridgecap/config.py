@@ -10,7 +10,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._records import reject_constant
+from ._records import loads
 from .errors import ConfigError
 
 # Section -> key -> type. ``load_config`` checks a config file
@@ -82,15 +82,14 @@ def check(value, shape, where: str) -> None:
 
 
 def read_json(path, what: str):
-    """Parse the JSON file at ``path``; ``what`` names it in the ConfigError
-    raised when it cannot be read or is not JSON, which includes the ``NaN``,
-    ``Infinity`` and ``-Infinity`` tokens and nesting too deep to parse."""
+    """The JSON value of the UTF-8 file at ``path``, whatever the locale;
+    ``what`` names it in the ConfigError raised when it cannot be read,
+    and in ``_records.loads``' FormatError when it is not JSON."""
     try:
-        return json.loads(Path(path).read_text(), parse_constant=reject_constant)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # includes reject_constant and deep nesting
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    return loads(data, f"{what} {path}")
 
 
 def load_config(path) -> dict:

@@ -11,7 +11,6 @@ of the published count tables can be re-encoded without code changes.
 """
 
 import bisect
-import json
 import math
 import re
 from collections import Counter
@@ -20,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._records import ascii_number, iter_csv, to_csv
+from ._records import ascii_number, iter_csv, loads, to_csv
 from .config import SECTIONS, check
 from .errors import ConfigError, DomainError, FormatError
 from .imaging import COLOUR_MODES
@@ -480,8 +479,7 @@ def read_split_csv(source) -> DatasetSplit:
 def _load_preset_table() -> dict:
     from importlib.resources import files
 
-    raw = files("bridgecap.data").joinpath("presets.json").read_text()
-    return json.loads(raw)
+    return loads(files("bridgecap.data").joinpath("presets.json").read_bytes(), "presets.json")
 
 
 _SPEC_SHAPE = {

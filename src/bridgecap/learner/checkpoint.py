@@ -15,20 +15,20 @@ Byte layout (all integers little-endian):
                loss, best/stopped epoch)
 
 Loading bounds-checks every length field against the file size and
-verifies magic, version, and the exact weight byte count. Neither JSON
-block holds ``NaN`` or ``Infinity``, which are not JSON: writing one
-raises DomainError and reading one FormatError. It round-trips
+verifies magic, version, and the exact weight byte count. Both JSON
+blocks go through ``_records.dumps`` and ``loads``, whose number rule
+holds: writing ``NaN`` or ``Infinity`` raises DomainError, and reading
+one, or a literal that overflows a double, FormatError. It round-trips
 bit-identically: save -> load -> forward matches at 32-bit precision.
 """
 
-import json
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._records import plain, reject_constant
+from .._records import dumps, loads
 from ..errors import DomainError, FormatError
 from .network import ArchitectureDescriptor, Network, normalize_descriptor
 
@@ -42,7 +42,6 @@ class Checkpoint:
     descriptor: ArchitectureDescriptor
     weights: tuple[np.ndarray, ...]
     history: dict
-    version: int = VERSION
 
     @property
     def class_labels(self) -> tuple[str, ...]:
@@ -72,29 +71,17 @@ def make_checkpoint(net: Network, history: dict | None = None) -> Checkpoint:
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     weights = _validate_weights(ckpt.descriptor, ckpt.weights)
-    meta = _json_bytes(plain(ckpt.descriptor), "metadata")
-    hist = _json_bytes(ckpt.history, "history")
-    parts = [_HEADER.pack(MAGIC, ckpt.version, len(meta)), meta]
+    meta = dumps(ckpt.descriptor, "checkpoint metadata").encode()
+    hist = dumps(ckpt.history, "checkpoint history").encode()
+    parts = [_HEADER.pack(MAGIC, VERSION, len(meta)), meta]
     parts.extend(arr.tobytes() for arr in weights)
     parts.append(struct.pack("<Q", len(hist)))
     parts.append(hist)
     return b"".join(parts)
 
 
-def _json_bytes(value, what: str) -> bytes:
-    try:
-        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-    except ValueError as exc:  # NaN or Infinity, which JSON lacks
-        raise DomainError(f"checkpoint {what} cannot be written: {exc}") from exc
-
-
 def _json_block(raw: bytes, what: str) -> dict:
-    try:
-        value = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
-    # UnicodeDecodeError, JSONDecodeError and reject_constant's errors are
-    # ValueErrors; nesting too deep for the parser raises RecursionError.
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"checkpoint {what} is not UTF-8 JSON: {exc}") from exc
+    value = loads(raw, f"checkpoint {what}")
     if not isinstance(value, dict):
         raise FormatError(f"checkpoint {what} is not a JSON object")
     return value
@@ -138,8 +125,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             f"history length mismatch: expected end at {pos + hist_len}, file has {len(data)}"
         )
     history = _json_block(data[pos:], "history")
-    return Checkpoint(descriptor=descriptor, weights=tuple(weights), history=history,
-                      version=version)
+    return Checkpoint(descriptor=descriptor, weights=tuple(weights), history=history)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -15,10 +15,9 @@ or a slice of a fixed-width line, and one loop reads ``row[index]`` for
 both formats. A line ends only at ``\\n`` (``_records``' line rule).
 """
 
-import json
 from dataclasses import dataclass, field
 
-from ._records import ascii_number, from_ndjson, iter_csv, iter_lines, to_csv, to_ndjson
+from ._records import ascii_number, from_ndjson, iter_csv, iter_lines, loads, to_csv, to_ndjson
 from .config import check
 from .errors import ConfigError, DegenerateKeyError, FormatError
 
@@ -347,8 +346,8 @@ def load_builtin_profile(name: str) -> ParseProfile:
     """Load one of the profiles shipped in ``data/nbi_profiles.json``."""
     from importlib.resources import files
 
-    raw = files("bridgecap.data").joinpath("nbi_profiles.json").read_text()
-    profiles = json.loads(raw)
+    profiles = loads(files("bridgecap.data").joinpath("nbi_profiles.json").read_bytes(),
+                     "nbi_profiles.json")
     if name not in profiles:
         raise ConfigError(f"no built-in profile {name!r}; have {sorted(profiles)}")
     return profile_from_dict({"name": name, **profiles[name]})

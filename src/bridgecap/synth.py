@@ -145,9 +145,9 @@ def gen_corpus(spec: SynthSpec, out_dir) -> GeneratedCorpus:
                 )
 
     manifest_path = out_dir / "manifest.csv"
-    manifest_path.write_text(write_manifest(entries))
+    manifest_path.write_text(write_manifest(entries), encoding="utf-8")
     inventory_path = out_dir / "inventory.csv"
-    inventory_path.write_text(write_delimited(records))
+    inventory_path.write_text(write_delimited(records), encoding="utf-8")
     return GeneratedCorpus(
         manifest_path=manifest_path,
         inventory_path=inventory_path,

@@ -1,8 +1,9 @@
 """Every public function and every private name in the package is read
 inside it, every defaulted parameter of a public function is passed by a
 call inside it, text is split into lines and CSV rows only by the shared
-readers, a digit in text means an ASCII digit, and images are loaded only
-through ``imaging.load_batch``.
+readers, a digit in text means an ASCII digit, images are loaded only
+through ``imaging.load_batch``, JSON is parsed and serialized only by
+``_records``, and every text file is opened with an explicit encoding.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
@@ -179,6 +180,82 @@ def per_image_callers(root: Path) -> list[str]:
             for node in ast.walk(tree) if isinstance(node, ast.Call)
             for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
             if name in PER_IMAGE_STEPS]
+
+
+JSON_CODECS = ("json.loads(", "json.load(", "JSONDecoder(", "JSONEncoder(", "json.dumps(")
+
+
+def json_codec_lines(root: Path) -> list[tuple[str, str]]:
+    """(module, stripped line) of each line outside ``_records.py`` that
+    parses or serializes JSON with the json module, where
+    ``_records.loads`` and ``_records.dumps`` hold the one number rule."""
+    return [(path.relative_to(root).as_posix(), line.strip())
+            for path in sorted(root.rglob("*.py")) if path.name != "_records.py"
+            for line in path.read_text(encoding="utf-8").split("\n")
+            if any(codec in line for codec in JSON_CODECS)]
+
+
+# Call -> the index of its positional ``encoding`` parameter.
+TEXT_IO = {"open": 3, "read_text": 0, "write_text": 1}
+
+
+def unencoded_text_io(root: Path) -> list[str]:
+    """``module:line`` of each call under ``root`` of the builtin ``open``
+    in text mode, or of ``read_text`` or ``write_text``, that passes no
+    encoding: such a file is read or written in the locale's encoding."""
+    found = []
+    for path, tree in _trees(root).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                name = "open"
+            elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+                name = func.attr
+            else:
+                continue
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[1] if name == "open" and len(node.args) > 1 else None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            if len(node.args) <= TEXT_IO[name] and not any(
+                    k.arg in ("encoding", None) for k in node.keywords):
+                found.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    return found
+
+
+def test_json_is_parsed_and_serialized_only_by_records():
+    # config.check renders a bad value in its message, which need not be
+    # a document: the one use of the json module left outside _records.
+    assert json_codec_lines(PACKAGE) == [
+        ("config.py",
+         'raise ConfigError(f"{where} must be {_describe(shape)}, got {json.dumps(value)}")')]
+
+
+def test_json_codec_lines_are_listed(tmp_path):
+    (tmp_path / "_records.py").write_text("import json\n\nv = json.loads(t)\n")
+    (tmp_path / "a.py").write_text("import json\n\nv = json.load(f)\nt = json.dumps(v)\n")
+    (tmp_path / "b.py").write_text("d = json.JSONDecoder()\ne = JSONEncoder(indent=2)\n")
+    (tmp_path / "c.py").write_text('"""Not ``json.loads``."""\nv = _records.loads(t, "x")\n')
+    assert json_codec_lines(tmp_path) == [
+        ("a.py", "v = json.load(f)"), ("a.py", "t = json.dumps(v)"),
+        ("b.py", "d = json.JSONDecoder()"), ("b.py", "e = JSONEncoder(indent=2)")]
+
+
+def test_every_text_file_is_opened_with_an_encoding():
+    assert unencoded_text_io(PACKAGE) == []
+
+
+def test_unencoded_text_io_is_listed(tmp_path):
+    (tmp_path / "a.py").write_text(
+        'f = open(p)\ng = open(p, "w")\nh = open(p, mode="wt")\n'
+        't = path.read_text()\npath.write_text(t)\n'
+        'ok = open(p, "rb"), open(p, mode="wb"), open(p, encoding="utf-8")\n'
+        'ok = open(p, "r", -1, "utf-8"), path.read_text("utf-8"), open(p, **kw)\n'
+        'ok = path.write_text(t, encoding="utf-8"), path.write_text(t, "utf-8")\n'
+        'ok = Image.open(p), path.read_bytes()\n')
+    assert unencoded_text_io(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:4", "a.py:5"]
 
 
 def test_digits_are_ascii_digits():

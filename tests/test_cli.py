@@ -271,6 +271,27 @@ class TestExitCodes:
             "--size", "16", "--max-epochs", "1", "--out", str(tmp_path / "m"),
         ) == 2
 
+    def test_overflowing_number_in_dataset_manifest_is_2(self, small_corpus, tmp_path, capsys):
+        # train checks no "total", which once read as inf and trained.
+        data = tmp_path / "ds"
+        assert run(
+            "dataset-build", "LR5",
+            "--corpus", str(small_corpus / "joined" / "labeled.ndjson"),
+            "--seed", "3", "--out", str(data),
+        ) == 0
+        manifest = data / "dataset_manifest.json"
+        text, count = re.subn(r'"total": \d+', '"total": 1e999', manifest.read_text())
+        assert count == 1
+        manifest.write_text(text)
+        assert run(
+            "train", "--split", str(data / "split.csv"), "--image-root", str(small_corpus),
+            "--dataset-manifest", str(manifest),
+            "--size", "16", "--max-epochs", "1", "--out", str(tmp_path / "m"),
+        ) == 2
+        assert (f"error: dataset manifest {manifest}: not valid JSON "
+                "(1e999 overflows a double)\n") in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("layout", [
         None,
         [{"start": 0, "length": 2}],
@@ -405,6 +426,30 @@ class TestExitCodes:
                               capture_output=True, text=True, cwd=src, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "bridgecap" in proc.stdout
+
+    def test_non_ascii_label_round_trips_under_an_ascii_locale(self, tmp_path):
+        # The POSIX locale without UTF-8 mode makes the default text
+        # encoding ASCII; every JSON, CSV and SVG file is still UTF-8.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bridgecap
+
+        metrics = tmp_path / "metrics.json"
+        doc = {**REPORT_INPUTS["--metrics"], "per_class": [
+            {"label": "été", "precision": 0.5, "recall": 0.5, "f1": 0.5}]}
+        metrics.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        out = tmp_path / "out"
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0"}
+        env.pop("PYTHONIOENCODING", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgecap", "report", "--metrics", str(metrics),
+             "--out", str(out)],
+            capture_output=True, cwd=Path(bridgecap.__file__).parents[1], env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "été".encode() in (out / "metrics.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["evaluate", "train"])
     def test_truncated_image_is_2_and_named(self, small_corpus, tmp_path, capsys, command):
@@ -733,6 +778,8 @@ class TestDocumentShapes:
         ("spec", _with("spec", -1, "seed")),
         ("spec", '{"kind": "load_rating", "edges": [0, NaN]}'),
         ("spec", '{"kind": "load_rating", "edges": [0, 15, Infinity]}'),
+        ("spec", '{"kind": "load_rating", "edges": [0, 15, 1e999]}'),
+        ("levels", '[{"level": 1, "threshold_tons": -1e999, "boundary": 1}]'),
         ("levels", [{"level": 1, "threshold_tons": "10", "boundary": 1}]),
         ("levels", [{"level": 1.7, "threshold_tons": 10.0, "boundary": True}]),
         ("confusion", _with("confusion", "abc", "labels")),
@@ -755,6 +802,7 @@ class TestDocumentShapes:
         "spec_edges_str", "spec_split_fraction_str", "spec_stratified_str",
         "spec_labels_str", "spec_passthrough_str", "spec_passthrough_item_str",
         "spec_seed_numeric_str", "spec_seed_negative", "spec_edge_nan", "spec_edge_infinity",
+        "spec_edge_overflow", "levels_threshold_overflow",
         "levels_threshold_str", "levels_level_float_boundary_bool",
         "confusion_labels_str", "confusion_labels_int", "confusion_count_float",
         "confusion_count_bool",

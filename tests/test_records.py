@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import struct
 from dataclasses import fields
 from unittest import mock
@@ -163,6 +164,40 @@ JSON_LINES = st.lists(
                  max_leaves=8).map(json.dumps),
     max_size=3,
 ).map("\n".join)
+
+
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | INTS | FINITE | TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestJsonCodec:
+    @PROPERTY
+    @given(value=JSON_DOCUMENTS, indent=st.sampled_from([None, 2]))
+    def test_dumps_then_loads_round_trips(self, value, indent):
+        text = _records.dumps(value, "doc", indent=indent)
+        assert text == json.dumps(value, sort_keys=True, indent=indent,
+                                  separators=(",", ": " if indent else ":"))
+        assert _records.loads(text, "doc") == value
+        assert _records.loads(text.encode(), "doc") == value
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[NaN]", "not valid JSON (NaN is not a JSON number)"),
+        ('{"a": -Infinity}', "not valid JSON (-Infinity is not a JSON number)"),
+        ("[1e999]", "not valid JSON (1e999 overflows a double)"),
+        ("[-1e999]", "not valid JSON (-1e999 overflows a double)"),
+        ('{"a": }', "not valid JSON (Expecting value)"),
+        ('{\n  "a": \n}\n', "not valid JSON (Expecting value at line 3 column 1)"),
+        (b'["\xff"]', "not valid JSON ('utf-8' codec can't decode byte 0xff in position 2: "
+                       "invalid start byte)"),
+        ("[" * 100_000, "nested too deeply to parse"),
+    ], ids=["nan", "minus_infinity", "overflow", "minus_overflow", "syntax_one_line",
+            "syntax_lines", "not_utf8", "nested_deep"])
+    def test_unreadable_text_is_format_error(self, text, reason):
+        with pytest.raises(FormatError, match=f"^doc: {re.escape(reason)}$"):
+            _records.loads(text, "doc")
 
 
 class TestNdjson:
