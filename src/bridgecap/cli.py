@@ -251,8 +251,6 @@ def cmd_evaluate(args, argv) -> int:
     net = network_from_checkpoint(ckpt)
     with open(run.input(args.split), encoding="utf-8", newline="\n") as fh:
         split = datasets.read_split_csv(fh)
-    if not getattr(split, args.side):
-        raise DomainError(f"split has no {args.side} items")
     x, truths = load_side(ckpt.descriptor, split, args.side, args.image_root)
     preds = predict(net, x)
 

@@ -129,8 +129,11 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to ``path``; a checkpoint that cannot be encoded
+    raises before the file is opened, so an earlier one keeps its bytes."""
+    data = checkpoint_to_bytes(ckpt)
     with open(path, "wb") as fh:
-        fh.write(checkpoint_to_bytes(ckpt))
+        fh.write(data)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -174,6 +174,12 @@ def begin_trunk(trunk, x, out):
     return _begin(run, len(x))
 
 
+def out_len(n, k, stride, pad=0):
+    """The number of windows of ``k`` cells, ``stride`` apart, along an
+    axis of ``n`` cells padded with ``pad`` zeros at each end."""
+    return (n + 2 * pad - k) // stride + 1
+
+
 def _glorot(rng, fan_in, fan_out, shape, dtype):
     """Glorot-uniform weights drawn from ``rng``; with ``rng`` None,
     uninitialised ones for ``Network.set_weights`` to fill."""
@@ -197,7 +203,21 @@ class _Layer:
         return saved
 
 
-class Conv(_Layer):
+class _Weighted(_Layer):
+    """A layer with a weight ``w`` and a bias ``b``, and their gradients
+    ``dw`` and ``db`` once a backward has run."""
+
+    dw = db = None
+
+    @property
+    def params(self):
+        return [self.w, self.b]
+
+    def grads(self):
+        return [self.dw, self.db]
+
+
+class Conv(_Weighted):
     """2-D convolution, zero padding, square stride.
 
     A training forward keeps its padded input, which with ``pad == 0``
@@ -213,22 +233,12 @@ class Conv(_Layer):
         self.stride, self.pad = stride, pad
         self.w = _glorot(rng, in_ch * kh * kw, out_ch * kh * kw, (out_ch, in_ch, kh, kw), dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
-        self.dw = None
-        self.db = None
-
-    @property
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def grads(self):
-        return [self.dw, self.db]
 
     def _unfold_shapes(self, x):
         """(padded input, ``cols2`` shape, output shape) for the images ``x``."""
         n, c, h, w = x.shape
         s, p = self.stride, self.pad
-        oh = (h + 2 * p - self.kh) // s + 1
-        ow = (w + 2 * p - self.kw) // s + 1
+        oh, ow = out_len(h, self.kh, s, p), out_len(w, self.kw, s, p)
         xp = x
         if p:  # np.pad's steps; its own set-up took longer than they did on 4 images
             xp = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -241,7 +251,7 @@ class Conv(_Layer):
         """Unfold the padded images ``xp`` into ``cols2`` (n, c * kh * kw,
         oh * ow)."""
         s = self.stride
-        oh, ow = (xp.shape[2] - self.kh) // s + 1, (xp.shape[3] - self.kw) // s + 1
+        oh, ow = out_len(xp.shape[2], self.kh, s), out_len(xp.shape[3], self.kw, s)
         cols = cols2.reshape(-1, self.in_ch, self.kh, self.kw, oh, ow)
         for i in range(self.kh):
             for j in range(self.kw):
@@ -382,7 +392,7 @@ class MaxPool(_Layer):
 
     def _out_shape(self, x):
         n, c, h, w = x.shape
-        return n, c, (h - self.k) // self.stride + 1, (w - self.k) // self.stride + 1
+        return n, c, out_len(h, self.k, self.stride), out_len(w, self.k, self.stride)
 
     def _infer_slice(self, x, out=None):
         shape = self._out_shape(x)
@@ -426,20 +436,11 @@ class Flatten(_Layer):
         return dout.reshape(self._take_saved())
 
 
-class FullyConnected(_Layer):
+class FullyConnected(_Weighted):
     def __init__(self, n_in, n_out, rng, dtype):
         self.n_in, self.n_out = n_in, n_out
         self.w = _glorot(rng, n_in, n_out, (n_in, n_out), dtype)
         self.b = np.zeros(n_out, dtype=dtype)
-        self.dw = None
-        self.db = None
-
-    @property
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def grads(self):
-        return [self.dw, self.db]
 
     def forward(self, x, train=False):
         if train:

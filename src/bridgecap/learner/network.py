@@ -5,6 +5,14 @@ the class labels the head predicts, and the colour mode its tensors are
 prepared with. One checker, ``config.check``, rejects its wrong types and
 unknown keys. Validation then propagates shapes through the stack once,
 so a bad wiring fails at construction and names the offending layer.
+
+``_OPS`` is the one description of the layer ops. For each op it gives
+the layer class and the integer sizes a spec may hold beside the op,
+each with its default: None when the spec must give it, a number, the
+name of an earlier size it copies, or ``_INPUT`` when the layer's input
+fixes it. ``normalize_descriptor`` checks a spec against that and fills
+every size, and ``_build_layers`` passes the filled sizes to the class
+as keywords, adding the generator and dtype for a class with weights.
 """
 
 import math
@@ -20,19 +28,17 @@ from . import layers as L
 
 _DESCRIPTOR_SHAPE = {"input_shape": [int], "layers": [dict], "class_labels": [str],
                      "colour_mode": str}
-# Op -> the sizes its layer spec may hold beside the op.
-_LAYER_SHAPES = {
-    "conv": {"kh": int, "kw": int, "out_ch": int, "stride": int, "pad": int, "in_ch": int},
-    "relu": {},
-    "maxpool": {"k": int, "stride": int},
-    "flatten": {},
-    "fc": {"n_out": int, "n_in": int},
-    "softmax": {},
+# Op -> (layer class, {size: default}); the module docstring reads a default.
+_INPUT = object()
+_OPS = {
+    "conv": (L.Conv, {"kh": 3, "kw": "kh", "in_ch": _INPUT, "out_ch": None, "stride": 1,
+                      "pad": 0}),
+    "relu": (L.Relu, {}),
+    "maxpool": (L.MaxPool, {"k": None, "stride": "k"}),
+    "flatten": (L.Flatten, {}),
+    "fc": (L.FullyConnected, {"n_in": _INPUT, "n_out": None}),
+    "softmax": (L.Softmax, {}),
 }
-_LAYER_OPS = tuple(_LAYER_SHAPES)
-# Op -> the size its spec cannot do without, and the one its input fixes.
-_REQUIRED = {"conv": "out_ch", "maxpool": "k", "fc": "n_out"}
-_DERIVED = {"conv": "in_ch", "fc": "n_in"}
 
 
 @dataclass(frozen=True)
@@ -58,20 +64,29 @@ class ArchitectureDescriptor:
         return self.input_shape[1:]
 
     def param_shapes(self) -> list[tuple[int, ...]]:
-        shapes = []
-        for spec in self.layers:
-            if spec["op"] == "conv":
-                shapes.append((spec["out_ch"], spec["in_ch"], spec["kh"], spec["kw"]))
-                shapes.append((spec["out_ch"],))
-            elif spec["op"] == "fc":
-                shapes.append((spec["n_in"], spec["n_out"]))
-                shapes.append((spec["n_out"],))
-        return shapes
+        """The shapes of ``Network(self).parameters()``. The layers they
+        are read from hold arrays of a zero-byte dtype, so sizes that no
+        memory could hold, as a forged checkpoint may give, cost nothing."""
+        return [p.shape for layer in _build_layers(self, None, np.dtype("V0"))
+                for p in layer.params]
+
+
+def _build_layers(descriptor, rng, dtype) -> list:
+    """The layers of a normalized descriptor, their weights drawn from
+    ``rng`` in layer order or, with ``rng`` None, left uninitialised."""
+    layers = []
+    for spec in descriptor.layers:
+        cls, sizes = _OPS[spec["op"]]
+        args = {key: spec[key] for key in sizes}
+        if issubclass(cls, L._Weighted):
+            args.update(rng=rng, dtype=dtype)
+        layers.append(cls(**args))
+    return layers
 
 
 def normalize_descriptor(desc) -> ArchitectureDescriptor:
-    """``desc``, a descriptor or its plain JSON form, with its derived
-    fields (conv in_ch, fc n_in) filled. ``config.check`` alone rejects a
+    """``desc``, a descriptor or its plain JSON form, with every size of
+    every layer filled as ``_OPS`` gives it. ``config.check`` alone rejects a
     wrong type or a key nothing reads; then required fields, sizes >= 1
     (pad >= 0), a given in_ch or n_in, the shapes, the colour mode and a
     softmax head as wide as the class labels are checked: ConfigError."""
@@ -90,16 +105,17 @@ def normalize_descriptor(desc) -> ArchitectureDescriptor:
     for idx, spec in enumerate(d["layers"]):
         op = spec.get("op")
         where = f"layer {idx} ({op})"
-        if op not in _LAYER_OPS:
-            raise ConfigError(f"{where}: unknown op (have {_LAYER_OPS})")
-        check(spec, {"op": str, **_LAYER_SHAPES[op]}, where)
-        if op in _REQUIRED and _REQUIRED[op] not in spec:
-            raise ConfigError(f"{where}: missing field {_REQUIRED[op]!r}")
-        if op == "conv":
-            spec = {"kh": 3, "stride": 1, "pad": 0, **spec}
-            spec.setdefault("kw", spec["kh"])
-        elif op == "maxpool":
-            spec.setdefault("stride", spec["k"])
+        if op not in _OPS:
+            raise ConfigError(f"{where}: unknown op (have {tuple(_OPS)})")
+        sizes = _OPS[op][1]
+        spec_types = {"op": str, **dict.fromkeys(sizes, int)}
+        check(spec, spec_types, where)
+        for key, default in sizes.items():
+            if key in spec or default is _INPUT:
+                continue
+            if default is None:
+                raise ConfigError(f"{where}: missing field {key!r}")
+            spec[key] = spec[default] if isinstance(default, str) else default
         for key, value in spec.items():
             least = 0 if key == "pad" else 1
             if key != "op" and value < least:
@@ -108,13 +124,14 @@ def normalize_descriptor(desc) -> ArchitectureDescriptor:
             raise ConfigError(f"{where}: needs (c, h, w) input, has {shape}")
         if op in ("fc", "softmax") and len(shape) != 1:
             raise ConfigError(f"{where}: needs flat input, has {shape}")
-        derived = _DERIVED.get(op)
-        if derived and spec.setdefault(derived, shape[0]) != shape[0]:
-            raise ConfigError(f"{where}: {derived} is {spec[derived]}, not its input's {shape[0]}")
+        for key, default in sizes.items():
+            if default is _INPUT and spec.setdefault(key, shape[0]) != shape[0]:
+                raise ConfigError(f"{where}: {key} is {spec[key]}, not its input's {shape[0]}")
+        check(spec, spec_types, where)  # an n_in a flatten fixed may pass an int64
         if op == "conv":
             c, h, w = shape
-            oh = (h + 2 * spec["pad"] - spec["kh"]) // spec["stride"] + 1
-            ow = (w + 2 * spec["pad"] - spec["kw"]) // spec["stride"] + 1
+            oh = L.out_len(h, spec["kh"], spec["stride"], spec["pad"])
+            ow = L.out_len(w, spec["kw"], spec["stride"], spec["pad"])
             if oh < 1 or ow < 1:
                 raise ConfigError(f"{where}: output collapses to {oh}x{ow}")
             shape = (spec["out_ch"], oh, ow)
@@ -123,7 +140,7 @@ def normalize_descriptor(desc) -> ArchitectureDescriptor:
             c, h, w = shape
             if h < k or w < k:
                 raise ConfigError(f"{where}: window {k} exceeds input {h}x{w}")
-            shape = (c, (h - k) // s + 1, (w - k) // s + 1)
+            shape = (c, L.out_len(h, k, s), L.out_len(w, k, s))
         elif op == "flatten":
             shape = (math.prod(shape),)
         elif op == "fc":
@@ -206,26 +223,7 @@ class Network:
         self.descriptor = descriptor
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed) if weights is None else None
-        self.layers = []
-        for spec in descriptor.layers:
-            op = spec["op"]
-            if op == "conv":
-                self.layers.append(
-                    L.Conv(
-                        spec["kh"], spec["kw"], spec["in_ch"], spec["out_ch"],
-                        spec["stride"], spec["pad"], rng, self.dtype,
-                    )
-                )
-            elif op == "relu":
-                self.layers.append(L.Relu())
-            elif op == "maxpool":
-                self.layers.append(L.MaxPool(spec["k"], spec["stride"]))
-            elif op == "flatten":
-                self.layers.append(L.Flatten())
-            elif op == "fc":
-                self.layers.append(L.FullyConnected(spec["n_in"], spec["n_out"], rng, self.dtype))
-            else:
-                self.layers.append(L.Softmax())
+        self.layers = _build_layers(descriptor, rng, self.dtype)
         self._first_param = next(
             (i for i, layer in enumerate(self.layers) if layer.params), len(self.layers) - 1
         )
@@ -249,16 +247,10 @@ class Network:
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(arr for _, arr in layer.params)
-        return out
+        return [p for layer in self.layers for p in layer.params]
 
     def gradients(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        return [g for layer in self.layers for g in layer.grads()]
 
     def get_weights(self) -> list[np.ndarray]:
         return [arr.copy() for arr in self.parameters()]

@@ -132,6 +132,8 @@ def fit(
     n = len(x_train)
     if n == 0:
         raise DomainError("training set is empty")
+    if len(x_val) == 0:
+        raise DomainError("validation set is empty")
     if y_train.size and (y_train.min() < 0 or y_train.max() >= net.descriptor.num_classes):
         raise DomainError("training labels out of range for the model head")
     if evaluate_fn is None:
@@ -141,10 +143,8 @@ def fit(
     velocity = [np.zeros_like(p) for p in net.parameters()]
     history = {"train_acc": [], "train_loss": [], "val_acc": [], "val_loss": []}
     stopper = EarlyStopper(config.patience, config.min_delta)
-    best_acc = -math.inf
     best_epoch = 0
     best_weights = net.get_weights()
-    stopped_epoch = 0
 
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -171,17 +171,15 @@ def fit(
         history["val_acc"].append(float(val_acc))
         history["val_loss"].append(float(val_loss))
 
-        if val_acc > best_acc:
-            best_acc = val_acc
+        if val_acc > stopper.best:
             best_epoch = epoch
             best_weights = net.get_weights()
-        stopped_epoch = epoch
         if stopper.update(val_acc):
             break
 
     net.set_weights(best_weights)
     history["best_epoch"] = best_epoch
-    history["stopped_epoch"] = stopped_epoch
+    history["stopped_epoch"] = epoch
     return make_checkpoint(net, history)
 
 
@@ -190,8 +188,11 @@ def load_side(descriptor, split, side: str, image_root) -> tuple[np.ndarray, np.
     batch ``imaging.load_batch`` gives for ``descriptor``'s colour mode
     and image size, and its int64 labels: the split's classes (1-based,
     possibly sparse) mapped in sorted order onto the head's label
-    positions. DomainError, before any image is read, when the split's
-    class count is not the head's width."""
+    positions. DomainError, before any image is read, when the side has
+    no items or the split's class count is not the head's width."""
+    items = getattr(split, side)
+    if not items:
+        raise DomainError(f"split has no {side} items")
     classes = split.classes
     if len(classes) != descriptor.num_classes:
         raise DomainError(
@@ -199,7 +200,6 @@ def load_side(descriptor, split, side: str, image_root) -> tuple[np.ndarray, np.
             f"{descriptor.num_classes} wide"
         )
     index = {cls: i for i, cls in enumerate(classes)}
-    items = getattr(split, side)
     x = load_batch([item.image_path for item in items], image_root, descriptor.colour_mode,
                    descriptor.image_size())
     return x, np.array([index[item.cls] for item in items], dtype=np.int64)

@@ -3,7 +3,9 @@ inside it, every defaulted parameter of a public function is passed by a
 call inside it, text is split into lines and CSV rows only by the shared
 readers, a digit in text means an ASCII digit, images are loaded only
 through ``imaging.load_batch``, JSON is parsed and serialized only by
-``_records``, and every text file is opened with an explicit encoding.
+``_records``, every text file is opened with an explicit encoding, and
+each method the benchmark's span tracer wraps is defined in its class's
+own body.
 
 A public module-level function, or a public method of a top-level class,
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere
@@ -223,6 +225,58 @@ def unencoded_text_io(root: Path) -> list[str]:
                     k.arg in ("encoding", None) for k in node.keywords):
                 found.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
     return found
+
+
+# Module -> class -> the methods the benchmark's span tracer
+# (``perfbench/spans.py``) wraps through the class's own ``vars``, which
+# a method a base class defined instead would fail.
+OWN_METHODS = {
+    "learner/layers.py": dict.fromkeys(
+        ("Conv", "Relu", "MaxPool", "Flatten", "FullyConnected", "Softmax"),
+        ("forward", "backward")),
+    "learner/network.py": {"Network": ("forward", "logits", "loss_and_grads", "get_weights",
+                                       "set_weights", "from_checkpoint")},
+}
+
+
+def unowned_methods(root: Path) -> list[str]:
+    """``Class.method`` for each method of ``OWN_METHODS`` that its
+    class's own body under ``root`` neither defines nor assigns."""
+    found = []
+    for module, classes in OWN_METHODS.items():
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        bodies = {node.name: node.body for node in tree.body if isinstance(node, ast.ClassDef)}
+        for cls, methods in classes.items():
+            owned = set()
+            for item in bodies.get(cls, ()):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owned.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    owned.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            found.extend(f"{cls}.{method}" for method in methods if method not in owned)
+    return found
+
+
+def test_traced_methods_are_defined_in_their_own_class():
+    assert unowned_methods(PACKAGE) == []
+
+
+def test_unowned_methods_are_listed(tmp_path):
+    (tmp_path / "learner").mkdir()
+    layer = ("(_Layer):\n    def forward(self, x):\n        pass\n\n"
+             "    def backward(self, d):\n        pass\n")
+    (tmp_path / "learner" / "layers.py").write_text(
+        "".join(f"class {cls}{layer}\n" for cls in ("Conv", "Relu", "MaxPool", "Softmax"))
+        + "class _Weighted(_Layer):\n    def forward(self, x):\n        pass\n\n"
+        "class FullyConnected(_Weighted):\n    def backward(self, d):\n        pass\n",
+        encoding="utf-8")
+    (tmp_path / "learner" / "network.py").write_text(
+        "class Network:\n    from_checkpoint = staticmethod(load)\n\n"
+        + "".join(f"    def {m}(self):\n        pass\n\n"
+                  for m in ("forward", "loss_and_grads", "get_weights", "set_weights")),
+        encoding="utf-8")
+    assert unowned_methods(tmp_path) == ["Flatten.forward", "Flatten.backward",
+                                         "FullyConnected.forward", "Network.logits"]
 
 
 def test_json_is_parsed_and_serialized_only_by_records():

@@ -188,6 +188,29 @@ class TestExitCodes:
                    "--image-root", str(tmp_path / "nowhere"), "--out", str(tmp_path / "e")) == 2
         assert "split has 3 classes but the model head is 2 wide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side, other", [("test", "train"), ("train", "test")])
+    def test_train_on_a_split_with_an_empty_side_is_2_before_any_epoch(
+            self, tmp_path, capsys, monkeypatch, side, other):
+        import importlib
+
+        import numpy as np
+
+        from bridgecap.imaging import encode_pnm
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        # The package's ``train`` is the function; its module holds ``fit``.
+        monkeypatch.setattr(importlib.import_module("bridgecap.learner.train"), "fit", no_fit)
+        (tmp_path / "x.pnm").write_bytes(encode_pnm(np.zeros((4, 4, 3), np.uint8)))
+        split = tmp_path / "split.csv"
+        split.write_text(f"image_path,class,side\nx.pnm,1,{other}\nx.pnm,2,{other}\n")
+        out = tmp_path / "m"
+        assert run("train", "--split", str(split), "--image-root", str(tmp_path),
+                   "--size", "4", "--max-epochs", "1", "--out", str(out)) == 2
+        assert f"split has no {side} items" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
         from bridgecap.learner import Network, make_checkpoint, save_checkpoint

@@ -7,22 +7,35 @@ Pinned: ``synth-gen``, ``nbi-parse``, ``corpus-match`` and
 ``report --svg`` on the confusion, metrics and distribution files under
 ``data/golden``; and the bytes of an untrained ``micro_cnn`` checkpoint
 with a fixed history. The run manifests (``run_*.json``) hold temporary
-paths and are left out. A trained checkpoint and the ``evaluate``
-outputs go through BLAS, whose kernels differ between builds, and are not
-pinned here.
+paths and are left out.
 
-A change that moves an artifact on purpose updates ``GOLDEN`` (the
-failing assertion shows the new digests) and names each moved artifact
-and the reason in CHANGES.md.
+A trained checkpoint and the ``evaluate`` outputs go through BLAS, whose
+kernels differ between builds, thread counts and CPUs. ``BLAS_GOLDEN``
+pins them per environment: ``train`` for 2 epochs on the DL1 split above,
+whose head is 3 wide, then ``evaluate --side test``. An environment is
+named by the fields of the benchmark's environment record that decide
+those bytes (``perfbench/run.py``: NumPy, BLAS build, BLAS threads,
+nproc) and by the SIMD extensions NumPy found on the CPU, since both
+NumPy and a DYNAMIC_ARCH OpenBLAS pick kernels by them. On an environment
+the table has no row for, the test skips and names it.
+
+A change that moves an artifact on purpose updates ``GOLDEN`` or
+``BLAS_GOLDEN`` (the failing assertion shows the new digests) and names
+each moved artifact and the reason in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from bridgecap.cli import main
 from bridgecap.learner import Network, checkpoint_to_bytes, make_checkpoint, micro_cnn
 
 DATA = Path(__file__).parent / "data" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 HISTORY = {"best_epoch": 2, "stopped_epoch": 2, "train_acc": [0.5, 0.625],
            "train_loss": [1.25, 0.875], "val_acc": [0.25, 0.75], "val_loss": [1.5, 1.0]}
@@ -68,6 +81,25 @@ GOLDEN = {
 }
 
 
+# A 2-vCPU Xeon's bytes at one and at two BLAS threads alike, taken from
+# the bytes of the commit before this table was added.
+_XEON_2CPU = {
+    "evaluate/confusion.json": "a8f0f66e6315553d551dd076827a0c3e611c2dec0781fce1892b009a0657bceb",
+    "evaluate/error_distribution.json":
+        "e712379bdc52581f8f36f982100ccd2aac049f0321b3843deb39914eb5d76881",
+    "evaluate/metrics.json": "fd2aca23090bef4c24fa655b21fa4ec5716a749dc1a973e16a03e90760d760be",
+    "train/history.json": "8a6d8c5d01ed1100a694d642ff03f1a2e40c640433ecb0b26a4bbfb203a297a0",
+    "train/model.ckpt": "df59c1c7d154c217254f0fa334ede864616d784fcb1d1d28bf7e0aef10ebe04a",
+}
+# Environment (see ``environment``) -> artifact -> SHA-256.
+BLAS_GOLDEN = {
+    ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 1 BLAS threads, nproc 2, "
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): _XEON_2CPU,
+    ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 2 BLAS threads, nproc 2, "
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): _XEON_2CPU,
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -102,3 +134,44 @@ def artifact_digests(out: Path) -> dict[str, str]:
 
 def test_artifacts_match_the_golden_table(tmp_path):
     assert artifact_digests(tmp_path) == GOLDEN
+
+
+def environment() -> str:
+    """This process's BLAS environment, as ``BLAS_GOLDEN`` names one."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    record = bench.environment(ROOT, None)
+    try:
+        simd = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):
+        simd = "unknown"
+    return (f"numpy {record['numpy']}, {record['blas']}, {record['blas_threads']} BLAS threads, "
+            f"nproc {record['nproc']}, SIMD {simd}")
+
+
+def blas_digests(out: Path) -> dict[str, str]:
+    """Output path -> SHA-256 of each artifact ``train`` and ``evaluate``
+    write, on the DL1 split ``artifact_digests`` builds under ``out``."""
+    artifact_digests(out / "corpus")
+    dataset = out / "corpus" / "dataset"
+    split = ["--split", str(dataset / "split.csv"), "--image-root", str(out / "corpus" / "synth")]
+    stages = [
+        ["train", *split, "--dataset-manifest", str(dataset / "dataset_manifest.json"),
+         "--size", "16", "--max-epochs", "2", "--batch-size", "4", "--seed", "1",
+         "--out", str(out / "train")],
+        ["evaluate", "--checkpoint", str(out / "train" / "model.ckpt"), *split,
+         "--side", "test", "--out", str(out / "evaluate")],
+    ]
+    for argv in stages:
+        assert main(argv) == 0, argv
+    return {path.relative_to(out).as_posix(): _sha256(path.read_bytes())
+            for stage in ("train", "evaluate") for path in sorted((out / stage).iterdir())
+            if not path.name.startswith("run_")}
+
+
+def test_blas_artifacts_match_the_table_for_this_environment(tmp_path):
+    env = environment()
+    if env not in BLAS_GOLDEN:
+        pytest.skip(f"no golden BLAS digests for {env}")
+    assert blas_digests(tmp_path) == BLAS_GOLDEN[env]

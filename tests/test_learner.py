@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import math
 import re
 import struct
@@ -919,6 +920,12 @@ class TestTraining:
             fit(net, np.empty((0, 2)), np.empty(0, dtype=int), np.zeros((1, 2)),
                 np.array([0]), TrainConfig())
 
+    def test_empty_validation_set_rejected(self):
+        net = Network(linear_head(2, ["a", "b"]), seed=0)
+        with pytest.raises(DomainError, match="validation set is empty"):
+            fit(net, np.zeros((1, 2)), np.array([0]), np.empty((0, 2)),
+                np.empty(0, dtype=int), TrainConfig())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self):
         net = Network(linear_head(2, ["a", "b"]), seed=0)
@@ -1076,6 +1083,33 @@ class TestCheckpoint:
         with pytest.raises(DomainError, match="cannot write checkpoint history"):
             checkpoint_to_bytes(ckpt)
 
+    def test_unwritable_checkpoint_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"earlier checkpoint")
+        ckpt = make_checkpoint(Network(linear_head(2, ["a", "b"])), {"val_acc": [math.nan]})
+        with pytest.raises(DomainError, match="cannot write checkpoint history"):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == b"earlier checkpoint"
+
+    @pytest.mark.parametrize("layers", [
+        [{"op": "flatten"}, {"op": "fc", "n_out": 2**45}, {"op": "fc", "n_out": 2}],
+        [{"op": "conv", "out_ch": 2**62}, {"op": "flatten"}, {"op": "fc", "n_out": 2}],
+    ], ids=["fc", "conv"])
+    def test_sizes_no_memory_holds_are_a_truncated_weight_block(self, layers):
+        # The shapes are read without reserving memory for the weights.
+        meta = b'{"class_labels":["a","b"],"input_shape":[1,3,3],"layers":%s}' % (
+            json.dumps([*layers, {"op": "softmax"}]).encode())
+        header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
+        with pytest.raises(FormatError, match="weight block truncated"):
+            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+
+    def test_flattened_width_past_int64_is_config_error(self):
+        meta = (b'{"class_labels":["a","b"],"input_shape":[3,4294967296,4294967296],'
+                b'"layers":[{"op":"flatten"},{"op":"fc","n_out":2},{"op":"softmax"}]}')
+        header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
+        with pytest.raises(ConfigError, match=re.escape("layer 1 (fc).n_in must be int, got")):
+            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+
     @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"])
     def test_non_finite_history_is_format_error(self, token):
         reason = "overflows a double" if b"e" in token else "is not a JSON number"
@@ -1117,6 +1151,34 @@ class TestCheckpoint:
         assert loaded.descriptor == desc
         assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in weights]
         assert checkpoint_to_bytes(loaded) == data_bytes
+
+    def test_defaults_fill_every_size(self):
+        desc = normalize_descriptor(ArchitectureDescriptor(
+            (2, 9, 9),
+            ({"op": "conv", "out_ch": 4}, {"op": "conv", "kh": 5, "out_ch": 3},
+             {"op": "maxpool", "k": 2}, {"op": "flatten"}, {"op": "fc", "n_out": 2},
+             {"op": "softmax"}),
+            ("a", "b")))
+        assert desc.layers == (
+            {"op": "conv", "kh": 3, "kw": 3, "in_ch": 2, "out_ch": 4, "stride": 1, "pad": 0},
+            {"op": "conv", "kh": 5, "kw": 5, "in_ch": 4, "out_ch": 3, "stride": 1, "pad": 0},
+            {"op": "maxpool", "k": 2, "stride": 2},
+            {"op": "flatten"},
+            {"op": "fc", "n_in": 3, "n_out": 2},
+            {"op": "softmax"},
+        )
+
+    @pytest.mark.parametrize("desc", [
+        micro_cnn(["a", "b", "c"], input_shape=(3, 12, 12)),
+        linear_head(5, ["a", "b"]),
+        ArchitectureDescriptor((2, 6, 6), (
+            {"op": "maxpool", "k": 3, "stride": 1}, {"op": "conv", "out_ch": 3, "kw": 2},
+            {"op": "relu"}, {"op": "flatten"}, {"op": "fc", "n_out": 4}, {"op": "relu"},
+            {"op": "fc", "n_out": 2}, {"op": "softmax"}), ("a", "b")),
+    ], ids=["micro_cnn", "linear_head", "pool_first"])
+    def test_param_shapes_are_the_network_parameter_shapes(self, desc):
+        shapes = [p.shape for p in Network(desc, seed=0).parameters()]
+        assert normalize_descriptor(desc).param_shapes() == shapes
 
     def test_bad_layer_sizes_are_config_errors(self):
         for key, value in (("out_ch", -4), ("stride", 0), ("kh", "3"), ("pad", -1)):
