@@ -15,8 +15,10 @@ non-finite number DomainError.
 The line rule, for ndjson and the fixed-width inventory (``iter_lines``)
 and CSV (``iter_csv``): a line ends only at ``\n``, a ``\r\n`` at its
 ``\n``. A bare ``\r``, ``\f``, ``\x85`` or ``\u2028``, where
-``str.splitlines`` would break, is part of its line. So a file opened with
-``newline="\n"`` gives exactly the lines and line numbers of its text.
+``str.splitlines`` would break, is part of its line. It is the rule of
+the line iterator of ``io.StringIO`` and of a text file opened with
+``newline="\n"``, as the CLI opens every input, so both readers iterate
+the file itself, one line at a time.
 
 The ndjson codec contract:
 
@@ -37,7 +39,9 @@ The ndjson codec contract:
 The CSV contract, for ``to_csv`` and ``iter_csv``:
 
 - Lines end under the line rule, so a bare ``\r`` in a cell must be
-  quoted, which ``to_csv`` does.
+  quoted. ``csv.writer`` leaves it bare, so ``to_csv`` alone writes in
+  blocks of rows: a block whose text holds one is written again, with
+  each row holding one quoted.
 - A row whose cells are all blank is skipped.
 - A row the csv module cannot read, or that is not UTF-8, raises
   ``FormatError(f"{what} line {n}: {reason}")``, ``n`` its last line.
@@ -59,9 +63,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-# Characters per read of an ndjson file, and records or rows per write
-# of ndjson or CSV: a file is never held whole.
-_BLOCK = 1 << 20
+# Rows per write of CSV: a file is never held whole.
 _RECORDS_PER_BLOCK = 8192
 
 
@@ -145,14 +147,12 @@ def _undecodable(what: str, text, exc: UnicodeDecodeError) -> FormatError:
 
 def iter_csv(source, what: str, rejects=None, delimiter=","):
     """(line where the row ends, row) for each row of ``source`` with a
-    non-blank cell, its cells split at ``delimiter``. ``source`` is a str,
-    bytes (UTF-8) or an open text file, which is read row by row. When
+    non-blank cell, its cells split at ``delimiter``. ``source`` is a str
+    or an open text file, which is read row by row. When
     ``rejects`` is a list, an unreadable row is appended to it as ``(line,
     "unreadable row: <reason>")`` and reading resumes at the next line, in
     place of the FormatError naming ``what``."""
-    if isinstance(source, bytes):
-        source = io.TextIOWrapper(io.BytesIO(source), "utf-8", newline="\n")
-    elif isinstance(source, str):
+    if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source, delimiter=delimiter)
     while True:
@@ -274,20 +274,17 @@ def _codec(cls) -> _Codec:
 
 def to_ndjson(cls, records, out=None) -> str | None:
     """One line per record of type ``cls``: returned as one str, or, when
-    ``out`` is an open text file, written to it and None returned. A file
-    gets the lines of ``_RECORDS_PER_BLOCK`` records per write, so only
-    one block of text is held at a time."""
+    ``out`` is an open text file, written to it one line at a time and
+    None returned."""
     if out is None:
         out = io.StringIO()
         to_ndjson(cls, records, out)
         return out.getvalue()
     codec = _codec(cls)
     line, values, encoders = codec.line, codec.sorted_values, _SCALAR_ENCODERS
-    for block in _blocks(records):
-        out.write("".join([
-            line % tuple([encoders.get(type(v), _encode_other)(v) for v in values(r)])
-            for r in block
-        ]))
+    out.writelines(
+        line % tuple([encoders.get(type(v), _encode_other)(v) for v in values(r)])
+        for r in records)
     return None
 
 
@@ -306,43 +303,26 @@ def _check_types(codec: _Codec, d: dict, lineno: int) -> None:
             )
 
 
-def _line_blocks(source, size: int):
-    """(number of the first line, lines) for consecutive blocks of the
-    lines of ``source``, a str or an open text file, that together are
-    the lines of its whole text under the line rule, without their ends.
-
-    The text is read ``size`` characters at a time. Each read is cut after
-    its last ``\\n``, and the text up to the cut is split; the rest waits
-    for the next read. So only one block and its lines are held at a
-    time, plus a line longer than a block."""
+def iter_lines(source):
+    """(line number, line) for each line of ``source``, a str or an open
+    text file, without its end, under the line rule. A file its encoding
+    cannot decode raises FormatError naming its path and the first line
+    that does not decode."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    lineno, pending = 1, []
     try:
-        while chunk := source.read(size):
-            cut = chunk.rfind("\n") + 1
-            if cut:
-                text = "".join([*pending, chunk[:cut]])
-                lines, pending = text.replace("\r\n", "\n").split("\n")[:-1], []
-                yield lineno, lines
-                lineno += len(lines)
-            pending.append(chunk[cut:])
+        for lineno, line in enumerate(source, 1):
+            if line[-1:] == "\n":
+                line = line[:-2] if line[-2:-1] == "\r" else line[:-1]
+            yield lineno, line
     except UnicodeDecodeError as exc:
         raise _undecodable(getattr(source, "name", "ndjson"), source, exc) from exc
-    if last := "".join(pending):
-        yield lineno, [last]
-
-
-def iter_lines(source):
-    """(line number, line) for each line of ``_line_blocks(source)``."""
-    return chain.from_iterable(
-        enumerate(lines, first) for first, lines in _line_blocks(source, _BLOCK))
 
 
 def from_ndjson(cls, source) -> list:
     """Records of type ``cls``, one per non-blank line of ``source``: a
-    str, or an open text file, which is read in blocks of ``_BLOCK``
-    characters, so the list of records is all that grows with the file.
+    str, or an open text file, which is read one line at a time, so the
+    list of records is all that grows with the file.
     A field with a default may be absent and a key that names no field
     is ignored; a line that is not a parseable JSON object, lacks a
     required field or holds a value of the wrong type raises FormatError

@@ -29,12 +29,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("learning rate, batch size, and max epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size < 1 or self.max_epochs < 1:
+            raise ConfigError("learning rate, batch size, and max epochs must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience < 1 or self.min_delta < 0 or self.seed < 0:
-            raise ConfigError("patience must be >= 1, and min_delta and seed >= 0")
+        if self.patience < 1 or not 0 <= self.min_delta < math.inf or self.seed < 0:
+            raise ConfigError("patience must be >= 1, and min_delta and seed finite and >= 0")
 
 
 class EarlyStopper:

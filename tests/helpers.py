@@ -3,8 +3,9 @@ random confusion matrices, a rating scheme for synthetic corpora, the
 preset names, a design-load map's output width, a linear head for
 FC-only learner tests, descriptor fields a checkpoint cannot hold, and
 valid inventories, a valid manifest and a valid checkpoint with a
-strategy that damages them."""
+strategy that damages them, and bytes opened as the CLI opens a file."""
 
+import io
 import re
 from pathlib import Path
 
@@ -220,6 +221,14 @@ def damaged(draw, data: bytes) -> bytes:
     for _ in range(draw(st.integers(0, 4)) if out else 0):
         out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
     return bytes(out)
+
+
+def opened(data: bytes, chunk_size: int = 8192) -> io.TextIOWrapper:
+    """``data`` as the CLI opens a text file: UTF-8, a line ending only at
+    ``\n``, decoded ``chunk_size`` bytes at a time."""
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    fh._CHUNK_SIZE = chunk_size
+    return fh
 
 
 # A valid manifest: a completion column with every value, a non-ASCII path

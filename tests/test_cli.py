@@ -211,6 +211,27 @@ class TestExitCodes:
         assert f"split has no {side} items" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e400"],
+        ["--min-delta", "nan", "--patience", "2", "--max-epochs", "4"],
+    ], ids=["lr-nan", "lr-inf", "lr-overflow", "min-delta-nan"])
+    def test_non_finite_training_setting_is_2_before_any_image_is_read(
+            self, tmp_path, capsys, monkeypatch, flags):
+        import importlib
+
+        def no_images(*args, **kwargs):
+            raise AssertionError("an image was read")
+
+        monkeypatch.setattr(importlib.import_module("bridgecap.learner.train"), "load_batch",
+                            no_images)
+        split = tmp_path / "split.csv"
+        split.write_text("image_path,class,side\nx.pnm,1,train\nx.pnm,2,test\n")
+        out = tmp_path / "m"
+        assert run("train", "--split", str(split), "--image-root", str(tmp_path),
+                   "--size", "4", *flags, "--out", str(out)) == 2
+        assert re.search(r"error: [^\n]* finite and >=? 0", capsys.readouterr().err)
+        assert not (out / "model.ckpt").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):
         from bridgecap.learner import Network, make_checkpoint, save_checkpoint

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bridgecap import corpus, nbi
 from bridgecap.errors import BridgecapError, FormatError
 import csv_oracles
-from helpers import MANIFEST, damaged, gen_labeled_corpus
+from helpers import MANIFEST, damaged, gen_labeled_corpus, opened
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -77,7 +77,8 @@ class TestManifest:
         with pytest.raises(FormatError, match="completion"):
             read_manifest(text)
 
-    @pytest.mark.parametrize("source", [str, str.encode], ids=["str", "bytes"])
+    @pytest.mark.parametrize("source", [str, lambda text: opened(text.encode())],
+                             ids=["str", "bytes"])
     def test_unreadable_row_is_format_error(self, source):
         text = "image_path,bridge_local_id,state,structure\na.pnm,0,01,S\r1\n"
         with pytest.raises(FormatError, match="manifest line 2: new-line character"):
@@ -305,7 +306,7 @@ class TestManifestFuzz:
     def test_damaged_manifest_raises_only_package_errors(self, data):
         records = [record("01", "S702", design=5, rating=36.0), record("06", "4560", design=2)]
         with contextlib.suppress(BridgecapError):
-            corpus.join_labels(corpus.iter_manifest(data.draw(damaged(MANIFEST))), records)
+            corpus.join_labels(corpus.iter_manifest(opened(data.draw(damaged(MANIFEST)))), records)
 
 
 class TestManifestReader:

@@ -11,13 +11,16 @@ paths and are left out.
 
 A trained checkpoint and the ``evaluate`` outputs go through BLAS, whose
 kernels differ between builds, thread counts and CPUs. ``BLAS_GOLDEN``
-pins them per environment: ``train`` for 2 epochs on the DL1 split above,
-whose head is 3 wide, then ``evaluate --side test``. An environment is
-named by the fields of the benchmark's environment record that decide
-those bytes (``perfbench/run.py``: NumPy, BLAS build, BLAS threads,
-nproc) and by the SIMD extensions NumPy found on the CPU, since both
-NumPy and a DYNAMIC_ARCH OpenBLAS pick kernels by them. On an environment
-the table has no row for, the test skips and names it.
+pins them per environment and head width: ``train`` for 2 epochs on the
+DL1 split above, whose head is 3 wide, then ``evaluate --side test``; and
+the same on the DL1 split of 6 x 6 images, whose design classes 1-6 give
+a 6-wide head, a width at which an image's probabilities were seen to
+depend on the other images of its chunk. An environment is named by the
+fields of the benchmark's environment record that decide those bytes
+(``perfbench/run.py``: NumPy, BLAS build, BLAS threads, nproc) and by
+the SIMD extensions NumPy found on the CPU, since both NumPy and a
+DYNAMIC_ARCH OpenBLAS pick kernels by them. On an environment the table
+has no row for, the test skips and names it.
 
 A change that moves an artifact on purpose updates ``GOLDEN`` or
 ``BLAS_GOLDEN`` (the failing assertion shows the new digests) and names
@@ -91,12 +94,22 @@ _XEON_2CPU = {
     "train/history.json": "8a6d8c5d01ed1100a694d642ff03f1a2e40c640433ecb0b26a4bbfb203a297a0",
     "train/model.ckpt": "df59c1c7d154c217254f0fa334ede864616d784fcb1d1d28bf7e0aef10ebe04a",
 }
-# Environment (see ``environment``) -> artifact -> SHA-256.
+# The same Xeon's bytes for the 6-wide head, at one and at two BLAS
+# threads alike, taken from the bytes of the commit before they were added.
+_XEON_2CPU_SIX = {
+    "evaluate/confusion.json": "7418c61db628daf645adf342613f7ac2b340d705bf376def3d67ef26615b5f37",
+    "evaluate/error_distribution.json":
+        "03c917170e9fb872870910274c8426bc49c1b6ebc2cb49b219b988efdaeef629",
+    "evaluate/metrics.json": "8d646080dbadfee1409dd8f531e8186a84dffe22b8df0932e88549feb75ec2cc",
+    "train/history.json": "e5924c560edde9c3237b5e39930fa7b82455588d9fbd8203b32f15575d403b07",
+    "train/model.ckpt": "3f5da6008009fdf7ccd0ca88949bdbf0c4d1a51e002b4091bbd9dcb5c026ddcb",
+}
+# Environment (see ``environment``) -> head width -> artifact -> SHA-256.
 BLAS_GOLDEN = {
     ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 1 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): _XEON_2CPU,
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
     ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 2 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): _XEON_2CPU,
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
 }
 
 
@@ -104,26 +117,37 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def artifact_digests(out: Path) -> dict[str, str]:
-    """Output path -> SHA-256 of each pinned artifact, the stages run
-    under ``out``."""
+def run_stages(stages) -> None:
+    for argv in stages:
+        assert main(argv) == 0, argv
+
+
+def corpus_stages(out: Path, classes: int) -> list[list[str]]:
+    """``synth-gen`` of ``classes`` x 6 images of 16 px through
+    ``dataset-build DL1``, each stage writing under ``out``."""
     synth = out / "synth"
-    stages = [
-        ["synth-gen", "--classes", "3", "--per-class", "6", "--size", "16", "--seed", "3",
-         "--partial-fraction", "0.25", "--out", str(synth)],
+    return [
+        ["synth-gen", "--classes", str(classes), "--per-class", "6", "--size", "16",
+         "--seed", "3", "--partial-fraction", "0.25", "--out", str(synth)],
         ["nbi-parse", "--input", str(synth / "inventory.csv"), "--out", str(out / "nbi")],
         ["corpus-match", "--manifest", str(synth / "manifest.csv"),
          "--records", str(out / "nbi" / "records.ndjson"), "--out", str(out / "match")],
         ["dataset-build", "DL1", "--corpus", str(out / "match" / "labeled.ndjson"),
          "--seed", "3", "--out", str(out / "dataset")],
+    ]
+
+
+def artifact_digests(out: Path) -> dict[str, str]:
+    """Output path -> SHA-256 of each pinned artifact, the stages run
+    under ``out``."""
+    run_stages([
+        *corpus_stages(out, 3),
         ["binarize", "--confusion", str(DATA / "confusion.json"), "--out", str(out / "binarize")],
         ["report", "--metrics", str(DATA / "metrics.json"),
          "--distribution", str(DATA / "error_distribution.json"),
          "--binarization", str(out / "binarize" / "binarization.json"), "--svg",
          "--out", str(out / "report")],
-    ]
-    for argv in stages:
-        assert main(argv) == 0, argv
+    ])
     digests = {path.relative_to(out).as_posix(): _sha256(path.read_bytes())
                for path in sorted(out.rglob("*"))
                if path.is_file() and not path.name.startswith("run_")}
@@ -150,28 +174,34 @@ def environment() -> str:
             f"nproc {record['nproc']}, SIMD {simd}")
 
 
-def blas_digests(out: Path) -> dict[str, str]:
+def blas_digests(out: Path, classes: int) -> dict[str, str]:
     """Output path -> SHA-256 of each artifact ``train`` and ``evaluate``
-    write, on the DL1 split ``artifact_digests`` builds under ``out``."""
-    artifact_digests(out / "corpus")
+    write, on the DL1 split of ``classes`` x 6 images built under ``out``."""
+    run_stages(corpus_stages(out / "corpus", classes))
     dataset = out / "corpus" / "dataset"
     split = ["--split", str(dataset / "split.csv"), "--image-root", str(out / "corpus" / "synth")]
-    stages = [
+    run_stages([
         ["train", *split, "--dataset-manifest", str(dataset / "dataset_manifest.json"),
          "--size", "16", "--max-epochs", "2", "--batch-size", "4", "--seed", "1",
          "--out", str(out / "train")],
         ["evaluate", "--checkpoint", str(out / "train" / "model.ckpt"), *split,
          "--side", "test", "--out", str(out / "evaluate")],
-    ]
-    for argv in stages:
-        assert main(argv) == 0, argv
+    ])
     return {path.relative_to(out).as_posix(): _sha256(path.read_bytes())
             for stage in ("train", "evaluate") for path in sorted((out / stage).iterdir())
             if not path.name.startswith("run_")}
 
 
-def test_blas_artifacts_match_the_table_for_this_environment(tmp_path):
+def check_blas_digests(out: Path, classes: int) -> None:
     env = environment()
     if env not in BLAS_GOLDEN:
         pytest.skip(f"no golden BLAS digests for {env}")
-    assert blas_digests(tmp_path) == BLAS_GOLDEN[env]
+    assert blas_digests(out, classes) == BLAS_GOLDEN[env][classes]
+
+
+def test_blas_artifacts_match_the_table_for_this_environment(tmp_path):
+    check_blas_digests(tmp_path, 3)
+
+
+def test_six_class_blas_artifacts_match_the_table_for_this_environment(tmp_path):
+    check_blas_digests(tmp_path, 6)

@@ -16,12 +16,13 @@ from bridgecap import cli
 from bridgecap import evaluation as ev
 from bridgecap import _records, report
 from bridgecap._records import from_ndjson, plain, to_ndjson
-from bridgecap.corpus import JoinReport, LabeledImage, TagReport
+from bridgecap.corpus import JoinReport, LabeledImage, TagReport, labeled_from_ndjson
 from bridgecap.datasets import BinningScheme, bin_load_rating
 from bridgecap.errors import DomainError, FormatError
 from bridgecap.learner import Network, micro_cnn
 from bridgecap.learner.checkpoint import checkpoint_to_bytes, make_checkpoint
 from bridgecap.nbi import NbiFileStats, NbiRecord
+from helpers import opened
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -282,20 +283,18 @@ def newline_rule_lines(text):
 
 
 class TestBlockReader:
-    """An open file is read in blocks; its lines, records and FormatError
-    line numbers are those of its whole text, where a line ends only at
-    ``\\n``."""
+    """An open file is decoded in blocks of ``_CHUNK_SIZE`` bytes and read
+    one line at a time; wherever a block ends, its lines, records and
+    FormatError line numbers are those of its whole text, where a line
+    ends only at ``\\n``."""
 
     @PROPERTY
-    @given(text=NDJSON_TEXT | st.text(st.sampled_from("ab\n\r" + "".join(LINE_BREAKS))),
+    @given(text=NDJSON_TEXT | st.text(st.sampled_from("abé€\n\r" + "".join(LINE_BREAKS))),
            size=st.integers(1, 9))
     def test_lines_end_only_at_newline(self, text, size):
-        numbered = []
-        for first, lines in _records._line_blocks(io.StringIO(text), size):
-            assert first == len(numbered) + 1
-            numbered.extend(lines)
-        assert numbered == newline_rule_lines(text)
-        assert [line for _, line in _records.iter_lines(text)] == numbered
+        numbered = list(enumerate(newline_rule_lines(text), 1))
+        assert list(_records.iter_lines(opened(text.encode(), size))) == numbered
+        assert list(_records.iter_lines(text)) == numbered
 
     def test_raw_line_separators_stay_in_their_line(self, tmp_path):
         record = LabeledImage("a\u2028b\x85c\u2029d", "01", "S1")
@@ -303,8 +302,8 @@ class TestBlockReader:
         path = tmp_path / "labeled.ndjson"
         path.write_bytes(f"{line}\n{line}\r\n".encode())
         for size in (1, 1 << 20):
-            with mock.patch.object(_records, "_BLOCK", size), \
-                    open(path, encoding="utf-8", newline="\n") as fh:
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                fh._CHUNK_SIZE = size
                 assert from_ndjson(LabeledImage, fh) == [record, record]
         assert from_ndjson(LabeledImage, f"{line}\n{line}") == [record, record]
 
@@ -316,15 +315,15 @@ class TestBlockReader:
     @PROPERTY
     @given(text=NDJSON_TEXT, size=st.integers(1, 40))
     def test_records_and_errors_equal_those_of_the_text(self, text, size):
-        with mock.patch.object(_records, "_BLOCK", size):
-            assert _records_or_error(io.StringIO(text)) == _records_or_error(text)
+        assert _records_or_error(opened(text.encode(), size)) == _records_or_error(text)
 
     def test_file_reads_like_its_text(self, tmp_path):
         path = tmp_path / "labeled.ndjson"
         good = '{"image_path":"a","state":"01","structure":"S1"}'
         path.write_bytes((good + "\r\n\r\n" + good + "\r" + good + "\n{").encode())
         for size in (1, 2, 49, 50, 51, 1 << 20):
-            with mock.patch.object(_records, "_BLOCK", size), open(path) as fh:
+            with open(path) as fh:
+                fh._CHUNK_SIZE = size
                 assert _records_or_error(fh) == _records_or_error(path.read_text())
         assert "line 5: not valid JSON" in _records_or_error(path.read_text())
 
@@ -333,17 +332,30 @@ class TestBlockReader:
         path = tmp_path / "labeled.ndjson"
         good = b'{"image_path":"a","state":"01","structure":"S1"}\n'
         path.write_bytes(good * 3000 + b'{"image_path":"\xc3"}\n' + good)
-        with mock.patch.object(_records, "_BLOCK", size), open(path, encoding="utf-8") as fh:
-            with pytest.raises(FormatError) as info:
-                from_ndjson(LabeledImage, fh)
+        with open(path, encoding="utf-8") as fh, pytest.raises(FormatError) as info:
+            fh._CHUNK_SIZE = size
+            from_ndjson(LabeledImage, fh)
         assert str(info.value) == f"{path} line 3001: not utf-8 text (invalid continuation byte)"
 
-    def test_file_writes_the_text_in_blocks(self):
+    def test_the_first_fault_in_the_file_is_reported(self, tmp_path):
+        # The bad JSON line comes about 100 KB before the byte that is not
+        # UTF-8, so the two are decoded in different blocks.
+        path = tmp_path / "labeled.ndjson"
+        good = b'{"image_path":"a","state":"01","structure":"S1"}\n'
+        path.write_bytes(good * 9 + b"{\n" + good * 2000 + b'{"image_path":"\xc3"}\n')
+        with open(path, encoding="utf-8", newline="\n") as fh, \
+                pytest.raises(FormatError) as info:
+            labeled_from_ndjson(fh)
+        assert str(info.value) == (
+            "line 10: not valid JSON (Expecting property name enclosed in double quotes)")
+
+    def test_file_gets_the_bytes_of_the_text(self):
         records = [LabeledImage(f"p{i}", "01", f"S{i}", i, i / 3) for i in range(25)]
-        out = io.StringIO()
-        with mock.patch.object(_records, "_RECORDS_PER_BLOCK", 4):
-            assert to_ndjson(LabeledImage, records, out) is None
-        assert out.getvalue() == to_ndjson(LabeledImage, records)
+        buffer = io.BytesIO()
+        out = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+        assert to_ndjson(LabeledImage, (r for r in records), out) is None  # one pass
+        out.flush()
+        assert buffer.getvalue() == to_ndjson(LabeledImage, records).encode()
 
     def test_csv_blocks_write_the_text_of_one_block(self):
         rows = [[f"p{i}", "a\rb" if i == 5 else "c,d", i] for i in range(11)]
@@ -396,12 +408,9 @@ def _csv_rows_or_error(source):
 
 class TestCsvReader:
     @PROPERTY
-    @given(text=CSV_TEXT)
-    def test_a_file_gives_the_rows_and_lines_of_its_text(self, text):
-        expected = _csv_rows_or_error(text)
-        assert _csv_rows_or_error(text.encode()) == expected
-        opened = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")
-        assert _csv_rows_or_error(opened) == expected
+    @given(text=CSV_TEXT, size=st.integers(1, 9))
+    def test_a_file_gives_the_rows_and_lines_of_its_text(self, text, size):
+        assert _csv_rows_or_error(opened(text.encode(), size)) == _csv_rows_or_error(text)
 
     def test_rows_of_blank_cells_are_skipped(self):
         assert list(_records.iter_csv('a\n \n,\n"\n"\n\nb,\n', "table")) == [
@@ -417,13 +426,9 @@ class TestCsvReader:
         (b"a\n" * 9000 + b"\xc3", 9001),
     ], ids=["first", "third", "quoted", "truncated_at_end"])
     def test_bytes_that_are_not_utf8_name_what_and_line(self, data, line):
-        # Bytes, or a file opened as the CLI opens one; rejects or none.
-        for opened in (False, True):
-            for rejects in (None, []):
-                source = (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-                          if opened else data)
-                with pytest.raises(FormatError, match=rf"^table line {line}: not utf-8 text \("):
-                    list(_records.iter_csv(source, "table", rejects))
+        for rejects in (None, []):
+            with pytest.raises(FormatError, match=rf"^table line {line}: not utf-8 text \("):
+                list(_records.iter_csv(opened(data), "table", rejects))
 
     def test_rejects_take_the_error_and_reading_resumes(self):
         rejects = []
