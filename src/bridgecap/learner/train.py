@@ -124,6 +124,10 @@ def fit(
     ``evaluate_fn(net, x_val, y_val) -> (acc, loss)`` computes the
     per-epoch validation numbers; injectable so stopping behaviour can
     be driven by a canned sequence in tests.
+
+    TrainingDivergedError when a batch's loss or an epoch's validation
+    loss is not finite: the last update of an epoch is first seen by its
+    validation pass.
     """
     x_train = np.asarray(x_train)
     if x_train.dtype != np.uint8:
@@ -166,6 +170,11 @@ def fit(
             correct += int((preds == y_train[batch]).sum())
 
         val_acc, val_loss = evaluate_fn(net, x_val, y_val)
+        if not math.isfinite(val_loss):
+            raise TrainingDivergedError(
+                f"non-finite validation loss {val_loss} at epoch {epoch}; "
+                f"lr={config.learning_rate} momentum={config.momentum}"
+            )
         history["train_acc"].append(correct / n)
         history["train_loss"].append(loss_sum / n)
         history["val_acc"].append(float(val_acc))

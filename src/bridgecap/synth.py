@@ -20,8 +20,8 @@ from .errors import DomainError
 from .imaging import encode_pnm
 from .nbi import NbiRecord, canonicalize, write_delimited
 
-_BACKGROUND = np.array([150, 180, 210], dtype=np.int64)  # hazy sky
-_STRIPE = np.array([62, 60, 70], dtype=np.int64)  # deck asphalt
+_BACKGROUND = np.array([150, 180, 210], dtype=np.int32)  # hazy sky
+_STRIPE = np.array([62, 60, 70], dtype=np.int32)  # deck asphalt
 _STATES = ("01", "06", "12", "36", "48")
 
 
@@ -47,6 +47,13 @@ class SynthSpec:
             raise DomainError(f"partial_fraction must be in [0, 1], got {self.partial_fraction}")
         if min(self.seed, self.noise, self.jitter) < 0:
             raise DomainError("seed, noise and jitter must be non-negative")
+        # Noise above 255 only sends more pixels to the clip; the bound also
+        # keeps every int32 pixel sum in render_scene exact.
+        if self.noise > 255:
+            raise DomainError(f"noise must be at most 255, got {self.noise}")
+        if self.jitter > self.image_size:
+            raise DomainError(
+                f"jitter must be at most the image size {self.image_size}, got {self.jitter}")
 
 
 def class_rating_tons(cls: int) -> float:
@@ -55,12 +62,19 @@ def class_rating_tons(cls: int) -> float:
 
 
 def render_scene(cls: int, size: int, noise: int, jitter: int, rng) -> np.ndarray:
-    """Full (size, size, 3) uint8 scene for 0-based class ``cls``. The
-    scene is built in place in the int64 background noise that ``rng``
-    draws; beside the stripe noise, only the final uint8 array is
-    allocated."""
-    img = rng.integers(-noise, noise + 1, size=(size, size, 3))
-    img += _BACKGROUND
+    """Full (size, size, 3) uint8 scene for 0-based class ``cls``.
+
+    The scene is built in int32 pixel rows of ``size * 3`` channel
+    values, so each colour is added as one whole row and is clipped
+    straight into the uint8 result; beside the rows, only one stripe's
+    noise at a time and that result are allocated. The draws are those
+    of an int64 ``(size, size, 3)`` build, value for value: NumPy draws
+    an integer from a range under 2**32 by Lemire's 32-bit method
+    whatever the output dtype, so an int32 draw takes the same values in
+    the same row-major order and leaves ``rng`` in the same state."""
+    img = rng.integers(-noise, noise + 1, size=(size, size * 3), dtype=np.int32)
+    img += np.tile(_BACKGROUND, size)
+    stripe_row = np.tile(_STRIPE, size)
     n_stripes = cls + 1
     thickness = max(2, size // 16)
     for i in range(n_stripes):
@@ -68,11 +82,11 @@ def render_scene(cls: int, size: int, noise: int, jitter: int, rng) -> np.ndarra
         if jitter:
             center += int(rng.integers(-jitter, jitter + 1))
         top = min(max(center - thickness // 2, 0), size - thickness)
-        band = img[top : top + thickness]
-        band[...] = rng.integers(-noise // 2, noise // 2 + 1, size=(thickness, size, 3))
-        band += _STRIPE
-    np.clip(img, 0, 255, out=img)
-    return img.astype(np.uint8)
+        np.add(rng.integers(-noise // 2, noise // 2 + 1, size=(thickness, size * 3),
+                            dtype=np.int32), stripe_row, out=img[top : top + thickness])
+    scene = np.empty((size, size, 3), dtype=np.uint8)
+    np.clip(img, 0, 255, out=scene.reshape(size, size * 3), casting="unsafe")
+    return scene
 
 
 def render_image(cls: int, spec: SynthSpec, rng, partial: bool) -> np.ndarray:

@@ -106,6 +106,24 @@ def small_corpus(tmp_path):
     return root
 
 
+@pytest.fixture()
+def dl1_split(tmp_path):
+    """``train`` arguments for a DL1 split of a 3-class corpus of six
+    16-px images per class: four of each class train, two test."""
+    root = tmp_path / "dl1"
+    assert run("synth-gen", "--out", str(root), "--classes", "3", "--per-class", "6",
+               "--seed", "5", "--size", "16") == 0
+    assert run("nbi-parse", "--input", str(root / "inventory.csv"),
+               "--out", str(root / "nbi")) == 0
+    assert run("corpus-match", "--manifest", str(root / "manifest.csv"),
+               "--records", str(root / "nbi" / "records.ndjson"),
+               "--out", str(root / "joined")) == 0
+    assert run("dataset-build", "DL1", "--corpus", str(root / "joined" / "labeled.ndjson"),
+               "--out", str(root / "data")) == 0
+    return ["--split", str(root / "data" / "split.csv"), "--image-root", str(root),
+            "--size", "16"]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert run("no-such-command") == 1
@@ -231,6 +249,33 @@ class TestExitCodes:
                    "--size", "4", *flags, "--out", str(out)) == 2
         assert re.search(r"error: [^\n]* finite and >=? 0", capsys.readouterr().err)
         assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("epochs", ["1", "3"])
+    def test_weights_that_diverge_in_the_last_step_are_3(self, dl1_split, tmp_path, capsys,
+                                                          epochs):
+        # One batch an epoch: its update makes every weight non-finite, so
+        # the first validation pass is the first to see it.
+        out = tmp_path / "m"
+        assert run("train", *dl1_split, "--lr", "1e300", "--max-epochs", epochs,
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "non-finite validation loss nan at epoch 1; lr=1e+300 momentum=0.9" in err
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise", "256"], "noise must be at most 255"),
+        (["--noise", "3000000000000000000000"], "noise must be at most 255"),
+        (["--jitter", "3000000000000000000000"], "jitter must be at most the image size 8"),
+        (["--jitter", "17", "--size", "16"], "jitter must be at most the image size 16"),
+    ], ids=["noise-256", "noise-huge", "jitter-huge", "jitter-over-size"])
+    def test_synth_noise_or_jitter_out_of_range_is_2_and_writes_nothing(
+            self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s"
+        assert run("synth-gen", "--classes", "2", "--per-class", "2", "--size", "8", *flags,
+                   "--out", str(out)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "corpus-match"])
     def test_feature_head_checkpoint_is_2(self, small_corpus, tmp_path, capsys, command):

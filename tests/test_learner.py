@@ -933,6 +933,13 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             fit(net, x, np.array([0, 1]), x, np.array([0, 1]), TrainConfig())
 
+    def test_non_finite_validation_loss_aborts_with_diagnostics(self):
+        net = Network(linear_head(2, ["a", "b"]), seed=0)
+        x = np.zeros((2, 2), dtype=np.float32)
+        with pytest.raises(TrainingDivergedError, match="validation loss nan at epoch 1; lr="):
+            fit(net, x, np.array([0, 1]), x, np.array([0, 1]), TrainConfig(),
+                evaluate_fn=lambda net, x_val, y_val: (0.5, float("nan")))
+
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 6)).astype(np.float32)

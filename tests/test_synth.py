@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,20 @@ class TestGenCorpus:
         with pytest.raises(DomainError):
             synth.SynthSpec(partial_fraction=1.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise": 256}, "noise must be at most 255"),
+        ({"noise": 3 * 10**21}, "noise must be at most 255"),
+        ({"jitter": 3 * 10**21}, "jitter must be at most the image size 64"),
+        ({"jitter": 17, "image_size": 16}, "jitter must be at most the image size 16"),
+    ])
+    def test_noise_and_jitter_are_bounded(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            synth.SynthSpec(**kwargs)
+
+    def test_largest_noise_and_jitter_are_accepted(self):
+        spec = synth.SynthSpec(noise=255, jitter=16, image_size=16)
+        assert (spec.noise, spec.jitter) == (255, 16)
+
 
 def allocating_render_scene(cls, size, noise, jitter, rng):
     """The ``render_scene`` that allocated a new int64 array for the
@@ -111,6 +127,33 @@ class TestRenderScene:
         assert scene.tobytes() == expected.tobytes()
         # The same draws in the same order, so the next image is unchanged too.
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    # The bench's image sizes, the largest noise a SynthSpec takes, and a
+    # jitter that can push a stripe past the edge.
+    @pytest.mark.parametrize("size", [255, 256])
+    @pytest.mark.parametrize("noise", [18, 255])
+    @pytest.mark.parametrize("jitter", [0, 2, 40])
+    @pytest.mark.parametrize("cls", [0, 3, 11])
+    def test_matches_allocating_oracle_at_bench_scale(self, cls, size, noise, jitter):
+        rng, oracle_rng = np.random.default_rng(902), np.random.default_rng(902)
+        scene = synth.render_scene(cls, size, noise, jitter, rng)
+        expected = allocating_render_scene(cls, size, noise, jitter, oracle_rng)
+        assert scene.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_peak_allocation_is_at_most_six_bytes_per_channel_value(self):
+        # The int32 rows (4 bytes a value) and the uint8 result (1 byte)
+        # fit; an int64 build (8 bytes a value) does not.
+        size = 256
+        rng = np.random.default_rng(0)
+        synth.render_scene(3, size, 18, 2, rng)  # settles lazy set-up
+        tracemalloc.start()
+        try:
+            synth.render_scene(3, size, 18, 2, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * size * size * 3
 
 
 class TestLabeledCorpus:
