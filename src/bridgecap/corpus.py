@@ -16,7 +16,8 @@ completion column, or, when ``corpus-match`` is given a completion
 model, from ``tag_completion``, which classifies the image itself.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._records import from_ndjson, iter_csv, to_csv, to_ndjson
 from .errors import ConfigError, FormatError
@@ -26,8 +27,7 @@ MANIFEST_COLUMNS = ("image_path", "bridge_local_id", "state", "structure", "comp
 COMPLETION_VALUES = ("complete", "partial")
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     image_path: str
     bridge_local_id: str
     state: str
@@ -35,8 +35,7 @@ class ManifestEntry:
     completion: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledImage:
+class LabeledImage(NamedTuple):
     image_path: str
     state: str
     structure: str
@@ -215,7 +214,7 @@ def tag_completion(images, checkpoint, image_root=None) -> tuple[list[LabeledIma
     complete_probs = predict_proba(network_from_checkpoint(checkpoint), pixels)
     for img, p in zip(decoded, complete_probs[:, complete_idx].tolist()):
         flag = "complete" if p >= 0.5 else "partial"
-        tagged.append(replace(img, completion=flag))
+        tagged.append(img._replace(completion=flag))
         probs.append((img.image_path, p))
     return tagged, TagReport(
         tagged=len(tagged), rejects=tuple(rejects), probabilities=tuple(probs)

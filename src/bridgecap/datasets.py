@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +202,7 @@ class DatasetSpec:
             raise ConfigError("min_class_size merges load-rating bins; design_load has none")
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetItem:
+class DatasetItem(NamedTuple):
     image_path: str
     cls: int  # 1-based output class
     bridge_key: tuple[str, str] | None = None

@@ -125,6 +125,8 @@ def fit(
     per-epoch validation numbers; injectable so stopping behaviour can
     be driven by a canned sequence in tests.
 
+    ConfigError, before the first epoch, when the learning rate is 0 or
+    infinite in the network's dtype (``1e-50`` or ``1e300`` in float32).
     TrainingDivergedError when a batch's loss or an epoch's validation
     loss is not finite: the last update of an epoch is first seen by its
     validation pass.
@@ -140,6 +142,11 @@ def fit(
         raise DomainError("validation set is empty")
     if y_train.size and (y_train.min() < 0 or y_train.max() >= net.descriptor.num_classes):
         raise DomainError("training labels out of range for the model head")
+    with np.errstate(over="ignore"):  # a rate beyond float32 becomes inf, rejected here
+        lr = net.dtype.type(config.learning_rate)
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"learning rate {config.learning_rate} is {lr} in {net.dtype}, "
+                          f"not finite and > 0")
     if evaluate_fn is None:
         evaluate_fn = evaluate
 
@@ -164,7 +171,7 @@ def fit(
                 )
             for vel, param, grad in zip(velocity, net.parameters(), net.gradients()):
                 vel *= net.dtype.type(config.momentum)
-                vel -= net.dtype.type(config.learning_rate) * grad
+                vel -= lr * grad
                 param += vel
             loss_sum += loss * len(batch)
             correct += int((preds == y_train[batch]).sum())

@@ -16,6 +16,7 @@ both formats. A line ends only at ``\\n`` (``_records``' line rule).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._records import ascii_number, from_ndjson, iter_csv, iter_lines, loads, to_csv, to_ndjson
 from .config import check
@@ -64,8 +65,7 @@ def is_valid_state_code(code: str) -> bool:
     return code in _STATE_CODES
 
 
-@dataclass(frozen=True, slots=True)
-class NbiRecord:
+class NbiRecord(NamedTuple):
     state: str
     structure_raw: str
     structure: str

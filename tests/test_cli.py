@@ -255,12 +255,24 @@ class TestExitCodes:
     def test_weights_that_diverge_in_the_last_step_are_3(self, dl1_split, tmp_path, capsys,
                                                           epochs):
         # One batch an epoch: its update makes every weight non-finite, so
-        # the first validation pass is the first to see it.
+        # the first validation pass is the first to see it. 3e38 is
+        # finite in float32; a larger rate is rejected before any epoch.
         out = tmp_path / "m"
-        assert run("train", *dl1_split, "--lr", "1e300", "--max-epochs", epochs,
+        assert run("train", *dl1_split, "--lr", "3e38", "--max-epochs", epochs,
                    "--out", str(out)) == 3
         err = capsys.readouterr().err
-        assert "non-finite validation loss nan at epoch 1; lr=1e+300 momentum=0.9" in err
+        assert "non-finite validation loss nan at epoch 1; lr=3e+38 momentum=0.9" in err
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lr, as_float32", [("1e-50", "0.0"), ("1e300", "inf")])
+    def test_learning_rate_float32_cannot_hold_is_2(self, dl1_split, tmp_path, capsys,
+                                                      lr, as_float32):
+        out = tmp_path / "m"
+        assert run("train", *dl1_split, "--lr", lr, "--max-epochs", "2", "--patience", "2",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: learning rate {float(lr)} is {as_float32} in float32" in err
         assert not (out / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -347,7 +347,8 @@ class TestVariants:
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(st.lists(st.builds(ds.DatasetItem, image_path=st.text(),
-                              cls=st.integers(-10**12, 10**12)), max_size=8),
+                              cls=st.integers(-10**12, 10**12), bridge_key=st.none()),
+                    max_size=8),
            st.integers(0, 8))
     @example([ds.DatasetItem("a\rb.pnm", 1), ds.DatasetItem("c.pnm", 2)], 1)
     def test_split_csv_round_trip_any_text(self, items, cut):
@@ -421,7 +422,8 @@ class TestSplitCsvReader:
     @settings(derandomize=True, deadline=None, database=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.builds(ds.DatasetItem, image_path=st.text(),
-                              cls=st.integers(-10**12, 10**12)), max_size=8),
+                              cls=st.integers(-10**12, 10**12), bridge_key=st.none()),
+                    max_size=8),
            st.integers(0, 8))
     @example([ds.DatasetItem("a\rb.pnm", 1), ds.DatasetItem("c\r\nd.pnm", 2)], 1)
     def test_file_opened_as_train_opens_it_gives_the_written_paths(self, tmp_path, items, cut):

@@ -19,14 +19,17 @@ depend on the other images of its chunk. An environment is named by the
 fields of the benchmark's environment record that decide those bytes
 (``perfbench/run.py``: NumPy, BLAS build, BLAS threads, nproc) and by
 the SIMD extensions NumPy found on the CPU, since both NumPy and a
-DYNAMIC_ARCH OpenBLAS pick kernels by them. On an environment the table
-has no row for, the test skips and names it.
+DYNAMIC_ARCH OpenBLAS pick kernels by them, and by the core OpenBLAS
+picked, which ``OPENBLAS_CORETYPE`` can override. On an environment the
+table has no row for, the test skips and names it.
 
 A change that moves an artifact on purpose updates ``GOLDEN`` or
 ``BLAS_GOLDEN`` (the failing assertion shows the new digests) and names
 each moved artifact and the reason in CHANGES.md.
 """
 
+import ctypes
+import glob
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -107,9 +110,11 @@ _XEON_2CPU_SIX = {
 # Environment (see ``environment``) -> head width -> artifact -> SHA-256.
 BLAS_GOLDEN = {
     ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 1 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, core SkylakeX"):
+        {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
     ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 2 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
+     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, core SkylakeX"):
+        {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
 }
 
 
@@ -160,6 +165,22 @@ def test_artifacts_match_the_golden_table(tmp_path):
     assert artifact_digests(tmp_path) == GOLDEN
 
 
+def openblas_core() -> str:
+    """The kernel set (core) the bundled OpenBLAS picked, found as
+    ``perfbench/run.py::blas_threads`` finds its getter; ``unknown``
+    without one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
+        lib = ctypes.CDLL(lib_path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def environment() -> str:
     """This process's BLAS environment, as ``BLAS_GOLDEN`` names one."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "perfbench" / "run.py")
@@ -171,7 +192,7 @@ def environment() -> str:
     except (TypeError, KeyError):
         simd = "unknown"
     return (f"numpy {record['numpy']}, {record['blas']}, {record['blas_threads']} BLAS threads, "
-            f"nproc {record['nproc']}, SIMD {simd}")
+            f"nproc {record['nproc']}, SIMD {simd}, core {openblas_core()}")
 
 
 def blas_digests(out: Path, classes: int) -> dict[str, str]:

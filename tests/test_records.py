@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -16,8 +15,9 @@ from bridgecap import cli
 from bridgecap import evaluation as ev
 from bridgecap import _records, report
 from bridgecap._records import from_ndjson, plain, to_ndjson
-from bridgecap.corpus import JoinReport, LabeledImage, TagReport, labeled_from_ndjson
-from bridgecap.datasets import BinningScheme, bin_load_rating
+from bridgecap.corpus import (JoinReport, LabeledImage, ManifestEntry, TagReport,
+                             labeled_from_ndjson)
+from bridgecap.datasets import BinningScheme, DatasetItem, bin_load_rating
 from bridgecap.errors import DomainError, FormatError
 from bridgecap.learner import Network, micro_cnn
 from bridgecap.learner.checkpoint import checkpoint_to_bytes, make_checkpoint
@@ -160,7 +160,7 @@ def record_lists(numbers):
 JSON_LINES = st.lists(
     st.recursive(st.none() | st.booleans() | INTS | st.floats() | TEXT,
                  lambda children: st.lists(children, max_size=3)
-                 | st.dictionaries(TEXT | st.sampled_from([f.name for f in fields(LabeledImage)]),
+                 | st.dictionaries(TEXT | st.sampled_from(LabeledImage._fields),
                                    children, max_size=7),
                  max_leaves=8).map(json.dumps),
     max_size=3,
@@ -208,7 +208,7 @@ class TestNdjson:
         cls, records = case
         try:
             expected = "".join(
-                json.dumps({f.name: getattr(r, f.name) for f in fields(cls)},
+                json.dumps({name: getattr(r, name) for name in cls._fields},
                            sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
                 for r in records
             )
@@ -250,6 +250,42 @@ class TestNdjson:
         line = '{"image_path":"a","state":"01","structure":"S1","load_rating_tons":%s}'
         with pytest.raises(FormatError, match="line 1: not valid JSON"):
             from_ndjson(LabeledImage, line % value)
+
+
+ROW_RECORDS = [
+    NbiRecord("01", "0S1", "S1", 3, 12.5, "3"),
+    ManifestEntry("a.pnm", "b1", "01", "0S1", "complete"),
+    LabeledImage("a.pnm", "01", "S1", 3, 12.5, "partial"),
+    DatasetItem("a.pnm", 2, ("01", "S1")),
+]
+
+
+class TestRowRecords:
+    @pytest.mark.parametrize("record", ROW_RECORDS, ids=lambda r: type(r).__name__)
+    def test_immutable_hashable_and_replaced_as_its_own_type(self, record):
+        name = type(record)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, "x")
+        assert hash(record) == hash(type(record)(*record))
+        changed = record._replace(**{name: "x"})
+        assert type(changed) is type(record)
+        assert getattr(changed, name) == "x" and changed[1:] == record[1:]
+
+    @pytest.mark.parametrize("cls, record", [
+        (NbiRecord, ROW_RECORDS[0]), (LabeledImage, ROW_RECORDS[2]),
+        (LabeledImage, LabeledImage("a", "01", "S1", None, 7, None)),
+    ], ids=["nbi", "labeled", "labeled_int_rating"])
+    def test_every_path_reads_the_record(self, cls, record):
+        fields = record._asdict()
+        last = cls._fields[-1]
+        # Keys exactly the fields, in any order, take the fast path; an
+        # extra or an absent optional key takes the positional one.
+        fast = [to_ndjson(cls, [record]).rstrip("\n"), json.dumps(dict(reversed(fields.items())))]
+        fallback = [json.dumps({**fields, "extra": [1]}),
+                    json.dumps({n: v for n, v in fields.items() if n != last})]
+        got = from_ndjson(cls, "\n".join(fast + fallback))
+        assert got == [record, record, record, record._replace(**{last: None})]
+        assert all(type(r) is cls for r in got)
 
 
 # Every separator str.splitlines breaks at, of which only \n and \r\n end
@@ -298,7 +334,7 @@ class TestBlockReader:
 
     def test_raw_line_separators_stay_in_their_line(self, tmp_path):
         record = LabeledImage("a\u2028b\x85c\u2029d", "01", "S1")
-        line = json.dumps(plain(record), ensure_ascii=False)
+        line = json.dumps(record._asdict(), ensure_ascii=False)
         path = tmp_path / "labeled.ndjson"
         path.write_bytes(f"{line}\n{line}\r\n".encode())
         for size in (1, 1 << 20):
