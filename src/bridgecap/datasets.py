@@ -93,14 +93,9 @@ def merge_small_classes(counts, scheme: BinningScheme, threshold: int) -> Binnin
     edges = list(scheme.edges)
     while len(counts) > 1 and min(counts) < threshold:
         i = next(idx for idx, c in enumerate(counts) if c < threshold)
-        if i == len(counts) - 1:
-            counts[i - 1] += counts[i]
-            del counts[i]
-            del edges[i]
-        else:
-            counts[i + 1] += counts[i]
-            del counts[i]
-            del edges[i + 1]
+        j = min(i, len(counts) - 2)  # bins j and j + 1 merge
+        counts[j:j + 2] = [counts[j] + counts[j + 1]]
+        del edges[j + 1]
     if tuple(edges) == scheme.edges:
         return scheme
     return BinningScheme(name=scheme.name, edges=tuple(edges))
@@ -236,7 +231,8 @@ def _by_class(items) -> dict[int, list]:
 def downsample(items, caps, seed: int):
     """Per-class down-sampling without replacement.
 
-    ``caps`` maps 1-based class index to a maximum; uncapped classes pass
+    ``caps`` maps 1-based class index to a maximum of at least 1, as
+    ``DatasetSpec`` and ``match_min`` give them; uncapped classes pass
     through whole, capped classes keep min(cap, available) images. The
     draw is seeded per class, so changing one class's cap does not
     reshuffle the others.
@@ -250,21 +246,14 @@ def downsample(items, caps, seed: int):
         if cap is None or cap >= len(members):
             kept.extend(members)
             continue
-        if cap < 1:
-            raise DomainError(f"cap for class {cls} must be >= 1")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cls,)))
         chosen = rng.choice(len(members), size=cap, replace=False)
         kept.extend(members[i] for i in sorted(chosen))
     return kept
 
 
-def split_dataset(
-    items,
-    split_fraction: float = 0.8,
-    seed: int = 0,
-    stratified: bool = True,
-    group_split: str = "image_level",
-) -> DatasetSplit:
+def split_dataset(items, split_fraction: float, seed: int, stratified: bool,
+                  group_split: str) -> DatasetSplit:
     """Deterministic train/test partition.
 
     Stratified mode draws floor(split_fraction * n) training images per
@@ -292,7 +281,7 @@ def split_dataset(
     for cls, members in per_class.items():
         n = len(members)
         n_train = math.floor(split_fraction * n)
-        if n < 2 or n_train < 1:
+        if n_train < 1:  # so is every n < 2, as split_fraction < 1
             raise DomainError(
                 f"class {cls} has {n} image(s); stratified split needs at least "
                 f"2 and a non-empty train share"

@@ -6,9 +6,10 @@ Conventions, fixed once so every report means the same thing:
 * Matrix rows are actual classes, columns are predicted classes.
 * Per-class precision/recall/F1 are one-vs-rest. When TP+FP = 0,
   precision is 0; when a class has no actual samples (TP+FN = 0), its
-  recall and F1 are undefined and the class is excluded from the macro
-  means; F1 is 0 when precision + recall = 0.
-* Macro metrics are unweighted means over (defined) classes.
+  recall and F1 are undefined; F1 is 0 when precision + recall = 0.
+* Macro metrics are unweighted means. Macro precision averages all K
+  classes, a class never predicted counting 0; macro recall and macro F1
+  average only the classes with actual samples.
 * For threshold binarization the positive class is "at or below the
   boundary class", i.e. capacity lower than the next level up.
 """
@@ -27,7 +28,7 @@ _CONFUSION_SHAPE = {"labels": [str], "counts": [[int]]}
 @dataclass(frozen=True)
 class ConfusionMatrix:
     counts: np.ndarray  # (K, K) int64; rows = actual, cols = predicted
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -35,15 +36,15 @@ class ConfusionMatrix:
             raise DomainError(f"confusion matrix must be square, got {counts.shape}")
         if (counts < 0).any():
             raise DomainError("confusion matrix counts must be non-negative")
-        labels = self.labels or tuple(str(i + 1) for i in range(counts.shape[0]))
-        if len(labels) != counts.shape[0]:
-            raise DomainError("label count does not match matrix size")
+        labels = tuple(self.labels)
+        if len(labels) != len(counts):
+            raise DomainError(f"{len(labels)} labels for {len(counts)} classes")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def k(self) -> int:
-        return self.counts.shape[0]
+        return len(self.counts)
 
     @property
     def total(self) -> int:
@@ -58,9 +59,9 @@ class ConfusionMatrix:
         return cls(counts=np.array(counts, dtype=np.int64), labels=tuple(d["labels"]))
 
 
-def confusion(predictions, truths, k: int, labels=()) -> ConfusionMatrix:
-    """Count (actual, predicted) pairs into a K x K matrix. Class indices
-    are 0-based and must lie in [0, k)."""
+def confusion(predictions, truths, k: int, labels) -> ConfusionMatrix:
+    """Count (actual, predicted) pairs into a K x K matrix whose classes
+    ``labels`` names. Class indices are 0-based and must lie in [0, k)."""
     preds = np.asarray(predictions, dtype=np.int64)
     acts = np.asarray(truths, dtype=np.int64)
     if preds.shape != acts.shape or preds.ndim != 1:
@@ -104,9 +105,9 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
             r = float(tp[c]) / float(actual[c])
             fn = actual[c] - tp[c]
             fp = predicted[c] - tp[c]
-            # F1 = 2PR/(P+R) reduces to 2TP/(2TP+FP+FN); 0 when P+R = 0.
-            denom = 2 * tp[c] + fp + fn
-            f1 = float(2 * tp[c]) / float(denom) if denom > 0 else 0.0
+            # F1 = 2PR/(P+R) reduces to 2TP/(2TP+FP+FN), whose denominator
+            # is at least TP+FN > 0; 0 when P+R = 0.
+            f1 = float(2 * tp[c]) / float(2 * tp[c] + fp + fn)
             recalls.append(r)
             f1s.append(f1)
         else:

@@ -4,15 +4,17 @@ import hashlib
 import json
 import re
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bridgecap import synth
+from bridgecap import config, synth
 from bridgecap.cli import main
-from bridgecap.errors import BridgecapError, InvariantError
+from bridgecap.errors import BridgecapError, ConfigError, InvariantError
 from helpers import (
     BAD_DESCRIPTORS,
     BAD_SIZES,
@@ -342,11 +344,11 @@ class TestExitCodes:
             "--out", str(tmp_path / "b"),
         ) == 2
 
-    @pytest.mark.parametrize("spec", [
-        {"kind": "load_rating", "labels": ["low", "high"]},
-        {"kind": "design_load", "drop": [1]},
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "load_rating", "labels": ["low", "high"]}, "edges"),
+        ({"kind": "design_load", "drop": [1]}, "passthrough"),
     ], ids=["no_edges", "no_passthrough"])
-    def test_spec_missing_required_key_is_2(self, tmp_path, spec):
+    def test_spec_missing_required_key_is_2(self, tmp_path, capsys, spec, key):
         corpus = tmp_path / "labeled.ndjson"
         corpus.write_text("")
         path = tmp_path / "spec.json"
@@ -354,6 +356,7 @@ class TestExitCodes:
         assert run(
             "dataset-build", str(path), "--corpus", str(corpus), "--out", str(tmp_path / "d"),
         ) == 2
+        assert f"is missing required key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["class_labels", "colour"])
     def test_dataset_manifest_missing_key_is_2(self, small_corpus, tmp_path, key):
@@ -450,6 +453,12 @@ class TestExitCodes:
         cm = tmp_path / "confusion.json"
         cm.write_text(json.dumps({"labels": ["a", "b"]}))
         assert run("binarize", "--confusion", str(cm), "--out", str(tmp_path / "b")) == 2
+
+    def test_confusion_without_labels_is_2(self, tmp_path, capsys):
+        cm = tmp_path / "confusion.json"
+        cm.write_text(json.dumps({"labels": [], "counts": [[3, 1], [0, 2]]}))
+        assert run("binarize", "--confusion", str(cm), "--out", str(tmp_path / "b")) == 2
+        assert "error: 0 labels for 2 classes" in capsys.readouterr().err
 
     def test_profile_format_not_object_is_2(self, tmp_path):
         profile = tmp_path / "profile.json"
@@ -707,6 +716,29 @@ class TestExitCodes:
         assert run(*argv, "--out", str(tmp_path / "o")) == 2
         assert f"error: {where}: not utf-8 text (invalid start byte)\n" in (
             capsys.readouterr().err)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value, kind", [
+        (2**63 - 1, int), (-(2**63 - 1), int), (sys.float_info.max, float),
+        (-sys.float_info.max, float),
+    ])
+    def test_the_largest_numbers_are_accepted(self, value, kind):
+        config.check(value, kind, "x")
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63 + 1)])
+    def test_an_int_beyond_int64_is_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"x must be int, got {value}"):
+            config.check(value, int, "x")
+
+    def test_output_dir_precedence(self, monkeypatch):
+        cfg = {"paths": {"output_dir": "from_config"}}
+        monkeypatch.delenv(config.OUTPUT_DIR_ENV, raising=False)
+        assert config.resolve_output_dir(None, {}) == Path(".")
+        assert config.resolve_output_dir(None, cfg) == Path("from_config")
+        monkeypatch.setenv(config.OUTPUT_DIR_ENV, "from_env")
+        assert config.resolve_output_dir(None, cfg) == Path("from_env")
+        assert config.resolve_output_dir("from_flag", cfg) == Path("from_flag")
 
 
 class TestCarriageReturns:
@@ -1199,6 +1231,14 @@ class TestDeterminism:
         assert run(*argv) == 0
         assert (replay / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
         assert _manifest(replay, "train")["inputs"] == _manifest(first, "train")["inputs"]
+
+    def test_dataset_build_without_seed_uses_seed_0(self, small_corpus, tmp_path):
+        corpus = str(small_corpus / "joined" / "labeled.ndjson")
+        assert run("dataset-build", "DL1", "--corpus", corpus, "--out", str(tmp_path / "a")) == 0
+        assert run("dataset-build", "DL1", "--corpus", corpus, "--seed", "0",
+                   "--out", str(tmp_path / "b")) == 0
+        for name in ("split.csv", "dataset_manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_env_var_output_dir(self, small_corpus, tmp_path, monkeypatch):
         out = tmp_path / "env_out"

@@ -66,9 +66,9 @@ class TestBinning:
             assert 1 <= cls <= LR5.bin_count
 
     def test_edges_must_start_at_zero_and_increase(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"bad: first edge must be 0, got \(5\.0,\)$"):
             ds.BinningScheme(name="bad", edges=(5, 10))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="bad: edges must be strictly increasing"):
             ds.BinningScheme(name="bad", edges=(0, 10, 10))
 
 
@@ -92,6 +92,18 @@ class TestMergeSmallClasses:
         scheme = ds.BinningScheme(name="lr", edges=(0, 10, 20))
         merged = ds.merge_small_classes([100, 90, 5], scheme, threshold=50)
         assert merged.edges == (0.0, 10.0)
+
+    def test_lowest_underfilled_bin_merges_first_past_a_full_one(self):
+        # Bin 1 holds exactly the threshold, so bin 2 is the lowest underfilled.
+        scheme = ds.BinningScheme(name="lr", edges=(0, 5, 10, 15))
+        merged = ds.merge_small_classes([50, 10, 100, 100], scheme, threshold=50)
+        assert merged.edges == (0.0, 5.0, 15.0)
+
+    def test_only_the_last_bin_merges_downward(self):
+        scheme = ds.BinningScheme(name="lr", edges=(0, 5, 10, 15))
+        assert ds.merge_small_classes([100, 100, 10, 100], scheme, 50).edges == (0.0, 5.0, 10.0)
+        assert ds.merge_small_classes([100, 100, 100, 10], scheme, 50).edges == (0.0, 5.0, 10.0)
+        assert ds.merge_small_classes([100, 10, 100, 40], scheme, 50).edges == (0.0, 5.0)
 
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -143,7 +155,8 @@ class TestClassMap:
             assert outputs == list(range(1, output_count(spec) + 1))
 
     def test_partition_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="bad: drop/merge/passthrough must partition classes 1..12$"):
             ds.ClassMapSpec(name="bad", passthrough=(1, 2), drop=frozenset({2, 3}))
 
 
@@ -180,39 +193,46 @@ class TestDownsample:
 
 class TestSplit:
     def test_floor_rule(self):
-        split = ds.split_dataset(make_items({1: 100}), split_fraction=0.8, seed=0)
+        split = ds.split_dataset(make_items({1: 100}), split_fraction=0.8, seed=0,
+                                 stratified=True, group_split="image_level")
         assert len(split.train) == 80 and len(split.test) == 20
 
     def test_small_class_floor(self):
-        split = ds.split_dataset(make_items({1: 5, 2: 5}), split_fraction=0.8, seed=0)
+        split = ds.split_dataset(make_items({1: 5, 2: 5}), split_fraction=0.8, seed=0,
+                                 stratified=True, group_split="image_level")
         assert split.class_counts("train") == {1: 4, 2: 4}
         assert split.class_counts("test") == {1: 1, 2: 1}
 
     def test_determinism(self):
         items = make_items({1: 30, 2: 12})
-        a = ds.split_dataset(items, seed=5)
-        b = ds.split_dataset(items, seed=5)
+        fixed = {"split_fraction": 0.8, "stratified": True, "group_split": "image_level"}
+        a = ds.split_dataset(items, seed=5, **fixed)
+        b = ds.split_dataset(items, seed=5, **fixed)
         assert a == b
-        assert a != ds.split_dataset(items, seed=6)
+        assert a != ds.split_dataset(items, seed=6, **fixed)
 
     def test_partition_property(self):
         items = make_items({1: 37, 2: 11, 3: 8})
-        split = ds.split_dataset(items, split_fraction=0.7, seed=2)
+        split = ds.split_dataset(items, split_fraction=0.7, seed=2, stratified=True,
+                                 group_split="image_level")
         got = sorted(i.image_path for i in split.train + split.test)
         assert got == sorted(i.image_path for i in items)
         for cls, n in ((1, 37), (2, 11), (3, 8)):
             assert split.class_counts("train")[cls] == math.floor(0.7 * n)
 
     def test_test_classes_subset_of_train(self):
-        split = ds.split_dataset(make_items({1: 9, 2: 2, 3: 3}), seed=0)
+        split = ds.split_dataset(make_items({1: 9, 2: 2, 3: 3}), split_fraction=0.8, seed=0,
+                                 stratified=True, group_split="image_level")
         assert set(split.class_counts("test")) <= set(split.class_counts("train"))
 
     def test_single_image_class_errors_with_name(self):
         with pytest.raises(DomainError, match="class 2"):
-            ds.split_dataset(make_items({1: 10, 2: 1}), seed=0)
+            ds.split_dataset(make_items({1: 10, 2: 1}), split_fraction=0.8, seed=0,
+                             stratified=True, group_split="image_level")
 
     def test_plain_random_mode(self):
-        split = ds.split_dataset(make_items({1: 10, 2: 10}), seed=3, stratified=False)
+        split = ds.split_dataset(make_items({1: 10, 2: 10}), split_fraction=0.8, seed=3,
+                                 stratified=False, group_split="image_level")
         assert len(split.train) == 16 and len(split.test) == 4
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -220,13 +240,14 @@ class TestSplit:
            st.sampled_from([0.5, 0.7, 0.8, 0.9]), st.integers(0, 2**32 - 1), st.booleans())
     def test_partition_invariants(self, counts, fraction, seed, stratified):
         items = make_items(counts)
-        split = ds.split_dataset(items, split_fraction=fraction, seed=seed, stratified=stratified)
+        split = ds.split_dataset(items, split_fraction=fraction, seed=seed, stratified=stratified,
+                                 group_split="image_level")
         train = [i.image_path for i in split.train]
         test = [i.image_path for i in split.test]
         assert set(train).isdisjoint(test)
         assert sorted(train + test) == sorted(i.image_path for i in items)
         assert ds.split_dataset(items, split_fraction=fraction, seed=seed,
-                                stratified=stratified) == split
+                                stratified=stratified, group_split="image_level") == split
 
     def test_bridge_level_keeps_bridges_whole(self):
         items = []
@@ -240,11 +261,59 @@ class TestSplit:
                             bridge_key=("01", f"B{cls}{b}"),
                         )
                     )
-        split = ds.split_dataset(items, seed=1, group_split="bridge_level")
+        split = ds.split_dataset(items, split_fraction=0.8, seed=1, stratified=True,
+                                 group_split="bridge_level")
         train_bridges = {i.bridge_key for i in split.train}
         test_bridges = {i.bridge_key for i in split.test}
         assert train_bridges.isdisjoint(test_bridges)
         assert len(split.train) + len(split.test) == len(items)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.dictionaries(st.integers(1, 4), st.tuples(st.integers(2, 8), st.integers(1, 4)),
+                           min_size=1, max_size=4),
+           st.sampled_from([0.5, 0.7, 0.8, 0.9]), st.integers(0, 2**32 - 1))
+    def test_bridge_level_train_takes_bridges_until_the_floor(self, shapes, fraction, seed):
+        # shapes: class -> (bridges, images per bridge). A class's bridges
+        # are all one size, so dropping any train bridge drops the last
+        # one taken, and that must take the class below floor(f * n).
+        items = [ds.DatasetItem(f"c{cls}b{b}i{i}", cls, ("01", f"B{cls}-{b}"))
+                 for cls, (bridges, size) in shapes.items()
+                 for b in range(bridges) for i in range(size)]
+        split = ds.split_dataset(items, split_fraction=fraction, seed=seed, stratified=True,
+                                 group_split="bridge_level")
+        train = split.class_counts("train")
+        for cls, (bridges, size) in shapes.items():
+            floor = math.floor(fraction * bridges * size)
+            assert train.get(cls, 0) >= floor > train.get(cls, 0) - size, cls
+
+    def test_bridge_level_class_of_two_bridges_splits(self):
+        items = [ds.DatasetItem(f"b{b}i{i}", 1, ("01", f"B{b}")) for b in (0, 1) for i in (0, 1)]
+        for seed in range(4):
+            split = ds.split_dataset(items, split_fraction=0.5, seed=seed, stratified=True,
+                                     group_split="bridge_level")
+            assert len(split.train) == len(split.test) == 2
+            assert len({i.bridge_key for i in split.train}) == 1
+        with pytest.raises(DomainError, match="class 1 spans 1 bridge"):
+            ds.split_dataset(items[:2], split_fraction=0.5, seed=0, stratified=True,
+                             group_split="bridge_level")
+
+    def test_bridge_with_two_classes_stays_on_one_side(self):
+        # A hand-written labeled.ndjson can give one bridge's images two
+        # load ratings. Bridge S0 holds one image of each class; its side
+        # is fixed by class 1, and class 2 counts its image there.
+        corpus = [LabeledImage(f"s{b}_{tons:g}.pnm", "01", f"S{b}", load_rating_tons=tons)
+                  for b, tons in [(0, 5.0), (1, 5.0), (2, 5.0), (3, 5.0),
+                                  (0, 25.0), (4, 25.0), (5, 25.0), (6, 25.0)]]
+        sides = set()
+        for seed in range(8):
+            spec = ds.DatasetSpec("two", ds.BinningScheme("two", (0, 20)), seed=seed,
+                                  split_fraction=0.5, group_split="bridge_level")
+            split = ds.build_variant(spec, corpus).split
+            train = {i.image_path for i in split.train}
+            assert ("s0_5.pnm" in train) == ("s0_25.pnm" in train)
+            assert split.class_counts("train") == {1: 2, 2: 2}
+            sides.add("s0_5.pnm" in train)
+        assert sides == {True, False}
 
 
 class TestVariants:
@@ -300,6 +369,28 @@ class TestVariants:
         result = ds.build_variant(spec, corpus)
         assert result.class_labels == ("0-10 tons", ">10 tons")
         assert result.class_counts == {1: 53, 2: 60}
+
+    def test_min_class_size_counts_each_bin_from_its_own_images(self):
+        # 10, 9 and 10 images in bins 1-3: only bin 2 is short of 10.
+        corpus = [LabeledImage(f"n{tons:g}_{i}", "01", f"N{tons:g}{i}", load_rating_tons=tons)
+                  for tons, n in ((2.0, 10), (12.0, 9), (22.0, 10)) for i in range(n)]
+        spec = ds.DatasetSpec("three", ds.BinningScheme("three", (0, 10, 20)),
+                              min_class_size=10)
+        result = ds.build_variant(spec, corpus)
+        assert result.spec.label_source.edges == (0.0, 10.0)
+        assert result.class_counts == {1: 10, 2: 19}
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_split_fraction_bounds_are_rejected(self, fraction):
+        design_load = ds.load_preset("DL1").label_source
+        with pytest.raises(ConfigError, match="split_fraction must be in"):
+            ds.DatasetSpec("dl", design_load, split_fraction=fraction)
+
+    def test_caps_must_be_positive(self):
+        design_load = ds.load_preset("DL1").label_source
+        assert ds.DatasetSpec("dl", design_load, caps={"3": 1}).caps == {3: 1}
+        with pytest.raises(ConfigError, match="caps must be positive"):
+            ds.DatasetSpec("dl", design_load, caps={"3": 0})
 
     def test_spec_rejects_settings_it_cannot_honour(self):
         design_load = ds.load_preset("DL1").label_source

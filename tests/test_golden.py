@@ -19,9 +19,15 @@ depend on the other images of its chunk. An environment is named by the
 fields of the benchmark's environment record that decide those bytes
 (``perfbench/run.py``: NumPy, BLAS build, BLAS threads, nproc) and by
 the SIMD extensions NumPy found on the CPU, since both NumPy and a
-DYNAMIC_ARCH OpenBLAS pick kernels by them, and by the core OpenBLAS
-picked, which ``OPENBLAS_CORETYPE`` can override. On an environment the
-table has no row for, the test skips and names it.
+DYNAMIC_ARCH OpenBLAS pick kernels by them, and by the core (kernel set)
+OpenBLAS picked, which ``OPENBLAS_CORETYPE`` overrides.
+
+The BLAS tests run the pipeline once per core in ``CORES``, each in a
+subprocess (this file run as a script) with ``OPENBLAS_CORETYPE`` set, so
+one CPU checks the bytes of four kernel sets. Each run is compared with
+the row of the environment it reports. A core the CPU cannot run, or an
+environment the table has no row for, is skipped by name once the other
+cores are compared.
 
 A change that moves an artifact on purpose updates ``GOLDEN`` or
 ``BLAS_GOLDEN`` (the failing assertion shows the new digests) and names
@@ -32,6 +38,11 @@ import ctypes
 import glob
 import hashlib
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,34 +98,85 @@ GOLDEN = {
 }
 
 
-# A 2-vCPU Xeon's bytes at one and at two BLAS threads alike, taken from
-# the bytes of the commit before this table was added.
-_XEON_2CPU = {
-    "evaluate/confusion.json": "a8f0f66e6315553d551dd076827a0c3e611c2dec0781fce1892b009a0657bceb",
-    "evaluate/error_distribution.json":
-        "e712379bdc52581f8f36f982100ccd2aac049f0321b3843deb39914eb5d76881",
-    "evaluate/metrics.json": "fd2aca23090bef4c24fa655b21fa4ec5716a749dc1a973e16a03e90760d760be",
-    "train/history.json": "8a6d8c5d01ed1100a694d642ff03f1a2e40c640433ecb0b26a4bbfb203a297a0",
-    "train/model.ckpt": "df59c1c7d154c217254f0fa334ede864616d784fcb1d1d28bf7e0aef10ebe04a",
+# A 2-vCPU Xeon's evaluate outputs, the same under every core below.
+_EVALUATE = {
+    3: {
+        "evaluate/confusion.json":
+            "a8f0f66e6315553d551dd076827a0c3e611c2dec0781fce1892b009a0657bceb",
+        "evaluate/error_distribution.json":
+            "e712379bdc52581f8f36f982100ccd2aac049f0321b3843deb39914eb5d76881",
+        "evaluate/metrics.json":
+            "fd2aca23090bef4c24fa655b21fa4ec5716a749dc1a973e16a03e90760d760be",
+    },
+    6: {
+        "evaluate/confusion.json":
+            "7418c61db628daf645adf342613f7ac2b340d705bf376def3d67ef26615b5f37",
+        "evaluate/error_distribution.json":
+            "03c917170e9fb872870910274c8426bc49c1b6ebc2cb49b219b988efdaeef629",
+        "evaluate/metrics.json":
+            "8d646080dbadfee1409dd8f531e8186a84dffe22b8df0932e88549feb75ec2cc",
+    },
 }
-# The same Xeon's bytes for the 6-wide head, at one and at two BLAS
-# threads alike, taken from the bytes of the commit before they were added.
-_XEON_2CPU_SIX = {
-    "evaluate/confusion.json": "7418c61db628daf645adf342613f7ac2b340d705bf376def3d67ef26615b5f37",
-    "evaluate/error_distribution.json":
-        "03c917170e9fb872870910274c8426bc49c1b6ebc2cb49b219b988efdaeef629",
-    "evaluate/metrics.json": "8d646080dbadfee1409dd8f531e8186a84dffe22b8df0932e88549feb75ec2cc",
-    "train/history.json": "e5924c560edde9c3237b5e39930fa7b82455588d9fbd8203b32f15575d403b07",
-    "train/model.ckpt": "3f5da6008009fdf7ccd0ca88949bdbf0c4d1a51e002b4091bbd9dcb5c026ddcb",
+# The same Xeon's train outputs per OpenBLAS core, keyed by the name the
+# getter reports, at one and at two BLAS threads alike. SkylakeX (the core
+# OpenBLAS picks here) was taken from the bytes of the commit before the
+# table was added, the other cores from the commit before they were added.
+_TRAIN = {
+    "SkylakeX": {
+        3: {
+            "train/history.json":
+                "8a6d8c5d01ed1100a694d642ff03f1a2e40c640433ecb0b26a4bbfb203a297a0",
+            "train/model.ckpt": "df59c1c7d154c217254f0fa334ede864616d784fcb1d1d28bf7e0aef10ebe04a",
+        },
+        6: {
+            "train/history.json":
+                "e5924c560edde9c3237b5e39930fa7b82455588d9fbd8203b32f15575d403b07",
+            "train/model.ckpt": "3f5da6008009fdf7ccd0ca88949bdbf0c4d1a51e002b4091bbd9dcb5c026ddcb",
+        },
+    },
+    "Haswell": {
+        3: {
+            "train/history.json":
+                "446aa7512dae73ef562469fdaed6af9bab79f3a368da35acd14d5b492deaa010",
+            "train/model.ckpt": "92bceeae6e0fddc16f6ab39adbcf94bf9a59ffd142a279cd8e6bb4c418d52200",
+        },
+        6: {
+            "train/history.json":
+                "dc2b5c20f5e649494f434a96e75837eb701f04c3307346e1393366f3b46819fd",
+            "train/model.ckpt": "e1b34bc1a4205c06645f4a604c38b1d05eef1f50b1bb7ccdc9f3edb4b8de83c9",
+        },
+    },
+    "Sandybridge": {
+        3: {
+            "train/history.json":
+                "0134dabbc85e794d28507d1545cf18482ee1b7a6921b3fc3bf5c93b0b4a0a218",
+            "train/model.ckpt": "a777b555943e0dca4f108d15e0d63726a85c2ff6d5aeaf50302287bf400eeaa0",
+        },
+        6: {
+            "train/history.json":
+                "ec95531306a48ba824acb68156931d447ba5725da063d2a51f4dde540b516f9e",
+            "train/model.ckpt": "bf0f1b267bb6dc5da867d6dc41056d9b39f07440657bf8c5e847a2112f57a999",
+        },
+    },
+    "Katmai": {
+        3: {
+            "train/history.json":
+                "0ed0ee0a898bf901fa9fd227236142f2d471dc5ef15b55ff41f358b4e75618b0",
+            "train/model.ckpt": "3b99776acb64c4e20a01767329ce3d95e2b12c7a4a80b54aa40da492d0e66e21",
+        },
+        6: {
+            "train/history.json":
+                "56eb0f7d504518c14a8137ec4938d3b6bc2ae321ef4985492eca0b5071242451",
+            "train/model.ckpt": "fa97e1215a7f5a5981a82b759e1cf7f23d203ac9237032fc721558df9e4af386",
+        },
+    },
 }
 # Environment (see ``environment``) -> head width -> artifact -> SHA-256.
 BLAS_GOLDEN = {
-    ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 1 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, core SkylakeX"):
-        {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
-    ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, 2 BLAS threads, nproc 2, "
-     "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, core SkylakeX"):
-        {3: _XEON_2CPU, 6: _XEON_2CPU_SIX},
+    (f"numpy 2.4.6, scipy-openblas 0.3.31.188.0, {threads} BLAS threads, nproc 2, "
+     f"SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, core {core}"):
+        {width: {**_EVALUATE[width], **train[width]} for width in (3, 6)}
+    for core, train in _TRAIN.items() for threads in (1, 2)
 }
 
 
@@ -213,16 +275,62 @@ def blas_digests(out: Path, classes: int) -> dict[str, str]:
             if not path.name.startswith("run_")}
 
 
-def check_blas_digests(out: Path, classes: int) -> None:
-    env = environment()
-    if env not in BLAS_GOLDEN:
-        pytest.skip(f"no golden BLAS digests for {env}")
-    assert blas_digests(out, classes) == BLAS_GOLDEN[env][classes]
+# The OpenBLAS cores the BLAS tests force, one subprocess each. The
+# getter reports Prescott as Katmai, and a row is keyed by what it reports.
+CORES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 
 
-def test_blas_artifacts_match_the_table_for_this_environment(tmp_path):
-    check_blas_digests(tmp_path, 3)
+@pytest.fixture(scope="module")
+def core_runs(tmp_path_factory):
+    """Core -> the environment and the digests of both head widths that
+    its subprocess reports, or why it gave none."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]))
+    procs = {core: subprocess.Popen(
+        [sys.executable, __file__, str(tmp_path_factory.mktemp(core))],
+        env=dict(env, OPENBLAS_CORETYPE=core), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True) for core in CORES}
+    runs = {}
+    try:
+        for core, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            if proc.returncode < 0:  # SIGILL: the CPU lacks the core's instructions
+                signame = signal.Signals(-proc.returncode).name
+                runs[core] = f"core {core} cannot run here ({signame})"
+            else:
+                assert proc.returncode == 0, err
+                runs[core] = json.loads(out.splitlines()[-1])
+    finally:  # a run that failed or timed out leaves none behind
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    return runs
 
 
-def test_six_class_blas_artifacts_match_the_table_for_this_environment(tmp_path):
-    check_blas_digests(tmp_path, 6)
+def check_blas_digests(core_runs, classes: int) -> None:
+    skipped = []
+    for core, run in core_runs.items():
+        if isinstance(run, str):
+            skipped.append(run)
+        elif run["environment"] not in BLAS_GOLDEN:
+            skipped.append(f"no golden BLAS digests for {run['environment']}")
+        else:
+            assert run["digests"][str(classes)] == BLAS_GOLDEN[run["environment"]][classes], core
+    if skipped:
+        pytest.skip("; ".join(skipped))
+
+
+def test_blas_artifacts_match_the_table_for_this_environment(core_runs):
+    check_blas_digests(core_runs, 3)
+
+
+def test_six_class_blas_artifacts_match_the_table_for_this_environment(core_runs):
+    check_blas_digests(core_runs, 6)
+
+
+if __name__ == "__main__":
+    # One core's run for ``core_runs``: the stages write under argv[1],
+    # and the last line printed is the environment and the digests.
+    OUT = Path(sys.argv[1])
+    print(json.dumps({"environment": environment(),
+                      "digests": {n: blas_digests(OUT / str(n), n) for n in (3, 6)}}))

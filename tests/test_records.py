@@ -117,7 +117,7 @@ def confusion_matrices(draw):
     k = draw(st.integers(1, 6))
     counts = draw(st.lists(st.lists(st.integers(0, 2**62), min_size=k, max_size=k),
                            min_size=k, max_size=k))
-    labels = draw(st.just(()) | st.lists(st.text(max_size=5), min_size=k, max_size=k))
+    labels = draw(st.lists(st.text(max_size=5), min_size=k, max_size=k))
     return ev.ConfusionMatrix(np.array(counts, dtype=np.int64), labels=tuple(labels))
 
 
@@ -427,6 +427,14 @@ class TestBlockReader:
         reports = plain([ev.binarize(cm, ev.BinarizationLevel(1, 10.0, 1))])
         rows = list(csv.reader(io.StringIO(report.binarization_to_csv(reports), newline="")))
         assert rows[1][:7] == ["1", "10.0", "1", "1", "0", "0", "3"]
+
+    def test_one_bar_chart_fills_the_plot_width(self):
+        # The distribution of a 1-class matrix is one bar: its slot is
+        # the whole 560-px plot, and the bar is 0.6 of it, centred.
+        dist = plain(ev.error_distribution(ev.ConfusionMatrix(np.array([[3]]), labels=("a",))))
+        svg = report.distribution_chart_svg(dist)
+        assert re.findall(r"<rect [^>]*>", svg)[1:] == [
+            '<rect x="172.0" y="40.0" width="336.0" height="272.0" fill="#4878a8"/>']
 
 
 # CSV text from pieces that quote, split and end rows, with \r and \r\n
