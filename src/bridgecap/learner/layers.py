@@ -12,13 +12,19 @@ a training forward before it raises ``InvariantError``. Layers never
 write into their input or into an array they have returned.
 
 What a training forward saves is its input or smaller: ``Conv`` its
-padded input, ``Relu`` its mask, ``MaxPool`` its input and output.
-``Conv.backward`` unfolds each slice of that input again (im2col) into
-columns of the slice's own, rather than keep the forward's full-batch
-columns, kh * kw times the padded input, until the backward: the
-recompute trade of Chen et al. 2016 (arXiv:1604.06174). It cut the
-traced allocation peak of a 32-image 64-px ``micro_cnn`` SGD step from
-58.8 to 37.9 MiB, and added about 2-3 ms to that step on one thread.
+padded input, ``MaxPool`` its input and output, ``Relu`` its mask. A
+network runs each ``relu -> maxpool`` pair of its descriptor as
+``maxpool -> relu`` (``network._build_layers``), so there the pool saves
+the conv's output and the ReLU the mask of the pooled cells, a quarter
+of them for a 2x2 pool. ``Conv`` unfolds its input (im2col) into columns
+of each slice's own size, in the forward and again in the backward,
+rather than keep full-batch columns, kh * kw times the padded input,
+until the backward: the recompute trade of Chen et al. 2016
+(arXiv:1604.06174). For a 32-image 64-px ``micro_cnn`` SGD step the
+full-batch columns put the traced allocation peak at 58.8 MiB; the
+backward's recompute cut it to 37.9 MiB, per-slice forward columns with
+the pool before the ReLU to 29.8 MiB, and dropping each backward slice's
+columns before its dX columns are made to 28.5 MiB.
 
 Per-image work runs on every core, and ``forward`` and ``backward`` run
 only on the calling thread. ``Conv`` (im2col, the per-image GEMMs, bias
@@ -49,14 +55,17 @@ images over the previous group meanwhile.
 The calling thread also pads the input and allocates every full-batch
 buffer, gradient buffers zeroed, in the order a whole-batch layer would.
 glibc reuses freed heap memory well for that order and poorly for
-others: padding per slice after allocating ``cols2`` and zeroing each
-slice of an ``np.empty`` gradient buffer tripled the page faults of a
-``train`` run with BLAS on two threads (about 75k against 26k) and made
-it 13% slower. ``Conv.forward``'s full-batch ``cols2`` is such a buffer,
-freed when the forward returns. Unfolding into per-slice columns in the
-forward too held less, but without that freed chunk raising glibc's
-dynamic mmap threshold the 4-8 MB activation buffers were mapped afresh
-at every step, about 1,500 page faults per step.
+others: padding per slice after allocating full-batch columns and
+zeroing each slice of an ``np.empty`` gradient buffer tripled the page
+faults of a ``train`` run with BLAS on two threads (about 75k against
+26k) and made it 13% slower. A fresh ``train`` process of 45 64-px
+steps took a median of 37k faults with full-batch forward columns and
+the ReLU before the pool. Per-slice forward columns alone doubled that:
+without a full-batch chunk freed at each step to raise glibc's dynamic
+mmap threshold, the 4-8 MB activation buffers were mapped afresh at
+every step. With the pool first as well, the largest of them, the
+ReLU's full-size output and mask, are gone, and the process takes about
+10k faults: 7-7.5k in its first step, then 0 or 1 per step.
 
 Helpers are used only when the process may run on more than one CPU and
 BLAS is configured for one thread through the variables it reads
@@ -220,11 +229,12 @@ class _Weighted(_Layer):
 class Conv(_Weighted):
     """2-D convolution, zero padding, square stride.
 
-    A training forward keeps its padded input, which with ``pad == 0``
-    is the caller's input, held by reference as ``MaxPool`` holds its
-    own. ``backward`` unfolds each slice of it again with ``_unfold``,
-    the loop the forward's ``_kernel`` runs, before the per-image dW
-    GEMM and the dX path.
+    ``_unfold`` gives the columns of the images it is handed, so the
+    forward's ``_kernel`` unfolds each slice into columns of the slice's
+    own size, never the whole batch. A training forward keeps its padded
+    input, which with ``pad == 0`` is the caller's input, held by
+    reference as ``MaxPool`` holds its own. ``backward`` unfolds each
+    slice of it again before the per-image dW GEMM and the dX path.
     """
 
     def __init__(self, kh, kw, in_ch, out_ch, stride, pad, rng, dtype):
@@ -234,53 +244,57 @@ class Conv(_Weighted):
         self.w = _glorot(rng, in_ch * kh * kw, out_ch * kh * kw, (out_ch, in_ch, kh, kw), dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
 
-    def _unfold_shapes(self, x):
-        """(padded input, ``cols2`` shape, output shape) for the images ``x``."""
+    def _padded(self, x):
+        """The images ``x`` with ``pad`` zeros around each: ``x`` itself
+        when ``pad == 0``."""
+        p = self.pad
+        if not p:
+            return x
         n, c, h, w = x.shape
-        s, p = self.stride, self.pad
-        oh, ow = out_len(h, self.kh, s, p), out_len(w, self.kw, s, p)
-        xp = x
-        if p:  # np.pad's steps; its own set-up took longer than they did on 4 images
-            xp = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xp[:, :, p : p + h, p : p + w] = x
-            xp[:, :, :p] = xp[:, :, p + h :] = 0
-            xp[:, :, p : p + h, :p] = xp[:, :, p : p + h, p + w :] = 0
-        return xp, (n, c * self.kh * self.kw, oh * ow), (n, self.out_ch, oh, ow)
+        # np.pad's steps; its own set-up took longer than they did on 4 images
+        xp = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
+        xp[:, :, :p] = xp[:, :, p + h :] = 0
+        xp[:, :, p : p + h, :p] = xp[:, :, p : p + h, p + w :] = 0
+        return xp
 
-    def _unfold(self, xp, cols2):
-        """Unfold the padded images ``xp`` into ``cols2`` (n, c * kh * kw,
-        oh * ow)."""
+    def _out_shape(self, xp):
+        _, _, h, w = xp.shape
         s = self.stride
-        oh, ow = out_len(xp.shape[2], self.kh, s), out_len(xp.shape[3], self.kw, s)
-        cols = cols2.reshape(-1, self.in_ch, self.kh, self.kw, oh, ow)
+        return len(xp), self.out_ch, out_len(h, self.kh, s), out_len(w, self.kw, s)
+
+    def _unfold(self, xp):
+        """The padded images ``xp`` unfolded into new columns (n,
+        c * kh * kw, oh * ow)."""
+        n, _, oh, ow = self._out_shape(xp)
+        s = self.stride
+        cols = np.empty((n, self.in_ch, self.kh, self.kw, oh, ow), dtype=xp.dtype)
         for i in range(self.kh):
             for j in range(self.kw):
                 cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        return cols.reshape(n, self.in_ch * self.kh * self.kw, oh * ow)
 
-    def _kernel(self, xp, cols2, out):
-        """Convolve the padded images ``xp`` into ``out`` (n, out_ch,
-        oh * ow), unfolding them into ``cols2`` first."""
-        self._unfold(xp, cols2)
-        np.matmul(self.w.reshape(self.out_ch, -1), cols2, out=out)
-        out += self.b[:, None]
+    def _kernel(self, xp, out):
+        """Convolve the padded images ``xp`` into ``out`` (n, out_ch, oh, ow)."""
+        n, _, oh, ow = out.shape
+        flat = out.reshape(n, self.out_ch, oh * ow)
+        np.matmul(self.w.reshape(self.out_ch, -1), self._unfold(xp), out=flat)
+        flat += self.b[:, None]
 
     def _infer_slice(self, x, out=None):
-        xp, cols_shape, out_shape = self._unfold_shapes(x)
-        cols2 = np.empty(cols_shape, dtype=x.dtype)
-        if out is None:
-            out = np.empty(out_shape, dtype=np.result_type(self.w, x))
-        self._kernel(xp, cols2, out.reshape(cols_shape[0], self.out_ch, -1))
-        return out.reshape(out_shape)
+        xp = self._padded(x)
+        shape = self._out_shape(xp)
+        out = np.empty(shape, dtype=np.result_type(self.w, x)) if out is None else out.reshape(shape)
+        self._kernel(xp, out)
+        return out
 
     def forward(self, x, train=False):
-        xp, cols_shape, out_shape = self._unfold_shapes(x)
-        n = len(x)
-        cols2 = np.empty(cols_shape, dtype=x.dtype)
-        out = np.empty((n, self.out_ch, cols_shape[2]), dtype=np.result_type(self.w, x))
-        _split(lambda part: self._kernel(xp[part], cols2[part], out[part]), n)
+        xp = self._padded(x)
+        out = np.empty(self._out_shape(xp), dtype=np.result_type(self.w, x))
+        _split(lambda part: self._kernel(xp[part], out[part]), len(x))
         if train:
             self._saved = (xp, x.shape)
-        return out.reshape(out_shape)
+        return out
 
     def backward(self, dout, input_grad=True):
         """Fill dW and db and return dX; with ``input_grad=False`` (the
@@ -294,10 +308,8 @@ class Conv(_Weighted):
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype) if input_grad else None
 
         def run(part):
-            xs = xp[part]
-            cols2 = np.empty((len(xs), wm.shape[1], oh * ow), dtype=xs.dtype)
-            self._unfold(xs, cols2)
-            np.matmul(dout2[part], cols2.transpose(0, 2, 1), out=dw_each[part])
+            # The columns go before dcols, of the same size, is made.
+            np.matmul(dout2[part], self._unfold(xp[part]).transpose(0, 2, 1), out=dw_each[part])
             if not input_grad:
                 return
             dcols = np.matmul(wm.T, dout2[part]).reshape(-1, c, self.kh, self.kw, oh, ow)
@@ -363,18 +375,45 @@ class Relu(_Layer):
         return dx
 
 
-class MaxPool(_Layer):
-    """Max pooling; ties go to the first cell in window scan order.
+def _fold(views, out):
+    """Write the ``np.maximum`` fold of ``views``, in order, into ``out``.
+    ``np.maximum`` returns its second operand when the two are equal, so
+    of tied values (``+0.0`` and ``-0.0``) the last view's bytes win."""
+    if len(views) == 1:
+        np.copyto(out, views[0])
+        return
+    np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
 
-    The forward pass folds the k*k strided window views into the output
-    with ``np.maximum``. A training forward keeps its input and output,
-    and the backward pass finds each window's winner again by walking
-    the same views in scan order: a cell wins where it equals the output
-    and no earlier cell of its window has won.
+
+class MaxPool(_Layer):
+    """Max pooling; the gradient of a tied window goes to its first cell
+    in scan order.
+
+    The forward folds the k*k strided window views into the output with
+    ``_fold``, so an output holds the bytes of the last cell in scan
+    order that equals the window's maximum. A training forward keeps its
+    input and output, and the backward pass finds each window's winner
+    again by walking the same views in scan order: a cell wins where it
+    equals the output and no earlier cell of its window has won.
+
+    A tiling pool (``k == stride``, windows that cover the input
+    exactly) has kernels of its own. Its forward folds each window's
+    columns first, into a buffer ``k`` times the output's size, and then
+    its rows, which keeps the scan order's last maximum; rows first would
+    not, and changed signed zeros. Its backward writes each cell of an
+    ``np.empty`` ``dx`` once, with ``dout * hit``, and then adds 0, so a
+    loser's ``-0.0`` (a negative ``dout`` times False) reads ``+0.0``, as
+    it does when each window adds into a zeroed ``dx``.
     """
 
     def __init__(self, k, stride):
         self.k, self.stride = k, stride
+
+    def _tiles(self, shape):
+        k = self.k
+        return k == self.stride and shape[2] % k == 0 and shape[3] % k == 0
 
     def _views(self, oh, ow):
         k, s = self.k, self.stride
@@ -385,10 +424,13 @@ class MaxPool(_Layer):
         ]
 
     def _kernel(self, x, out):
-        first, *rest = self._views(*out.shape[2:])
-        np.copyto(out, x[first])
-        for view in rest:
-            np.maximum(out, x[view], out=out)
+        k = self.k
+        if self._tiles(x.shape):
+            cols = np.empty((*x.shape[:3], out.shape[3]), dtype=x.dtype)
+            _fold([x[..., j::k] for j in range(k)], cols)
+            _fold([cols[:, :, i::k] for i in range(k)], out)
+        else:
+            _fold([x[view] for view in self._views(*out.shape[2:])], out)
 
     def _out_shape(self, x):
         n, c, h, w = x.shape
@@ -410,7 +452,8 @@ class MaxPool(_Layer):
     def backward(self, dout):
         x, out = self._take_saved()
         views = self._views(*out.shape[2:])
-        dx = np.zeros(x.shape, dtype=dout.dtype)
+        tiles = self._tiles(x.shape)
+        dx = (np.empty if tiles else np.zeros)(x.shape, dtype=dout.dtype)
 
         def run(part):
             xs, outs, douts, dxs = x[part], out[part], dout[part], dx[part]
@@ -420,7 +463,12 @@ class MaxPool(_Layer):
                 np.equal(xs[view], outs, out=hit)
                 hit &= unclaimed
                 unclaimed ^= hit
-                dxs[view] += douts * hit
+                if tiles:
+                    np.multiply(douts, hit, out=dxs[view])
+                else:
+                    dxs[view] += douts * hit
+            if tiles:
+                dxs += 0
 
         _split(run, len(x))
         return dx

@@ -73,14 +73,18 @@ class ArchitectureDescriptor:
 
 def _build_layers(descriptor, rng, dtype) -> list:
     """The layers of a normalized descriptor, their weights drawn from
-    ``rng`` in layer order or, with ``rng`` None, left uninitialised."""
+    ``rng`` in layer order or, with ``rng`` None, left uninitialised;
+    a ``relu`` followed by a ``maxpool`` comes after it (see ``Network``)."""
     layers = []
     for spec in descriptor.layers:
         cls, sizes = _OPS[spec["op"]]
         args = {key: spec[key] for key in sizes}
         if issubclass(cls, L._Weighted):
             args.update(rng=rng, dtype=dtype)
-        layers.append(cls(**args))
+        if cls is L.MaxPool and layers and isinstance(layers[-1], L.Relu):
+            layers.insert(-1, cls(**args))
+        else:
+            layers.append(cls(**args))
     return layers
 
 
@@ -207,6 +211,18 @@ class Network:
     and its backward pass consumes what they saved. It starts training
     mode at the lowest layer with parameters and stops the backward pass
     there, since no caller reads a gradient below it.
+
+    ReLU and max pooling commute, so ``_build_layers`` builds each
+    ``relu -> maxpool`` pair of the descriptor as ``maxpool -> relu``,
+    and the ReLU runs on the pooled cells, a quarter of them for a 2x2
+    pool. The outputs and the parameter gradients keep their bytes; only
+    the pair's own input gradient can read +0.0 where the descriptor's
+    order gives -0.0, and the conv below sums it into the same bytes.
+    So ``layers`` can differ in order from ``descriptor.layers``, while
+    the descriptor, ``micro_cnn`` and the checkpoint keep the order
+    given. Neither layer has parameters, so the parameter order,
+    ``param_shapes`` and the indices ``_first_param`` and ``_trunk_end``
+    are those of the descriptor's order.
 
     ``train.predict_proba`` infers through ``_trunk_features`` and
     ``_head`` instead of ``forward``. The trunk, the leading conv, relu
