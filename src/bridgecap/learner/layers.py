@@ -308,7 +308,8 @@ class Conv(_Weighted):
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype) if input_grad else None
 
         def run(part):
-            # The columns go before dcols, of the same size, is made.
+            # The columns are a temporary of this statement, freed before
+            # dcols, of the same size, is allocated.
             np.matmul(dout2[part], self._unfold(xp[part]).transpose(0, 2, 1), out=dw_each[part])
             if not input_grad:
                 return
@@ -391,29 +392,26 @@ class MaxPool(_Layer):
     """Max pooling; the gradient of a tied window goes to its first cell
     in scan order.
 
-    The forward folds the k*k strided window views into the output with
-    ``_fold``, so an output holds the bytes of the last cell in scan
-    order that equals the window's maximum. A training forward keeps its
-    input and output, and the backward pass finds each window's winner
-    again by walking the same views in scan order: a cell wins where it
-    equals the output and no earlier cell of its window has won.
+    The forward folds (``_fold``) each window's columns first, into a
+    buffer of the output's width, and then its rows, so an output holds
+    the bytes of the last cell in scan order that equals the window's
+    maximum, as a fold over the k*k window views does: each row keeps its
+    last maximal cell, and the last row holding the window's maximum
+    wins. Rows first would not, and changed signed zeros. A training
+    forward keeps its input and output, and the backward pass finds each
+    window's winner again by walking the k*k views in scan order: a cell
+    wins where it equals the output and no earlier cell of its window has
+    won.
 
-    A tiling pool (``k == stride``, windows that cover the input
-    exactly) has kernels of its own. Its forward folds each window's
-    columns first, into a buffer ``k`` times the output's size, and then
-    its rows, which keeps the scan order's last maximum; rows first would
-    not, and changed signed zeros. Its backward writes each cell of an
-    ``np.empty`` ``dx`` once, with ``dout * hit``, and then adds 0, so a
-    loser's ``-0.0`` (a negative ``dout`` times False) reads ``+0.0``, as
-    it does when each window adds into a zeroed ``dx``.
+    Overlapping or ragged windows add into a zeroed ``dx``. A tiling pool
+    (``k == stride``, windows that cover the input exactly) writes each
+    cell of an ``np.empty`` ``dx`` once, with ``dout * hit``, and then
+    adds 0, so a loser's ``-0.0`` (a negative ``dout`` times False) reads
+    ``+0.0``, as it does when each window adds into a zeroed ``dx``.
     """
 
     def __init__(self, k, stride):
         self.k, self.stride = k, stride
-
-    def _tiles(self, shape):
-        k = self.k
-        return k == self.stride and shape[2] % k == 0 and shape[3] % k == 0
 
     def _views(self, oh, ow):
         k, s = self.k, self.stride
@@ -424,13 +422,12 @@ class MaxPool(_Layer):
         ]
 
     def _kernel(self, x, out):
-        k = self.k
-        if self._tiles(x.shape):
-            cols = np.empty((*x.shape[:3], out.shape[3]), dtype=x.dtype)
-            _fold([x[..., j::k] for j in range(k)], cols)
-            _fold([cols[:, :, i::k] for i in range(k)], out)
-        else:
-            _fold([x[view] for view in self._views(*out.shape[2:])], out)
+        k, s = self.k, self.stride
+        n, c, oh, ow = out.shape
+        rows = s * (oh - 1) + k  # the rows some window covers
+        cols = np.empty((n, c, rows, ow), dtype=x.dtype)
+        _fold([x[:, :, :rows, j : j + s * ow : s] for j in range(k)], cols)
+        _fold([cols[:, :, i : i + s * oh : s] for i in range(k)], out)
 
     def _out_shape(self, x):
         n, c, h, w = x.shape
@@ -452,7 +449,8 @@ class MaxPool(_Layer):
     def backward(self, dout):
         x, out = self._take_saved()
         views = self._views(*out.shape[2:])
-        tiles = self._tiles(x.shape)
+        k, (oh, ow) = self.k, out.shape[2:]
+        tiles = k == self.stride and x.shape[2:] == (k * oh, k * ow)
         dx = (np.empty if tiles else np.zeros)(x.shape, dtype=dout.dtype)
 
         def run(part):

@@ -214,15 +214,24 @@ def whole_batch_conv(layer):
     return oracle
 
 
+def in_descriptor_order(net, oracle=lambda layer: layer):
+    """``net`` with ``oracle(layer)`` for each of its layers, put in the
+    order of its descriptor: each relu before the maxpool it precedes
+    there, where ``Network`` builds them the other way round."""
+    built = {}
+    for layer in net.layers:
+        built.setdefault(type(layer), []).append(layer)
+    net.layers = [oracle(built[network_module._OPS[spec["op"]][0]].pop(0))
+                  for spec in net.descriptor.layers]
+    return net
+
+
 def with_oracle_layers(net):
-    net.layers = [
+    return in_descriptor_order(net, lambda layer: (
         WindowStackMaxPool(layer.k, layer.stride) if isinstance(layer, L.MaxPool)
         else MaskRelu() if isinstance(layer, L.Relu)
         else whole_batch_conv(layer) if isinstance(layer, L.Conv)
-        else layer
-        for layer in net.layers
-    ]
-    return net
+        else layer))
 
 
 def held_caches(net):
@@ -407,8 +416,8 @@ class TestLayerOracles:
            low=st.sampled_from([-2, -6]), seed=st.integers(0, 2**32 - 1))
     def test_maxpool_matches_window_stack_bytes_over_shapes(self, k, stride, n, c, h, w, low,
                                                             seed):
-        # Tiling pools (k == stride, sizes that k divides) take their own
-        # kernels; the rest keep the general ones.
+        # Tiling pools (k == stride, sizes that k divides) take a backward
+        # of their own; the rest add into a zeroed dx.
         assume(h >= k and w >= k)
         rng = np.random.default_rng(seed)
         x = signed_ints(rng, (n, c, h, w), low)
@@ -493,6 +502,19 @@ class TestPoolBeforeRelu:
                          conv.db.tobytes()])
         assert runs[0] == runs[1]
 
+    def test_network_loss_and_grads_bytes_match_descriptor_order(self):
+        desc = micro_cnn(["a", "b", "c"], input_shape=(3, 16, 16))
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 4, size=(10, 3, 16, 16), dtype=np.uint8)  # ReLU zeros, pool ties
+        y = rng.integers(0, 3, size=10)
+        runs = []
+        for net in (Network(desc, seed=2), in_descriptor_order(Network(desc, seed=2))):
+            loss, labels = net.loss_and_grads(x, y)
+            runs.append([struct.pack("<d", loss), labels.tobytes(), net.forward(x).tobytes()]
+                        + [g.tobytes() for g in net.gradients()])
+        assert [type(layer) for layer in net.layers][:3] == [L.Conv, L.Relu, L.MaxPool]
+        assert runs[0] == runs[1]
+
     def test_network_pools_before_relu_and_keeps_the_descriptor(self):
         desc = micro_cnn(["a", "b"])
         net = Network(desc, seed=3)
@@ -516,7 +538,13 @@ class TestPoolBeforeRelu:
         # The kernels' bytes rest on np.maximum returning its second
         # operand on a tie, and NumPy picks its loops by CPU: run the two
         # kernel tests again with the AVX-512 loops switched off.
-        disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        try:
+            found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        except (TypeError, KeyError):
+            pytest.skip("this NumPy does not list the SIMD extensions it found")
+        disabled = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if f in found]
+        if not disabled:
+            pytest.skip(f"NumPy found none of the AVX-512 groups here: {found}")
         here = Path(__file__)
         script = ("import sys, numpy, pytest; "
                   "found = numpy.show_config(mode='dicts')['SIMD Extensions']['found']; "
