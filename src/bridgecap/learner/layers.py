@@ -12,19 +12,26 @@ a training forward before it raises ``InvariantError``. Layers never
 write into their input or into an array they have returned.
 
 What a training forward saves is its input or smaller: ``Conv`` its
-padded input, ``MaxPool`` its input and output, ``Relu`` its mask. A
-network runs each ``relu -> maxpool`` pair of its descriptor as
-``maxpool -> relu`` (``network._build_layers``), so there the pool saves
-the conv's output and the ReLU the mask of the pooled cells, a quarter
-of them for a 2x2 pool. ``Conv`` unfolds its input (im2col) into columns
-of each slice's own size, in the forward and again in the backward,
-rather than keep full-batch columns, kh * kw times the padded input,
-until the backward: the recompute trade of Chen et al. 2016
-(arXiv:1604.06174). For a 32-image 64-px ``micro_cnn`` SGD step the
-full-batch columns put the traced allocation peak at 58.8 MiB; the
-backward's recompute cut it to 37.9 MiB, per-slice forward columns with
-the pool before the ReLU to 29.8 MiB, and dropping each backward slice's
-columns before its dX columns are made to 28.5 MiB.
+padded input, ``MaxPool`` a winner mask per window cell, ``Relu`` its
+mask. A network runs each ``relu -> maxpool`` pair of its descriptor as
+``maxpool -> relu`` (``network._build_layers``), so there the ReLU saves
+the mask of the pooled cells, a quarter of them for a 2x2 pool, and
+nothing keeps the conv's output once its pool has returned. ``Conv``
+unfolds its input (im2col) into columns of each slice's own size, in the
+forward and again in the backward, rather than keep full-batch columns,
+kh * kw times the padded input, until the backward: the recompute trade
+of Chen et al. 2016 (arXiv:1604.06174). For a 32-image 64-px
+``micro_cnn`` SGD step the full-batch columns put the traced allocation
+peak at 58.8 MiB; the backward's recompute cut it to 37.9 MiB, per-slice
+forward columns with the pool before the ReLU to 29.8 MiB, dropping each
+backward slice's columns before its dX columns are made to 28.5 MiB, and
+pools that keep winner masks in place of the conv outputs to 19.7 MiB.
+
+The backward's col2im adds each kernel cell's dX columns through a
+zero-filled stage in one flat add of contiguous runs (``_col2im``).
+Every cell of the padded dX starts at +0.0 and only receives sums, which
+in round-to-nearest are never -0.0, so adding the stage's +0.0 cells
+leaves each byte as it is, inf and NaN included.
 
 Per-image work runs on every core, and ``forward`` and ``backward`` run
 only on the calling thread. ``Conv`` (im2col, the per-image GEMMs, bias
@@ -226,6 +233,32 @@ class _Weighted(_Layer):
         return [self.dw, self.db]
 
 
+def _col2im(dcols, dx, s):
+    """Add the columns ``dcols`` (m, c, kh, kw, oh, ow) of stride ``s``
+    into the padded images ``dx`` (m, c, hp, wp), C-contiguous and
+    holding no ``-0.0``: pass (i, j) adds into rows i, i + s, ... and
+    columns j, j + s, ...
+
+    Each pass is copied into a zero-filled stage shaped like ``dx``, at
+    [::s, ::s], and the whole flat stage is added into ``dx`` flat from
+    offset ``i * wp + j``: one 1-D add of contiguous runs, where adding
+    into the strided block ran one inner loop per ``ow``-value row. The
+    stage's other cells stay +0.0, which leaves every cell's bytes (see
+    the module docstring), except that which of two different NaNs a sum
+    keeps is up to NumPy's loop, as in any add.
+    """
+    _, _, kh, kw, oh, ow = dcols.shape
+    wp = dx.shape[3]
+    stage = np.zeros_like(dx)
+    grid = stage[:, :, : s * oh : s, : s * ow : s]
+    flat, staged = dx.reshape(-1), stage.reshape(-1)
+    for i in range(kh):
+        for j in range(kw):
+            grid[...] = dcols[:, :, i, j]
+            start = i * wp + j
+            flat[start:] += staged[: flat.size - start]
+
+
 class Conv(_Weighted):
     """2-D convolution, zero padding, square stride.
 
@@ -233,8 +266,8 @@ class Conv(_Weighted):
     forward's ``_kernel`` unfolds each slice into columns of the slice's
     own size, never the whole batch. A training forward keeps its padded
     input, which with ``pad == 0`` is the caller's input, held by
-    reference as ``MaxPool`` holds its own. ``backward`` unfolds each
-    slice of it again before the per-image dW GEMM and the dX path.
+    reference. ``backward`` unfolds each slice of it again before the
+    per-image dW GEMM and the dX path.
     """
 
     def __init__(self, kh, kw, in_ch, out_ch, stride, pad, rng, dtype):
@@ -314,10 +347,7 @@ class Conv(_Weighted):
             if not input_grad:
                 return
             dcols = np.matmul(wm.T, dout2[part]).reshape(-1, c, self.kh, self.kw, oh, ow)
-            dx = dxp[part]
-            for i in range(self.kh):
-                for j in range(self.kw):
-                    dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, i, j]
+            _col2im(dcols, dxp[part], s)
 
         _split(run, n)
         self.dw = dw_each.sum(axis=0).reshape(self.w.shape)
@@ -397,13 +427,21 @@ class MaxPool(_Layer):
     the bytes of the last cell in scan order that equals the window's
     maximum, as a fold over the k*k window views does: each row keeps its
     last maximal cell, and the last row holding the window's maximum
-    wins. Rows first would not, and changed signed zeros. A training
-    forward keeps its input and output, and the backward pass finds each
-    window's winner again by walking the k*k views in scan order: a cell
-    wins where it equals the output and no earlier cell of its window has
-    won.
+    wins. Rows first would not, and changed signed zeros.
 
-    Overlapping or ragged windows add into a zeroed ``dx``. A tiling pool
+    A training forward then finds each window's winner in the same slice,
+    while it is in cache, by walking the k*k views in scan order: a cell
+    wins where it equals the output and no earlier cell of its window has
+    won. It keeps only those winners, one bool array (k*k, n, c, oh, ow),
+    and the input's shape, so the input and output are free for the
+    caller to drop. The masks take k*k bytes per output cell, where the
+    float32 input and output took about 4 * (stride**2 + 1): fewer when
+    k <= 2 * stride, which covers every tiling pool and k=3 at stride 2.
+    A wider window takes more, 9 bytes against 8 for k=3 at stride 1;
+    ``micro_cnn`` has none.
+
+    The backward writes ``dout * hit`` into each view. Overlapping or
+    ragged windows add into a zeroed ``dx``. A tiling pool
     (``k == stride``, windows that cover the input exactly) writes each
     cell of an ``np.empty`` ``dx`` once, with ``dout * hit``, and then
     adds 0, so a loser's ``-0.0`` (a negative ``dout`` times False) reads
@@ -441,26 +479,35 @@ class MaxPool(_Layer):
 
     def forward(self, x, train=False):
         out = np.empty(self._out_shape(x), dtype=x.dtype)
-        _split(lambda part: self._kernel(x[part], out[part]), len(x))
-        if train:
-            self._saved = (x, out)
-        return out
-
-    def backward(self, dout):
-        x, out = self._take_saved()
+        if not train:
+            _split(lambda part: self._kernel(x[part], out[part]), len(x))
+            return out
         views = self._views(*out.shape[2:])
-        k, (oh, ow) = self.k, out.shape[2:]
-        tiles = k == self.stride and x.shape[2:] == (k * oh, k * ow)
-        dx = (np.empty if tiles else np.zeros)(x.shape, dtype=dout.dtype)
+        hits = np.empty((len(views), *out.shape), dtype=bool)
 
         def run(part):
-            xs, outs, douts, dxs = x[part], out[part], dout[part], dx[part]
+            xs, outs = x[part], out[part]
+            self._kernel(xs, outs)
             unclaimed = np.ones(outs.shape, dtype=bool)
-            hit = np.empty(outs.shape, dtype=bool)
-            for view in views:
+            for view, hit in zip(views, hits[:, part]):
                 np.equal(xs[view], outs, out=hit)
                 hit &= unclaimed
                 unclaimed ^= hit
+
+        _split(run, len(x))
+        self._saved = (hits, x.shape)
+        return out
+
+    def backward(self, dout):
+        hits, shape = self._take_saved()
+        k, (oh, ow) = self.k, dout.shape[2:]
+        views = self._views(oh, ow)
+        tiles = k == self.stride and shape[2:] == (k * oh, k * ow)
+        dx = (np.empty if tiles else np.zeros)(shape, dtype=dout.dtype)
+
+        def run(part):
+            douts, dxs = dout[part], dx[part]
+            for view, hit in zip(views, hits[:, part]):
                 if tiles:
                     np.multiply(douts, hit, out=dxs[view])
                 else:
@@ -468,7 +515,7 @@ class MaxPool(_Layer):
             if tiles:
                 dxs += 0
 
-        _split(run, len(x))
+        _split(run, len(dout))
         return dx
 
 

@@ -189,11 +189,13 @@ def fit(
 
         if val_acc > stopper.best:
             best_epoch = epoch
+            best_weights = None  # freed first, so one copy is held at a time
             best_weights = net.get_weights()
         if stopper.update(val_acc):
             break
 
     net.set_weights(best_weights)
+    del best_weights  # make_checkpoint takes a copy of its own
     history["best_epoch"] = best_epoch
     history["stopped_epoch"] = epoch
     return make_checkpoint(net, history)
