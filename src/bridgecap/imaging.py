@@ -12,8 +12,9 @@ checks it.
 
 The pipeline holds prepared images as one batch: ``load_batch`` returns
 a C-contiguous uint8 array shaped (n, 3, height, width), 1 byte per
-value where a float32 tensor takes 4. Only the batch being forwarded is
-scaled to floats in [0, 1], by ``pixels_to_tensor``. The colour mode,
+value where a float32 tensor takes 4. Only the batch being forwarded, or
+a few images of it at a time, is scaled to floats in [0, 1], by
+``pixels_to_tensor``. The colour mode,
 one of ``COLOUR_MODES``, is the single vocabulary shared by dataset
 specs, the CLI and model descriptors: ``rgb`` keeps the colour channels,
 ``grayscale`` feeds BT.601 luminance copied into all three, so one
@@ -245,6 +246,14 @@ def to_pixels(img: np.ndarray, colour_mode: str = "rgb", out=None) -> np.ndarray
 def pixels_to_tensor(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
     """uint8 pixels scaled to ``dtype`` floats in [0, 1]: each value is
     ``dtype(v) / dtype(255)``, computed in one new array."""
+    return _scale_pixels(pixels, dtype)
+
+
+def _scale_pixels(pixels, dtype):
+    """``pixels_to_tensor``'s work, which the learner calls from per-image
+    slices on any thread. It is private so that a tracer that wraps the
+    public functions (``perfbench/spans.py``) opens no span on a helper
+    thread, where it would nest in whatever the calling thread has open."""
     out = pixels.astype(dtype)
     out /= out.dtype.type(255)
     return out

@@ -20,8 +20,16 @@ blocks go through ``_records.dumps`` and ``loads``, whose number rule
 holds: writing ``NaN`` or ``Infinity`` raises DomainError, and reading
 one, or a literal that overflows a double, FormatError. It round-trips
 bit-identically: save -> load -> forward matches at 32-bit precision.
+
+The weights are held once at each step. Encoding joins views of the
+weight arrays into the bytes it returns. ``load_checkpoint`` reads each
+weight block from the open file straight into the array the checkpoint
+keeps, and ``network_from_checkpoint`` makes those arrays the network's
+parameters without copying them (see ``Network``), so an inference
+process holds one copy of the weights.
 """
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -70,11 +78,13 @@ def make_checkpoint(net: Network, history: dict | None = None) -> Checkpoint:
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+    """The checkpoint's bytes, joined from views of its weight arrays, so
+    the result is the only copy of them that this makes."""
     weights = _validate_weights(ckpt.descriptor, ckpt.weights)
     meta = dumps(ckpt.descriptor, "checkpoint metadata").encode()
     hist = dumps(ckpt.history, "checkpoint history").encode()
     parts = [_HEADER.pack(MAGIC, VERSION, len(meta)), meta]
-    parts.extend(arr.tobytes() for arr in weights)
+    parts.extend(memoryview(arr).cast("B") for arr in weights)
     parts.append(struct.pack("<Q", len(hist)))
     parts.append(hist)
     return b"".join(parts)
@@ -87,44 +97,59 @@ def _json_block(raw: bytes, what: str) -> dict:
     return value
 
 
-def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    """Decode checkpoint bytes. Malformed bytes raise ``FormatError``. A
-    descriptor that fails validation, a missing field included (once a
-    FormatError), raises ``ConfigError`` as at construction. Both exit 2."""
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad checkpoint magic {data[:4]!r}")
-    if len(data) < _HEADER.size:
-        raise FormatError(f"checkpoint header truncated at {len(data)} of {_HEADER.size} bytes")
-    _, version, meta_len = _HEADER.unpack_from(data)
+def checkpoint_from_bytes(source) -> Checkpoint:
+    """Decode a checkpoint from ``source``: bytes, or a binary file that
+    holds one checkpoint, read from its start to its end. Malformed
+    bytes raise ``FormatError``. A descriptor that fails validation, a
+    missing field included (once a FormatError), raises ``ConfigError``
+    as at construction. Both exit 2.
+
+    Every length is checked against the size of ``source`` before the
+    block it gives is read, so a forged one allocates nothing. Each
+    weight array is a new aligned float32 array that its block is read
+    straight into; a file is not held as bytes beside them, and one cut
+    short while it is read raises FormatError too. A file that cannot
+    seek, such as a pipe, has no size to check against and is read into
+    bytes first."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    size = source.seek(0, io.SEEK_END)
+    source.seek(0)
+    head = source.read(_HEADER.size)
+    if head[:4] != MAGIC:
+        raise FormatError(f"bad checkpoint magic {head[:4]!r}")
+    if size < _HEADER.size:
+        raise FormatError(f"checkpoint header truncated at {size} of {_HEADER.size} bytes")
+    _, version, meta_len = _HEADER.unpack(head)
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    meta_end = _HEADER.size + meta_len
-    if meta_end > len(data):
+    pos = _HEADER.size + meta_len
+    if pos > size:
         raise FormatError(f"metadata of {meta_len} bytes runs past the end of the file")
-    meta = _json_block(data[_HEADER.size : meta_end], "metadata")
+    meta = _json_block(source.read(meta_len), "metadata")
     descriptor = normalize_descriptor(meta)
 
     weights = []
-    pos = meta_end
     for shape in descriptor.param_shapes():
-        count = math.prod(shape)
-        if pos + 4 * count > len(data):
-            raise FormatError(
-                f"weight block truncated: need {4 * count} bytes at offset {pos}"
-            )
-        weights.append(np.frombuffer(data, dtype="<f4", count=count,
-                                     offset=pos).reshape(shape).copy())
-        pos += 4 * count
+        nbytes = 4 * math.prod(shape)
+        if pos + nbytes > size:
+            raise FormatError(f"weight block truncated: need {nbytes} bytes at offset {pos}")
+        arr = np.empty(shape, dtype="<f4")
+        if source.readinto(memoryview(arr).cast("B")) != nbytes:
+            raise FormatError(f"weight block truncated: need {nbytes} bytes at offset {pos}")
+        weights.append(arr)
+        pos += nbytes
 
-    if pos + 8 > len(data):
+    rest = source.read()  # the history block: its length, then its JSON
+    if len(rest) < 8:
         raise FormatError("missing history block")
-    (hist_len,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    if pos + hist_len != len(data):
-        raise FormatError(
-            f"history length mismatch: expected end at {pos + hist_len}, file has {len(data)}"
-        )
-    history = _json_block(data[pos:], "history")
+    (hist_len,) = struct.unpack_from("<Q", rest)
+    if 8 + hist_len != len(rest):
+        raise FormatError(f"history length mismatch: expected end at {pos + 8 + hist_len}, "
+                          f"file has {pos + len(rest)}")
+    history = _json_block(rest[8:], "history")
     return Checkpoint(descriptor=descriptor, weights=tuple(weights), history=history)
 
 
@@ -137,5 +162,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``, read from the open file."""
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        return checkpoint_from_bytes(fh)

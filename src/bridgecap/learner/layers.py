@@ -55,9 +55,13 @@ runs depth-first over a group of images, each slice going through every
 trunk layer before the next slice is taken, and the slices write their
 flattened output into one buffer for the group. The work per image is
 that of ``forward``, and so are the bytes, but there is one hand-off per
-slice instead of one per slice and layer. ``begin_trunk`` returns before
-the calling thread joins in, so the caller can run the layers that mix
-images over the previous group meanwhile.
+slice instead of one per slice and layer. Each slice also brings its
+own images to the network's dtype, so uint8 pixels are scaled a few
+images at a time and no group exists as floats; a training batch is
+scaled whole, by ``Network`` on the calling thread.
+``begin_trunk`` returns before the calling thread joins in, so the
+caller can run the layers that mix images over the previous group
+meanwhile.
 
 The calling thread also pads the input and allocates every full-batch
 buffer, gradient buffers zeroed, in the order a whole-batch layer would.
@@ -95,8 +99,10 @@ import threading
 import numpy as np
 
 from ..errors import InvariantError
+from ..imaging import _scale_pixels
 
 _SLICE = 4  # images per slice: small enough that an idle thread finds work
+_DRAW = 32_768  # values per initial-weight draw: a 256 KiB float64 block
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (executor or None, helper count), made on first use; None until then.
@@ -174,13 +180,18 @@ def begin_trunk(trunk, x, out):
     Each slice of at most ``_SLICE`` images that ``_begin`` hands over
     goes through every layer before the next slice is taken: a 32-image
     slice took 591 us per image, 4-image ones 535 (one thread, 64-px
-    ``micro_cnn``). Only the layers' private kernels run in the slices,
-    on arrays the slice owns; a ReLU works in place on them."""
+    ``micro_cnn``). ``x`` may be in any dtype: each slice brings its own
+    rows to ``out``'s dtype, scaling uint8 pixels as
+    ``imaging.pixels_to_tensor`` does, so they are scaled a few images at
+    a time and the group never exists as floats. Only private code runs
+    in the slices, ``imaging._scale_pixels`` and the layers' kernels, on
+    arrays the slice owns; a ReLU works in place on them."""
     *body, _ = trunk  # out is flat already, so the Flatten has nothing to do
     last = len(body) - 1
 
     def run(rows):
         h = x[rows]
+        h = _scale_pixels(h, out.dtype) if h.dtype == np.uint8 else h.astype(out.dtype, copy=False)
         for i, layer in enumerate(body):
             target = out[rows] if i == last else h if i and isinstance(layer, Relu) else None
             h = layer._infer_slice(h, target)
@@ -198,11 +209,22 @@ def out_len(n, k, stride, pad=0):
 
 def _glorot(rng, fan_in, fan_out, shape, dtype):
     """Glorot-uniform weights drawn from ``rng``; with ``rng`` None,
-    uninitialised ones for ``Network.set_weights`` to fill."""
+    uninitialised ones that only carry the shape (``Network`` and
+    ``param_shapes`` then pass a zero-byte dtype).
+
+    The ``dtype`` array is filled from draws of at most ``_DRAW`` values,
+    so no float64 array of the full shape exists. ``Generator.uniform``
+    turns each value's double into ``low + (high - low) * u`` in turn,
+    so the values, and the generator's state after them, are those of
+    one draw of the whole shape."""
+    out = np.empty(shape, dtype=dtype)
     if rng is None:
-        return np.empty(shape, dtype=dtype)
+        return out
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape).astype(dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW):
+        flat[start : start + _DRAW] = rng.uniform(-a, a, size=min(_DRAW, flat.size - start))
+    return out
 
 
 class _Layer:

@@ -185,7 +185,8 @@ def micro_cnn(class_labels, input_shape=(3, 64, 64), colour_mode="rgb") -> Archi
 
 
 def network_from_checkpoint(ckpt) -> "Network":
-    """The float32 network a checkpoint describes, carrying its weights."""
+    """The float32 network a checkpoint describes, carrying its weights:
+    the checkpoint's own arrays, shared and not copied (see ``Network``)."""
     return Network(ckpt.descriptor, weights=ckpt.weights)
 
 
@@ -193,18 +194,29 @@ class Network:
     """A stack of layers instantiated from a descriptor.
 
     Deterministic: weights come from one seeded generator consumed in
-    layer order, or are copied from ``weights`` (in ``parameters`` order),
-    which draws nothing. Its methods and every layer ``forward`` and
+    layer order, or from ``weights`` (in ``parameters`` order), which
+    draws nothing. An array of ``weights`` that is already a
+    C-contiguous, aligned and writeable ``dtype`` array of its
+    parameter's shape becomes that parameter, shared with the caller and
+    not copied, so a network made from a checkpoint
+    (``network_from_checkpoint``) and the checkpoint hold one copy of the
+    weights between them. Any other array is converted into a new one, as
+    the float64 test networks need. Training writes into the parameters,
+    so it would change a shared array too; nothing in ``bridgecap``
+    trains a network made from a checkpoint, and ``set_weights`` always
+    copies. Its methods and every layer ``forward`` and
     ``backward`` run on the calling thread; layers may hand per-image
     slices to helper threads, which changes no output byte (see
     ``layers``). ``dtype`` is float32 for training and checkpoints;
     gradient-check tests build float64 instances.
 
     A uint8 input to any method is pixels (``imaging.load_batch``): it is
-    scaled to [0, 1] in ``dtype`` by ``imaging.pixels_to_tensor`` on the
-    calling thread, so a caller can hold a whole image set as uint8 and
-    only the batch being forwarded, or the group ``predict_proba`` holds,
-    exists as floats. Any other input is cast to ``dtype``.
+    scaled to [0, 1] in ``dtype`` by ``imaging.pixels_to_tensor``, so a
+    caller can hold a whole image set as uint8. The methods scale the
+    batch they are handed on the calling thread; ``predict_proba``'s trunk
+    scales the few images of each slice inside the slice, with the code
+    ``pixels_to_tensor`` runs (see below), so no group of its exists as
+    floats. Any other input is cast to ``dtype``.
 
     ``forward`` and ``logits`` are inference: no layer keeps anything
     after them. Only ``loss_and_grads`` runs layers in training mode,
@@ -228,7 +240,8 @@ class Network:
     ``_head`` instead of ``forward``. The trunk, the leading conv, relu
     and maxpool layers and the flatten after them, runs over a group of
     chunks through ``layers.begin_trunk``, whose slices call only the
-    layers' private kernels. The head, every layer after the trunk, runs
+    layers' private kernels, after scaling the slice's own pixels. The
+    head, every layer after the trunk, runs
     its ``forward`` over each chunk. Each chunk's probabilities are the
     bytes ``forward`` gives for it.
     """
@@ -238,8 +251,12 @@ class Network:
         descriptor = normalize_descriptor(descriptor)
         self.descriptor = descriptor
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed) if weights is None else None
-        self.layers = _build_layers(descriptor, rng, self.dtype)
+        if weights is None:
+            self.layers = _build_layers(descriptor, np.random.default_rng(seed), self.dtype)
+        else:
+            # Zero-byte placeholders that give the shapes; _adopt replaces them.
+            self.layers = _build_layers(descriptor, None, np.dtype("V0"))
+            self._adopt(weights)
         self._first_param = next(
             (i for i, layer in enumerate(self.layers) if layer.params), len(self.layers) - 1
         )
@@ -253,8 +270,6 @@ class Network:
         # else the head's.
         fc = next((s for s in descriptor.layers[self._trunk_end :] if s["op"] == "fc"), None)
         self._trunk_width = fc["n_in"] if fc else descriptor.num_classes
-        if weights is not None:
-            self.set_weights(weights)
 
     # perfbench/tests/check_bench.py expects the benchmark tracer to
     # find the constructor under this name as well.
@@ -271,30 +286,56 @@ class Network:
     def get_weights(self) -> list[np.ndarray]:
         return [arr.copy() for arr in self.parameters()]
 
-    def set_weights(self, weights) -> None:
+    def _check_weights(self, weights):
         params = self.parameters()
         if len(weights) != len(params):
             raise DomainError(f"expected {len(params)} arrays, got {len(weights)}")
         for target, source in zip(params, weights):
             if target.shape != source.shape:
                 raise DomainError(f"weight shape {source.shape} != {target.shape}")
+        return params
+
+    def set_weights(self, weights) -> None:
+        """Copy ``weights`` into the parameters."""
+        for target, source in zip(self._check_weights(weights), weights):
             target[...] = np.asarray(source, dtype=self.dtype)
+
+    def _adopt(self, weights):
+        """Make ``weights`` the parameters: each array that is a
+        C-contiguous, aligned and writeable ``dtype`` array as it is, any
+        other converted into a new one."""
+        self._check_weights(weights)
+        arrays = iter([
+            w if w.dtype == self.dtype and w.flags.c_contiguous and w.flags.aligned
+            and w.flags.writeable else np.array(w, dtype=self.dtype, order="C")
+            for w in weights
+        ])
+        for layer in self.layers:
+            if layer.params:
+                layer.w, layer.b = next(arrays), next(arrays)
 
     # -- computation --------------------------------------------------------
 
     def _check_input(self, x):
+        """``x`` as an array, in its own dtype, once its shape is checked."""
         x = np.asarray(x)
         if x.shape[1:] != self.descriptor.input_shape:
             raise DomainError(
                 f"input layer: tensor shape {x.shape[1:]} does not match "
                 f"declared input {self.descriptor.input_shape}"
             )
+        return x
+
+    def _tensor(self, x):
+        """The checked input ``x`` in ``dtype``, made on the calling thread:
+        uint8 pixels scaled by ``imaging.pixels_to_tensor``, any other
+        dtype cast (``x`` itself when it is in ``dtype`` already)."""
         if x.dtype == np.uint8:
             return pixels_to_tensor(x, self.dtype)
         return x.astype(self.dtype, copy=False)
 
     def _infer(self, x, layers):
-        out = self._check_input(x)
+        out = self._tensor(self._check_input(x))
         for layer in layers:
             out = layer.forward(out)
         return out
@@ -305,15 +346,17 @@ class Network:
 
     def _trunk_features(self, groups):
         """Yield the trunk's output for each group of chunks in turn.
-        Each chunk is checked and scaled on its own and a group's chunks
-        are stacked. While the caller works on one group's output, the
-        helper threads already run the next group's trunk."""
+        Each chunk's shape is checked on the calling thread, and a group's
+        chunks are stacked in their own dtype; the trunk's slices scale
+        them (``layers.begin_trunk``). While the caller works on one
+        group's output, the helper threads already run the next group's
+        trunk. Without a trunk each group is scaled on the calling thread."""
         pending = None
         for group in groups:
             x = [self._check_input(chunk) for chunk in group]
             x = x[0] if len(x) == 1 else np.concatenate(x)
             if not self._trunk_end:
-                yield x
+                yield self._tensor(x)
                 continue
             out = np.empty((len(x), self._trunk_width), dtype=self.dtype)
             finish = L.begin_trunk(self.layers[: self._trunk_end], x, out)

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -18,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bridgecap._records import plain
@@ -255,6 +257,38 @@ def held_caches(net):
             if name == "_saved" or any(isinstance(v, np.ndarray) for v in values):
                 held.append((i, name))
     return held
+
+
+def decode_both(data: bytes):
+    """``checkpoint_from_bytes(data)``, once ``load_checkpoint`` of a file
+    holding ``data`` has given the same checkpoint or raised the same
+    exception with the same message; that exception is raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(data)
+        outcomes = []
+        for read in (lambda: checkpoint_from_bytes(data), lambda: load_checkpoint(path)):
+            try:
+                outcomes.append(read())
+            except Exception as exc:  # compared below, then raised
+                outcomes.append(exc)
+    from_bytes, from_file = outcomes
+    if isinstance(from_bytes, Exception):
+        assert (type(from_file), str(from_file)) == (type(from_bytes), str(from_bytes))
+        raise from_bytes
+    assert from_file.descriptor == from_bytes.descriptor
+    assert from_file.history == from_bytes.history
+    assert [w.tobytes() for w in from_file.weights] == [w.tobytes() for w in from_bytes.weights]
+    return from_bytes
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager
@@ -1054,20 +1088,45 @@ class TestPixelInput:
         assert ckpts[0] == ckpts[1]
 
     def test_fit_keeps_pixels_and_scales_each_batch_on_the_calling_thread(self, monkeypatch):
+        # Training batches are scaled on the calling thread; validation
+        # rows in the trunk slices that run them, each row once.
         caller = threading.get_ident()
+        in_slice = threading.local()
         scaled = []
 
-        def recorded(pixels, dtype):
-            scaled.append((threading.get_ident(), len(pixels)))
-            return pixels_to_tensor(pixels, dtype)
+        def recorded(scale):
+            def run(pixels, dtype):
+                scaled.append((threading.get_ident(), getattr(in_slice, "on", False),
+                               pixels.copy()))
+                return scale(pixels, dtype)
+            return run
 
-        monkeypatch.setattr(network_module, "pixels_to_tensor", recorded)
+        begin = L._begin
+
+        def recorded_begin(fn, n):
+            def run(part):
+                in_slice.on = True
+                try:
+                    fn(part)
+                finally:
+                    in_slice.on = False
+            return begin(run, n)
+
+        monkeypatch.setattr(network_module, "pixels_to_tensor", recorded(pixels_to_tensor))
+        monkeypatch.setattr(L, "_scale_pixels", recorded(L._scale_pixels))
+        monkeypatch.setattr(L, "_begin", recorded_begin)
         px, y = self.pixels(20, seed=2), np.arange(20) % 2
         net = Network(micro_cnn(["a", "b"], input_shape=(3, 12, 12)), seed=0)
         with split_helpers(3):
             fit(net, px, y, px[:9], y[:9], TrainConfig(max_epochs=1, batch_size=8))
-        # Three training batches, then two validation chunks.
-        assert scaled == [(caller, 8), (caller, 8), (caller, 4), (caller, 5), (caller, 4)]
+        # Three training batches, then one group of 9 validation rows in
+        # slices of at most L._SLICE.
+        train, val = scaled[:3], scaled[3:]
+        assert [(thread, on, len(p)) for thread, on, p in train] == [
+            (caller, False, 8), (caller, False, 8), (caller, False, 4)]
+        assert all(on and len(p) <= L._SLICE for _, on, p in val)
+        assert sorted(row.tobytes() for _, _, p in val for row in p) == sorted(
+            row.tobytes() for row in px[:9])
 
     def test_train_hands_fit_uint8_pixels(self, tmp_path, monkeypatch):
         import importlib
@@ -1292,11 +1351,11 @@ class TestCheckpoint:
         net = Network(linear_head(3, ["a", "b"]), seed=0)
         data = checkpoint_to_bytes(make_checkpoint(net))
         with pytest.raises(FormatError):
-            checkpoint_from_bytes(data[:-9])
+            decode_both(data[:-9])
 
     def test_bad_magic_detected(self):
         with pytest.raises(FormatError, match="magic"):
-            checkpoint_from_bytes(b"NOPE" + b"\x00" * 32)
+            decode_both(b"NOPE" + b"\x00" * 32)
 
     def test_every_truncation_is_format_error(self):
         # Cut at every byte of the header, metadata and history block, and
@@ -1313,13 +1372,13 @@ class TestCheckpoint:
         cuts.update(range(boundary - 1, len(data)))
         for cut in sorted(cuts):
             with pytest.raises(FormatError):
-                checkpoint_from_bytes(data[:cut])
+                decode_both(data[:cut])
 
     @settings(PROPERTY, max_examples=300)
     @given(data=st.data())
     def test_damaged_checkpoint_raises_only_package_errors(self, data):
         with contextlib.suppress(BridgecapError):
-            checkpoint_from_bytes(data.draw(damaged(CHECKPOINT)))
+            decode_both(data.draw(damaged(CHECKPOINT)))
 
     @pytest.mark.parametrize("meta", [
         b"\xff\xfe{}",
@@ -1330,7 +1389,7 @@ class TestCheckpoint:
     def test_bad_metadata_is_format_error(self, meta):
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(FormatError):
-            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+            decode_both(header + meta + b"\x00" * 8)
 
     # Metadata that is a JSON object but not a descriptor raises
     # ConfigError, as the descriptor would at construction.
@@ -1343,7 +1402,7 @@ class TestCheckpoint:
     def test_bad_descriptor_is_config_error(self, meta, message):
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(ConfigError, match=re.escape(message)):
-            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+            decode_both(header + meta + b"\x00" * 8)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_history_is_not_written(self, value):
@@ -1369,14 +1428,14 @@ class TestCheckpoint:
             json.dumps([*layers, {"op": "softmax"}]).encode())
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(FormatError, match="weight block truncated"):
-            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+            decode_both(header + meta + b"\x00" * 8)
 
     def test_flattened_width_past_int64_is_config_error(self):
         meta = (b'{"class_labels":["a","b"],"input_shape":[3,4294967296,4294967296],'
                 b'"layers":[{"op":"flatten"},{"op":"fc","n_out":2},{"op":"softmax"}]}')
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(ConfigError, match=re.escape("layer 1 (fc).n_in must be int, got")):
-            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+            decode_both(header + meta + b"\x00" * 8)
 
     @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"])
     def test_non_finite_history_is_format_error(self, token):
@@ -1388,18 +1447,18 @@ class TestCheckpoint:
         forged = head + struct.pack("<Q", len(history)) + history
         with pytest.raises(FormatError, match=re.escape(
                 f"checkpoint history: not valid JSON ({token.decode()} {reason})")):
-            checkpoint_from_bytes(forged)
+            decode_both(forged)
 
     def test_non_finite_metadata_is_format_error(self):
         meta = b'{"input_shape": [NaN], "layers": [], "class_labels": []}'
         header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
         with pytest.raises(FormatError, match="NaN is not a JSON number"):
-            checkpoint_from_bytes(header + meta + b"\x00" * 8)
+            decode_both(header + meta + b"\x00" * 8)
 
     def test_metadata_length_past_eof_is_format_error(self):
         data = checkpoint_to_bytes(make_checkpoint(Network(linear_head(2, ["a", "b"]))))
         with pytest.raises(FormatError, match="past the end"):
-            checkpoint_from_bytes(data[:8] + struct.pack("<Q", 2**63) + data[16:])
+            decode_both(data[:8] + struct.pack("<Q", 2**63) + data[16:])
 
     @PROPERTY
     @given(cnn=st.booleans(), labels=st.lists(st.text(max_size=4), min_size=1, max_size=9),
@@ -1494,6 +1553,173 @@ class TestCheckpoint:
         set_field(meta, path, value)
         with pytest.raises(ConfigError, match=message):
             normalize_descriptor(meta)
+
+    def test_forged_width_fails_before_any_allocation(self, tmp_path):
+        meta = (b'{"class_labels":["a","b"],"input_shape":[1,3,3],"layers":[{"op":"flatten"},'
+                b'{"op":"fc","n_out":35184372088832},{"op":"fc","n_out":2},{"op":"softmax"}]}')
+        data = MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta + b"\x00" * 8
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data)
+        for read in (lambda: checkpoint_from_bytes(data), lambda: load_checkpoint(path)):
+            def decode():
+                with pytest.raises(FormatError, match="weight block truncated: need 1266637"):
+                    read()
+            assert traced_peak(decode)[1] < 2**20
+
+    def test_each_boundary_has_its_own_message(self):
+        net = Network(linear_head(3, ["a", "b"]), seed=0)
+        data = checkpoint_to_bytes(make_checkpoint(net, {"val_acc": [0.5]}))
+        (meta_len,) = struct.unpack_from("<Q", data, 8)
+        meta_end = 16 + meta_len
+        weights_end = meta_end + 4 * (3 * 2) + 4 * 2
+        cases = [
+            (b"NOPE" + data[4:], "bad checkpoint magic b'NOPE'"),
+            (data[:15], "checkpoint header truncated at 15 of 16 bytes"),
+            (data[:8] + struct.pack("<Q", 0), "checkpoint metadata: not valid JSON"),
+            (data[:8] + struct.pack("<Q", meta_len + 1) + data[16:meta_end],
+             f"metadata of {meta_len + 1} bytes runs past the end of the file"),
+            (data[:meta_end], f"weight block truncated: need 24 bytes at offset {meta_end}"),
+            (data[: weights_end - 1],
+             f"weight block truncated: need 8 bytes at offset {meta_end + 24}"),
+            (data[:weights_end], "missing history block"),
+            (data[: weights_end + 7], "missing history block"),
+            (data[:weights_end] + struct.pack("<Q", 0), "checkpoint history: not valid JSON"),
+            (data[:-1], f"history length mismatch: expected end at {len(data)}, "
+                        f"file has {len(data) - 1}"),
+            (data + b" ", f"history length mismatch: expected end at {len(data)}, "
+                          f"file has {len(data) + 1}"),
+        ]
+        for forged, message in cases:
+            with pytest.raises(FormatError, match=re.escape(message)):
+                decode_both(forged)
+
+    def test_file_cut_while_it_is_read_is_format_error(self):
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 4, 4)), seed=0)
+        data = checkpoint_to_bytes(make_checkpoint(net, {"val_acc": [0.5]}))
+        (meta_len,) = struct.unpack_from("<Q", data, 8)
+        history = 8 + len(b'{"val_acc":[0.5]}')
+
+        class Cut(io.BytesIO):
+            """The first bytes of a file whose size read ``len(data)``
+            before it was cut."""
+
+            def seek(self, offset, whence=io.SEEK_SET):
+                end = super().seek(offset, whence)
+                return len(data) if whence == io.SEEK_END else end
+
+        for cut, message in ((16 + meta_len + 100, "weight block truncated"),
+                             (len(data) - history, "missing history block"),
+                             (len(data) - 1, "history length mismatch")):
+            with pytest.raises(FormatError, match=message):
+                checkpoint_from_bytes(Cut(data[:cut]))
+
+    def test_checkpoint_read_from_a_pipe_loads(self, tmp_path):
+        net = Network(micro_cnn(["a", "b"], input_shape=(3, 16, 16)), seed=1)
+        data = checkpoint_to_bytes(make_checkpoint(net, {"val_acc": [0.5]}))
+        fifo = tmp_path / "model.ckpt"
+        os.mkfifo(fifo)
+        # The pipe holds less than the checkpoint, so a thread writes it.
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            loaded = load_checkpoint(fifo)
+        finally:
+            writer.join()
+        assert len(data) > 2**16 and checkpoint_to_bytes(loaded) == data
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as source:
+            with os.fdopen(write_end, "wb") as sink:
+                sink.write(data[:4096])
+            with pytest.raises(FormatError, match="weight block truncated"):
+                checkpoint_from_bytes(source)
+
+
+class TestHeldOnce:
+    """Building, writing, reading and running a model hold its weights
+    once: at most one small block beside the arrays that are kept."""
+
+    @staticmethod
+    def weight_bytes(arrays):
+        return sum(a.nbytes for a in arrays)
+
+    @PROPERTY
+    @given(rows=st.integers(1, 3 * L._DRAW // 4), cols=st.sampled_from([1, 4, 7]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(rows=8192, cols=128, dtype=np.float32, seed=0)
+    @example(rows=L._DRAW, cols=1, dtype=np.float64, seed=0)
+    @example(rows=L._DRAW + 1, cols=1, dtype=np.float32, seed=0)
+    def test_block_drawn_init_matches_one_draw(self, rows, cols, dtype, seed):
+        for shape in ((rows, cols), (rows, cols, 1, 1)):
+            drawn, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = L._glorot(drawn, 27, 144, shape, dtype)
+            a = np.sqrt(6.0 / (27 + 144))
+            expected = whole.uniform(-a, a, size=shape).astype(dtype)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert drawn.bit_generator.state == whole.bit_generator.state
+
+    def test_building_a_network_holds_its_parameters_once(self):
+        desc = micro_cnn(["a", "b"])
+        Network(desc, seed=7)  # first-use imports and caches are not the build's
+        net, peak = traced_peak(lambda: Network(desc, seed=7))
+        # A float64 draw of the whole shape, then its cast, put it at 3.0x.
+        assert peak <= 1.1 * self.weight_bytes(net.parameters()), peak
+
+    def test_encode_makes_one_copy(self):
+        ckpt = make_checkpoint(Network(micro_cnn(["a", "b"]), seed=7), {"val_acc": [0.5]})
+        data, peak = traced_peak(lambda: checkpoint_to_bytes(ckpt))
+        assert peak <= self.weight_bytes(ckpt.weights) + 2**20, peak
+        assert len(data) > self.weight_bytes(ckpt.weights)
+
+    def test_loaded_network_shares_the_checkpoint_weights(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_checkpoint(Network(micro_cnn(["a", "b"]), seed=7)), path)
+        network_from_checkpoint(load_checkpoint(path))  # first use, as above
+
+        def load():
+            ckpt = load_checkpoint(path)
+            return ckpt, network_from_checkpoint(ckpt)
+
+        (ckpt, net), peak = traced_peak(load)
+        assert peak <= 1.1 * self.weight_bytes(ckpt.weights), peak
+        params = net.parameters()
+        assert len(params) == len(ckpt.weights)
+        assert all(np.shares_memory(p, w) for p, w in zip(params, ckpt.weights))
+
+    def test_only_ready_arrays_are_shared(self):
+        desc = linear_head(3, ["a", "b"])
+        w = np.arange(6, dtype=np.float32).reshape(3, 2)
+        b = np.array([0.5, -0.5], dtype=np.float32)
+        frozen = b.copy()
+        frozen.flags.writeable = False
+        unaligned = np.zeros(4 * w.size + 1, dtype=np.uint8)[1:].view(np.float32).reshape(3, 2)
+        unaligned[...] = w
+        assert not unaligned.flags.aligned
+        cases = [
+            ((w, b), np.float32, (True, True)),
+            ((np.asfortranarray(w), b), np.float32, (False, True)),
+            ((w, frozen), np.float32, (True, False)),
+            ((unaligned, b), np.float32, (False, True)),
+            ((w.astype(">f4"), b), np.float32, (False, True)),
+            ((w, b), np.float64, (False, False)),
+        ]
+        for weights, dtype, shared in cases:
+            net = Network(desc, dtype=dtype, weights=weights)
+            params = net.parameters()
+            assert [np.shares_memory(p, s) for p, s in zip(params, weights)] == list(shared)
+            assert all(p.dtype == dtype and p.flags.c_contiguous and p.flags.writeable
+                       for p in params)
+            assert [p.tolist() for p in params] == [w.tolist(), b.tolist()]
+
+    def test_predict_proba_scales_pixels_a_slice_at_a_time(self):
+        net = Network(micro_cnn(["a", "b"]), seed=7)
+        x = np.random.default_rng(0).integers(0, 256, (480, 3, 64, 64), dtype=np.uint8)
+        with split_helpers(0):
+            expected = predict_proba(net, pixels_to_tensor(x[:40]))
+            assert predict_proba(net, x[:40]).tobytes() == expected.tobytes()
+            _, peak = traced_peak(lambda: predict_proba(net, x))
+        # 6.8 MiB when each group of chunks was scaled and stacked as floats.
+        assert peak < 6 * 2**20, peak / 2**20
 
 
 class TestFeatureHead:
